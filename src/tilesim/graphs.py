@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import ast
+import itertools
 import shlex
 
 
@@ -212,7 +213,7 @@ class Morphism:
 
 def validate_morphism(m):
     g, h = m.domain, m.codomain
-    if set(m.vmap) != set(g.vlabel) or set(m.emap) != set(g.edges):
+    if m.vmap.keys() != g.vlabel.keys() or m.emap.keys() != g.edges.keys():
         raise ValueError("morphism maps have wrong domains")
     for v, w in m.vmap.items():
         if w not in h.vlabel:
@@ -220,7 +221,8 @@ def validate_morphism(m):
     for e, d in m.emap.items():
         if d not in h.edges:
             raise ValueError("edge image %r missing" % (d,))
-        if h.edges[d] != (m.vmap[g.tail(e)], m.vmap[g.head(e)]):
+        t, hd = g.edges[e]
+        if h.edges[d] != (m.vmap[t], m.vmap[hd]):
             raise ValueError("morphism breaks endpoints at %r" % (e,))
     if g.reversal is not None and h.reversal is not None:
         for e, d in m.emap.items():
@@ -242,69 +244,119 @@ def labelling_morphism(g):
     return Morphism(dict(g.vlabel), dict(g.elabel), g, g.label_graph)
 
 
-def compose_morphisms(m2, m1):
-    """m2 after m1."""
-    if m1.codomain != m2.domain:
-        raise ValueError("morphisms do not compose")
-    return Morphism({v: m2.vmap[w] for v, w in m1.vmap.items()},
-                    {e: m2.emap[d] for e, d in m1.emap.items()},
-                    m1.domain, m2.codomain)
-
-
 # -- hom enumeration -------------------------------------------------------
+
+
+def backtrack(rows, fits):
+    """Depth-first search for one entry per row, trying rows in order and
+    each row's entries in order; fits(img, i) says whether img[i] may
+    follow img[:i].  Yields img, one list overwritten as the search goes
+    on, at every complete assignment.  The search is a loop, so no
+    recursion limit applies however many rows there are."""
+    n = len(rows)
+    img = [None] * n
+    resume = [0] * n
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            yield img
+            depth -= 1
+            continue
+        row = rows[depth]
+        k = resume[depth]
+        while k < len(row):
+            img[depth] = row[k]
+            k += 1
+            if fits(img, depth):
+                break
+        else:
+            resume[depth] = 0
+            depth -= 1
+            continue
+        resume[depth] = k
+        depth += 1
 
 
 def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     """All label-preserving morphisms g -> h, in a deterministic order.
 
-    Backtracking over vertices (ordered so that each vertex after the first
-    in its component touches an already-placed one), with edge images chosen
-    per reversal orbit afterwards.  `limit` stops early with a partial list;
-    `budget` bounds the number of explored assignments and raises
-    CapacityError when exhausted.
+    The search runs over a form compiled once per call.  Position i of
+    _vertex_order(g) (each vertex after the first in its component touches
+    an earlier one) keeps its candidates, the vertices of h with its label
+    in h.vertices() order, and the edges of g whose later endpoint is i,
+    checked as (label, tail, head) against an index of h's edges.  The
+    iterative backtrack fills the positions in order; for each complete
+    vertex map, edge images are chosen per reversal orbit of g.edge_ids(),
+    the last orbit varying fastest, each orbit's images in skey order.
+
+    Results, and the entries of each vmap and emap, come in that order.
+    `limit` stops after the first `limit` results.  `budget` bounds the
+    explored assignments (one per vertex candidate tried, one per morphism
+    built) and raises CapacityError when exhausted.  Every result is a
+    Morphism, so validate_morphism checks it.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
+    if limit is not None and limit <= 0:
+        return []
     order = _vertex_order(g)
-    incident = {v: [] for v in g.vlabel}
-    for e, (t, hd) in g.edges.items():
-        incident[t].append((e, 0))
-        incident[hd].append((e, 1))
+    pos = {v: i for i, v in enumerate(order)}
     by_label = {}
     for w in h.vertices():
         by_label.setdefault(h.vlabel[w], []).append(w)
-    results = []
-    vmap = {}
-    spent = [0]
-
-    def edge_ok(e, vmap):
+    checks = [[] for _ in order]
+    for e, (t, hd) in g.edges.items():
+        i, j = pos[t], pos[hd]
+        checks[max(i, j)].append((g.elabel[e], i, j))
+    index = {}
+    for lab, ds in _label_edges(h).items():
+        for d in ds:
+            index.setdefault((lab,) + h.edges[d], []).append(d)
+    # Per edge orbit: (representative, distinct partner or None) and
+    # (label, tail position, head position, image must be self-reversed).
+    unoriented = g.reversal is not None and h.reversal is not None
+    orbit_ids = []
+    orbit_keys = []
+    seen = set()
+    for e in g.edge_ids():
+        if e in seen:
+            continue
+        partner = g.reversal[e] if unoriented else e
+        seen.update((e, partner))
         t, hd = g.edges[e]
-        if t not in vmap or hd not in vmap:
-            return True
-        lab = g.elabel[e]
-        return any(h.edges[d] == (vmap[t], vmap[hd])
-                   for d in _edges_by_label(h, lab))
+        orbit_ids.append((e, None if partner == e else partner))
+        orbit_keys.append((g.elabel[e], pos[t], pos[hd],
+                           unoriented and partner == e))
+    spent = 0
 
-    def place(i):
-        if limit is not None and len(results) >= limit:
-            return
-        if i == len(order):
-            results.extend(_expand_edge_maps(g, h, dict(vmap), limit, spent, budget,
-                                             len(results) if limit is None else limit - len(results)))
-            return
-        v = order[i]
-        for w in by_label.get(g.vlabel[v], []):
-            spent[0] += 1
-            if spent[0] > budget:
+    def fits(img, i):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise CapacityError("hom enumeration budget exceeded")
+        return all((lab, img[a], img[b]) in index for lab, a, b in checks[i])
+
+    results = []
+    for img in backtrack([by_label.get(g.vlabel[v], []) for v in order], fits):
+        vmap = dict(zip(order, img))
+        choices = []
+        for lab, i, j, self_rev in orbit_keys:
+            ds = index[(lab, img[i], img[j])]
+            if self_rev:
+                ds = [d for d in ds if h.reversal[d] == d]
+            choices.append(ds)
+        for ds in itertools.product(*choices):
+            spent += 1
+            if spent > budget:
                 raise CapacityError("hom enumeration budget exceeded")
-            vmap[v] = w
-            if all(edge_ok(e, vmap) for e, _ in incident[v]):
-                place(i + 1)
-            del vmap[v]
-            if limit is not None and len(results) >= limit:
-                return
-
-    place(0)
+            emap = {}
+            for (e, partner), d in zip(orbit_ids, ds):
+                emap[e] = d
+                if partner is not None:
+                    emap[partner] = h.reversal[d]
+            results.append(Morphism(vmap, emap, g, h))
+            if len(results) == limit:
+                return results
     return results
 
 
@@ -330,7 +382,8 @@ def _vertex_order(g):
     return order
 
 
-def _edges_by_label(h, lab):
+def _label_edges(h):
+    """label -> edge ids of h with that label in skey order, cached on h."""
     cache = getattr(h, "_edges_by_label", None)
     if cache is None:
         cache = {}
@@ -339,61 +392,7 @@ def _edges_by_label(h, lab):
         for l in cache:
             cache[l].sort(key=skey)
         object.__setattr__(h, "_edges_by_label", cache)
-    return cache.get(lab, [])
-
-
-def _expand_edge_maps(g, h, vmap, limit, spent, budget, room):
-    """Given a full vertex map, enumerate compatible edge maps orbitwise."""
-    unoriented = g.reversal is not None and h.reversal is not None
-    orbits = []
-    seen = set()
-    for e in g.edge_ids():
-        if e in seen:
-            continue
-        seen.add(e)
-        partner = None
-        if unoriented:
-            partner = g.reversal[e]
-            seen.add(partner)
-        orbits.append((e, partner))
-    choice_lists = []
-    for e, partner in orbits:
-        t, hd = g.edges[e]
-        want = (vmap[t], vmap[hd])
-        cands = [d for d in _edges_by_label(h, g.elabel[e]) if h.edges[d] == want]
-        if unoriented and partner == e:
-            cands = [d for d in cands if h.reversal[d] == d]
-        if not cands:
-            return []
-        choice_lists.append(cands)
-    out = []
-    idx = [0] * len(orbits)
-    while True:
-        spent[0] += 1
-        if spent[0] > budget:
-            raise CapacityError("hom enumeration budget exceeded")
-        emap = {}
-        for (e, partner), lst, i in zip(orbits, choice_lists, idx):
-            d = lst[i]
-            emap[e] = d
-            if partner is not None and partner != e:
-                emap[partner] = h.reversal[d]
-        out.append(Morphism(vmap, emap, g, h))
-        if limit is not None and len(out) >= room:
-            return out
-        k = len(orbits) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(choice_lists[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return out
-
-
-def hom_exists(g, h, budget=10 ** 6):
-    return bool(enumerate_homs(g, h, limit=1, budget=budget))
+    return cache
 
 
 # -- pullback and exponential ----------------------------------------------
@@ -412,7 +411,7 @@ def pullback(g1, g2):
     edges = {}
     elabel = {}
     for e1 in g1.edge_ids():
-        for e2 in _edges_by_label(g2, g1.elabel[e1]):
+        for e2 in _label_edges(g2).get(g1.elabel[e1], []):
             e = (e1, e2)
             edges[e] = ((g1.tail(e1), g2.tail(e2)), (g1.head(e1), g2.head(e2)))
             elabel[e] = g1.elabel[e1]
@@ -1012,8 +1011,3 @@ def to_dot(g, name="g"):
 
 def _dot_escape(x):
     return str(x).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def canonical_text(g):
-    """Alias used by tests asserting determinism."""
-    return to_text(g)

@@ -22,8 +22,8 @@ import shlex
 from dataclasses import dataclass
 
 from .geometry import PLANE_INVERSE, PLANE_STEP, evaluate_word, identity
-from .graphs import (CapacityError, LabelGraph, alphabet, exponential, sharp,
-                     skey, _fmt, _parse_token)
+from .graphs import (CapacityError, LabelGraph, alphabet, backtrack,
+                     exponential, sharp, skey, _fmt, _parse_token)
 from .tilesets import (COMB_TILE_NAMES, DhsTarget, WangTileset,
                        comb_configuration, comb_tileset, lamp_runs)
 
@@ -71,27 +71,34 @@ def halfplane_to_text(hp):
 
 
 def halfplane_from_text(text):
+    """Read halfplane_to_text's format; '#' starts a comment.  Raises
+    ValueError naming the line on a malformed line."""
     colors = None
     tiles = []
     seed = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
-        toks = shlex.split(line)
-        if toks[0] == "kind":
-            if toks[1:] != ["halfplane"]:
-                raise ValueError("not a half-plane tileset")
-        elif toks[0] == "colors":
-            colors = frozenset(_parse_token(t) for t in toks[1:])
-        elif toks[0] == "tile":
-            if len(toks) != 5:
-                raise ValueError("tile lines carry four colours")
-            tiles.append(tuple(_parse_token(t) for t in toks[1:]))
-        elif toks[0] == "seedtile":
-            seed = int(toks[1])
-        else:
-            raise ValueError("unknown line %r" % (toks[0],))
+        try:
+            key, *rest = shlex.split(line)
+            if key == "kind":
+                if rest != ["halfplane"]:
+                    raise ValueError("not a half-plane tileset")
+            elif key == "colors":
+                colors = frozenset(_parse_token(t) for t in rest)
+            elif key == "tile":
+                if len(rest) != 4:
+                    raise ValueError("tile lines carry four colours")
+                tiles.append(tuple(_parse_token(t) for t in rest))
+            elif key == "seedtile":
+                if len(rest) != 1:
+                    raise ValueError("seedtile takes one index")
+                seed = int(rest[0])
+            else:
+                raise ValueError("unknown line %r" % (key,))
+        except ValueError as exc:
+            raise ValueError("bad half-plane line %r: %s" % (raw, exc)) from None
     if colors is None or not tiles or seed is None:
         raise ValueError("colors, tile and seedtile lines are all required")
     return HalfPlaneTileset(colors, tuple(tiles), seed)
@@ -125,43 +132,29 @@ def grid_wang_tilings(tiles, points, seed=None, limit=None):
     """
     tiles = tuple(tuple(t) for t in tiles)
     order = sorted(points)
+    if limit is not None and limit <= 0:
+        return []
+    rows = [(seed[1],) if seed is not None and pt == seed[0]
+            else range(len(tiles)) for pt in order]
+    # Per position, the earlier neighbours as (position, this tile's side,
+    # that tile's matching side); sides are (south, east, north, west).
+    pos = {pt: i for i, pt in enumerate(order)}
+    sides = {(-1, 0): (3, 1), (0, -1): (0, 2), (1, 0): (1, 3), (0, 1): (2, 0)}
+    nbrs = [[(pos[(m + dm, n + dn)], mine, theirs)
+             for (dm, dn), (mine, theirs) in sides.items()
+             if pos.get((m + dm, n + dn), i) < i]
+            for i, (m, n) in enumerate(order)]
+
+    def fits(img, i):
+        t = tiles[img[i]]
+        return all(tiles[img[j]][theirs] == t[mine]
+                   for j, mine, theirs in nbrs[i])
+
     out = []
-
-    def fits(values, pt, idx):
-        m, n = pt
-        t = tiles[idx]
-        west = values.get((m - 1, n))
-        if west is not None and tiles[west][1] != t[3]:
-            return False
-        south = values.get((m, n - 1))
-        if south is not None and tiles[south][2] != t[0]:
-            return False
-        east = values.get((m + 1, n))
-        if east is not None and t[1] != tiles[east][3]:
-            return False
-        north = values.get((m, n + 1))
-        if north is not None and t[2] != tiles[north][0]:
-            return False
-        return True
-
-    def place(i, values):
-        if limit is not None and len(out) >= limit:
-            return
-        if i == len(order):
-            out.append(dict(values))
-            return
-        pt = order[i]
-        if seed is not None and pt == seed[0]:
-            choices = (seed[1],)
-        else:
-            choices = range(len(tiles))
-        for idx in choices:
-            if fits(values, pt, idx):
-                values[pt] = idx
-                place(i + 1, values)
-                del values[pt]
-
-    place(0, {})
+    for img in backtrack(rows, fits):
+        out.append(dict(zip(order, img)))
+        if len(out) == limit:
+            break
     return out
 
 

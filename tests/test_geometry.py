@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -282,3 +284,28 @@ def test_alphabet_label_graph():
     assert a.num_vertices() == 2
     assert a.num_edges() == 16
     assert a.reversal[("X", "a", "Y")] == ("Y", "A", "X")
+
+
+def test_group_point_hash_is_structural():
+    x = evaluate_word("abAb")
+    same = [multiply(evaluate_word("ab"), evaluate_word("Ab")),
+            step(step(step(step(identity(), "a"), "b"), "A"), "b"),
+            GroupPoint(x.marker, x.digits)]
+    for y in same:
+        assert y == x
+        assert hash(y) == hash(x) == hash((x.marker, x.digits, 2, 2))
+    assert len({x, *same}) == 1
+    d = evaluate_word("up:0:1 up:0:1 dn:2:1", 3, 2)
+    assert hash(d) == hash((d.marker, d.digits, 3, 2))
+
+
+def test_group_point_copies_keep_equality_and_hash():
+    for word in ("", "bab", "BBa"):
+        fresh = evaluate_word(word)
+        hashed = evaluate_word(word)
+        hash(hashed)
+        for x in (fresh, hashed):
+            for y in (copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x))):
+                assert y == x
+                assert hash(y) == hash(x) == hash(evaluate_word(word))

@@ -1,8 +1,12 @@
+import itertools
 import random
+import sys
 
 import pytest
 
+from tilesim.geometry import ball, plane_label_graph, plane_window
 from tilesim.graphs import (
+    _vertex_order,
     CapacityError,
     LabelGraph,
     Morphism,
@@ -31,6 +35,7 @@ from tilesim.graphs import (
     uncurry,
     vertex_blowup,
 )
+from tilesim.tilesets import comb_tileset, wang_to_dhs
 
 
 def two_vertex_alphabet():
@@ -473,6 +478,112 @@ def test_homs_deterministic_order():
     homs2 = [(m.vmap, m.emap) for m in enumerate_homs(g, f)]
     assert homs1 == homs2
     assert len(homs1) == 2
+
+
+def brute_force_homs(g, h):
+    """Every hom g -> h as (vmap, emap), from a plain product over vertex
+    candidates and then over edge candidates per reversal orbit, in the
+    order enumerate_homs documents."""
+    order = _vertex_order(g)
+    cands = [[w for w in h.vertices() if h.vlabel[w] == g.vlabel[v]]
+             for v in order]
+    unoriented = g.reversal is not None and h.reversal is not None
+    orbits = []
+    seen = set()
+    for e in g.edge_ids():
+        if e not in seen:
+            ep = g.reversal[e] if unoriented else e
+            seen.update((e, ep))
+            orbits.append((e, ep))
+    h_edges = h.edge_ids()
+    out = []
+    for imgs in itertools.product(*cands):
+        vmap = dict(zip(order, imgs))
+        choices = [[d for d in h_edges
+                    if h.elabel[d] == g.elabel[e]
+                    and h.edges[d] == (vmap[g.tail(e)], vmap[g.head(e)])
+                    and (ep != e or not unoriented or h.reversal[d] == d)]
+                   for e, ep in orbits]
+        for ds in itertools.product(*choices):
+            emap = {}
+            for (e, ep), d in zip(orbits, ds):
+                emap[e] = d
+                if ep != e:
+                    emap[ep] = h.reversal[d]
+            out.append((vmap, emap))
+    return out
+
+
+def plane_torus(loops):
+    """One vertex with `loops` parallel E/W and N/S loop pairs over the
+    plane alphabet."""
+    edges, elabel, rev = {}, {}, {}
+    for k in range(loops):
+        for d, di in (("E", "W"), ("N", "S")):
+            edges[(d, k)] = edges[(di, k)] = (0, 0)
+            elabel[(d, k)], elabel[(di, k)] = d, di
+            rev[(d, k)], rev[(di, k)] = (di, k), (d, k)
+    return LabelGraph({0: 1}, edges, elabel, rev, plane_label_graph())
+
+
+def hom_instances():
+    a = unoriented_rose(["s"])
+    yield (labelled(a, {0: 1}, {0: (0, 0), 1: (0, 0)}, {0: "s", 1: "s'"},
+                    {0: 1, 1: 0}),
+           labelled(a, {0: 1, 1: 1},
+                    {0: (0, 1), 1: (1, 0), 2: (0, 0), 3: (0, 0)},
+                    {0: "s", 1: "s'", 2: "s", 3: "s'"},
+                    {0: 1, 1: 0, 2: 3, 3: 2}))
+    a = rose(["s"])
+    yield (labelled(a, {0: 1, 1: 1}, {0: (0, 0), 1: (0, 1)},
+                    {0: "s", 1: "s"}),
+           labelled(a, {0: 1, 1: 1}, {0: (0, 0), 1: (1, 1), 2: (0, 1),
+                                       3: (0, 1)},
+                    {0: "s", 1: "s", 2: "s", 3: "s"}))
+    yield plane_window(0, 2, 0, 1), plane_torus(2)
+    yield plane_window(0, 2, 0, 1), plane_window(0, 1, 0, 1)
+    yield ball(1).graph, wang_to_dhs(comb_tileset()).graph
+    rng = random.Random(7)
+    for _ in range(40):
+        a = random_alphabet(rng, rng.random() < 0.5)
+        yield (random_labelled(rng, a, max_v=3, max_e=4),
+               random_labelled(rng, a, max_v=4, max_e=5))
+
+
+def test_homs_match_brute_force_in_order():
+    def items(maps):
+        # Compared as item lists, so dict insertion order counts too.
+        return [(list(vm.items()), list(em.items())) for vm, em in maps]
+
+    nonempty = 0
+    for g, h in hom_instances():
+        want = items(brute_force_homs(g, h))
+        assert items((m.vmap, m.emap) for m in enumerate_homs(g, h)) == want
+        for k in (1, 2, 5):
+            got = enumerate_homs(g, h, limit=k)
+            assert items((m.vmap, m.emap) for m in got) == want[:k]
+        nonempty += bool(want)
+    assert nonempty >= 20
+
+
+@pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),
+                                                (2, 5, 132)])
+def test_homs_budget_threshold(r, limit, first_ok):
+    # One unit per vertex candidate tried and one per hom built: the
+    # smallest budget that succeeds is fixed by the search order.
+    window = ball(r).graph
+    target = wang_to_dhs(comb_tileset()).graph
+    with pytest.raises(CapacityError):
+        enumerate_homs(window, target, limit=limit, budget=first_ok - 1)
+    assert enumerate_homs(window, target, limit=limit, budget=first_ok)
+
+
+def test_homs_on_large_grid_need_no_recursion():
+    window = plane_window(0, 39, 0, 39)
+    assert window.num_vertices() > sys.getrecursionlimit()
+    (hom,) = enumerate_homs(window, plane_torus(1), limit=1)
+    assert set(hom.vmap.values()) == {0}
+    assert hom.emap[((0, 0), "E")] == ("E", 0)
 
 
 # -- simplification -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -198,6 +199,23 @@ def test_halfplane_text_round_trip():
         halfplane_from_text("colors c\ntile c c c c")
     with pytest.raises(ValueError):
         halfplane_from_text("colors c\nlump c\nseedtile 0")
+
+
+def test_halfplane_text_comments_and_bad_lines():
+    text = "kind halfplane  # ok\ncolors c d # two\ntile c d c c # x\n" \
+           "seedtile 0 # corner\n"
+    assert halfplane_from_text(text) == HalfPlaneTileset(
+        frozenset("cd"), (("c", "d", "c", "c"),), 0)
+    for bad in ("seedtile", "seedtile x", "tile c c c", "colors 'c"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            halfplane_from_text("colors c\ntile c c c c\n" + bad)
+
+
+def test_grid_wang_tilings_on_a_large_window():
+    pts = halfplane_points(45)
+    assert len(pts) > 2000
+    (sol,) = grid_wang_tilings([("c", "c", "c", "c")], pts, limit=1)
+    assert list(sol) == sorted(pts) and set(sol.values()) == {0}
 
 
 _PLANE_INV = {"E": "W", "N": "S", "W": "E", "S": "N"}
