@@ -2,17 +2,21 @@
 
 encode() turns a window plus tileset into clauses over one variable per
 (point, tile) pair: an exactly-one group per point, plus the fully-contained
-constraint scopes of the tileset.  An embedded clause-learning solver handles
-solving, enumeration (by blocking found solutions) and forced-value queries
-(one assumption per candidate).  Everything is deterministic: branching takes
-the lowest unassigned variable, trying it positively first, so the same
-instance always produces the same models in the same order.
+constraint scopes of the tileset.  Scopes sharing a table and candidate lists
+share one clause pattern, built once and renumbered per scope.  An embedded
+clause-learning solver handles solving, enumeration (by blocking found
+solutions) and forced-value queries (one assumption per candidate); it keeps
+its state in flat lists indexed by literal or variable.  Everything is
+deterministic: branching takes the lowest unassigned variable, trying it
+positively first, so the same instance always produces the same models in
+the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import itertools
+import operator
 
 from .geometry import GroupPoint, canonical, interior_vertices
 from .graphs import skey, CapacityError
@@ -33,16 +37,6 @@ class CnfInstance:
     clauses: list = field(default_factory=list)
     var_of: dict = field(default_factory=dict)
     meaning: dict = field(default_factory=dict)
-
-    def new_var(self, key=None):
-        self.num_vars += 1
-        if key is not None:
-            self.var_of[key] = self.num_vars
-            self.meaning[self.num_vars] = key
-        return self.num_vars
-
-    def add(self, lits):
-        self.clauses.append(tuple(lits))
 
 
 @dataclass
@@ -83,78 +77,121 @@ def encode(window, ts, seeds=()):
     allowed tuple, whichever needs fewer clauses.  Seeds (the tileset's plus
     the extra ones) become unit clauses; a seed outside the window is an
     error.
+
+    A point's tile variables are consecutive, so a scope's clauses depend
+    only on its table and its points' candidate lists up to renumbering:
+    each distinct (table, candidate lists) pattern is built once over local
+    literals and instantiated per scope through a literal table.
     """
     cnf = CnfInstance()
+    var_of, meaning, clauses = cnf.var_of, cnf.meaning, cnf.clauses
     pts = window.points()
-    cands = {}
+    n = 0
+    # point -> (first tile variable, candidate list id, candidate count)
+    slot = {}
+    cand_ids = {}
     for pt in pts:
-        cs = vertex_candidates(ts, window, pt)
-        cands[pt] = cs
+        cs = tuple(vertex_candidates(ts, window, pt))
+        slot[pt] = (n + 1, cand_ids.setdefault(cs, len(cand_ids)), len(cs))
         for t in cs:
-            cnf.new_var((pt, t))
+            n += 1
+            key = (pt, t)
+            var_of[key] = n
+            meaning[n] = key
     for pt in pts:
-        group = [cnf.var_of[(pt, t)] for t in cands[pt]]
-        cnf.add(group)
-        if len(group) <= _PAIRWISE_LIMIT:
-            for x, y in itertools.combinations(group, 2):
-                cnf.add((-x, -y))
+        first, _, k = slot[pt]
+        group = tuple(range(first, first + k))
+        clauses.append(group)
+        if k <= _PAIRWISE_LIMIT:
+            clauses.extend(itertools.combinations([-x for x in group], 2))
         else:
-            regs = [cnf.new_var() for _ in range(len(group) - 1)]
-            cnf.add((-group[0], regs[0]))
-            for i in range(1, len(group) - 1):
-                cnf.add((-regs[i - 1], regs[i]))
-                cnf.add((-group[i], regs[i]))
-                cnf.add((-group[i], -regs[i - 1]))
-            cnf.add((-group[-1], -regs[-1]))
+            regs = range(n + 1, n + k)
+            n += k - 1
+            clauses.append((-group[0], regs[0]))
+            for i in range(1, k - 1):
+                clauses.append((-regs[i - 1], regs[i]))
+                clauses.append((-group[i], regs[i]))
+                clauses.append((-group[i], -regs[i - 1]))
+            clauses.append((-group[-1], -regs[-1]))
+    cand_lists = list(cand_ids)
+    patterns = {}
     for scope, allowed in window_scopes(ts, window):
-        _encode_scope(cnf, scope, [cands[v] for v in scope], allowed)
+        info = [slot[v] for v in scope]
+        key = (allowed, tuple([cid for _, cid, _ in info]))
+        pattern = patterns.get(key)
+        if pattern is None:
+            pattern = _scope_pattern([cand_lists[cid] for _, cid, _ in info],
+                                     allowed)
+            patterns[key] = pattern
+        nsel, pickers = pattern
+        lits = [0]
+        for first, _, k in info:
+            lits.extend(range(first, first + k))
+        lits.extend(range(n + 1, n + 1 + nsel))
+        n += nsel
+        # local literal l maps to lits[l]; -l wraps round to the negation
+        lits.extend([-x for x in reversed(lits[1:])])
+        clauses.extend([pick(lits) for pick in pickers])
+    cnf.num_vars = n
     for pt, t in tuple(ts.seeds) + tuple(seeds):
         if pt not in window:
             raise ValueError("seed %s lies outside the window"
                              % _point_str(pt))
-        var = cnf.var_of.get((pt, t))
+        var = var_of.get((pt, t))
         if var is None:
-            cnf.add(())
+            clauses.append(())
         else:
-            cnf.add((var,))
+            clauses.append((var,))
     return cnf
 
 
-def _encode_scope(cnf, scope, cand_lists, allowed):
+def _scope_pattern(cand_lists, allowed):
+    """One scope's clauses over local literals, as (selector count, list of
+    clause pickers).  Local variables number the candidates position by
+    position from 1, then the selectors; a picker maps encode's literal
+    table to the clause's global literals."""
+    local = []
+    nxt = 0
+    for cs in cand_lists:
+        local.append({t: nxt + 1 + k for k, t in enumerate(cs)})
+        nxt += len(cs)
     total = 1
     for cs in cand_lists:
         total *= len(cs)
-    cand_sets = [set(cs) for cs in cand_lists]
     usable = [t for t in sorted(allowed)
-              if all(x in s for x, s in zip(t, cand_sets))]
+              if all(x in m for x, m in zip(t, local))]
     forbidden = total - len(usable)
-    selector_cost = len(usable) * (len(scope) + 1) + 1
+    selector_cost = len(usable) * (len(cand_lists) + 1) + 1
+    out = []
     if forbidden <= selector_cost:
         # few tuples are forbidden, and then total is within a small factor
         # of the allowed count, so walking the product is affordable
         allowed_set = set(usable)
         for combo in itertools.product(*cand_lists):
             if combo not in allowed_set:
-                cnf.add(tuple(-cnf.var_of[(v, t)]
-                              for v, t in zip(scope, combo)))
-    else:
-        # one selector per allowed tuple; the exactly-one groups make the
-        # true selector unique, so models stay one-to-one with tilings
-        sels = []
-        for combo in usable:
-            s = cnf.new_var()
-            sels.append(s)
-            for v, t in zip(scope, combo):
-                cnf.add((-s, cnf.var_of[(v, t)]))
-        cnf.add(tuple(sels))
-        # each tile choice names the selectors it tolerates, which lets unit
-        # propagation prune scopes the way the blocking form would
-        for i, (v, cs) in enumerate(zip(scope, cand_lists)):
-            support = {t: [] for t in cs}
-            for s, combo in zip(sels, usable):
-                support[combo[i]].append(s)
-            for t in cs:
-                cnf.add(tuple([-cnf.var_of[(v, t)]] + support[t]))
+                out.append(tuple(-m[t] for m, t in zip(local, combo)))
+        return 0, [_picker(c) for c in out]
+    # one selector per allowed tuple; the exactly-one groups make the true
+    # selector unique, so models stay one-to-one with tilings
+    sels = range(nxt + 1, nxt + 1 + len(usable))
+    for s, combo in zip(sels, usable):
+        out.extend((-s, m[t]) for m, t in zip(local, combo))
+    out.append(tuple(sels))
+    # each tile choice names the selectors it tolerates, which lets unit
+    # propagation prune scopes the way the blocking form would
+    for i, (m, cs) in enumerate(zip(local, cand_lists)):
+        support = {t: [] for t in cs}
+        for s, combo in zip(sels, usable):
+            support[combo[i]].append(s)
+        for t in cs:
+            out.append((-m[t], *support[t]))
+    return len(usable), [_picker(c) for c in out]
+
+
+def _picker(clause):
+    if len(clause) >= 2:
+        return operator.itemgetter(*clause)
+    return lambda lits: tuple(lits[q] for q in clause)
 
 
 # -- the solver -------------------------------------------------------------------
@@ -164,135 +201,189 @@ class Solver:
     """Small clause-learning SAT solver (watched literals, first-UIP
     learning, backjumping).  Deterministic: decisions take the lowest
     unassigned variable, positive phase first.  Assumptions are placed as
-    the first decisions; learned clauses survive between calls."""
+    the first decisions; learned clauses survive between calls.
+
+    Literals are nonzero ints in [-nvars, nvars]; anything else is a
+    ValueError.  State lives in flat lists.  vals and watches have
+    2*nvars+1 slots indexed by the signed literal itself (Python's negative
+    indexing puts -v at slot 2*nvars+1-v): vals[q] is True, False or None
+    (unassigned) and watches[q] lists the db indices of the clauses
+    watching q, which sit at positions 0 and 1 of the clause.  levels and
+    reason are indexed by variable and only meaningful while it is
+    assigned.  stats counts decisions (not assumptions), conflicts, learned
+    clauses (units included) and propagations (implied literals).
+    """
 
     def __init__(self, num_vars):
         self.nvars = num_vars
+        size = 2 * num_vars + 1
+        self.vals = [None] * size
+        self.watches = [[] for _ in range(size)]
+        self.levels = [0] * (num_vars + 1)
+        self.reason = [None] * (num_vars + 1)
         self.db = []
-        self.watches = {}
-        self.assign = {}
-        self.reason = {}
-        self.levels = {}
         self.trail = []
         self.lim = []
         self.qhead = 0
         self.ok = True
         self.search_from = 1
+        self.stats = {"decisions": 0, "conflicts": 0, "learned": 0,
+                      "propagations": 0}
 
-    def value(self, lit):
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v == (lit > 0)
-
-    def level(self):
-        return len(self.lim)
+    def _check(self, lits):
+        n = self.nvars
+        for q in lits:
+            if not q or q > n or q < -n:
+                raise ValueError("literal %r outside 1..%d or its negation"
+                                 % (q, n))
 
     def add_clause(self, lits):
-        # only ever called at the root level, so literal values are permanent
+        self._add_clauses((lits,))
+
+    def _add_clauses(self, clauses):
+        """Add clauses at the root level.  Each is simplified against the
+        root assignment: a satisfied or tautological clause is dropped,
+        false and repeated literals go, a unit is propagated at once, and an
+        empty clause leaves the solver unsatisfiable for good.  A literal
+        out of range is a ValueError, raised before any clause is added."""
+        clauses = list(clauses)
+        flat = list(itertools.chain.from_iterable(clauses))
+        if flat and (min(flat) < -self.nvars or max(flat) > self.nvars
+                     or 0 in flat):
+            self._check(flat)
         if not self.ok:
             return
-        seen = set()
-        out = []
-        for q in lits:
-            if -q in seen:
-                return
-            if q in seen:
-                continue
-            val = self.value(q)
-            if val is True:
-                return
-            if val is False:
-                continue
-            seen.add(q)
-            out.append(q)
-        if not out:
-            self.ok = False
-            return
-        if len(out) == 1:
-            self._enqueue(out[0], None)
-            if self._propagate() is not None:
+        vals, watches, db = self.vals, self.watches, self.db
+        for lits in clauses:
+            if len(lits) == 2:
+                # the bulk of most instances: two free, distinct variables
+                a, b = lits
+                if vals[a] is None and vals[b] is None and a != b and a != -b:
+                    watches[a].append(len(db))
+                    watches[b].append(len(db))
+                    db.append([a, b])
+                    continue
+            out = []
+            for q in lits:
+                val = vals[q]
+                if val is None:
+                    out.append(q)
+                elif val:
+                    break
+            else:
+                if len(set(map(abs, out))) < len(out):
+                    out = _dedupe(out)
+                    if out is None:
+                        continue
+                if len(out) > 1:
+                    watches[out[0]].append(len(db))
+                    watches[out[1]].append(len(db))
+                    db.append(out)
+                    continue
+                if out:
+                    self._enqueue(out[0], None)
+                    if self._propagate() is None:
+                        continue
                 self.ok = False
-            return
-        self._attach(out)
+                return
 
     def _attach(self, lits):
+        ci = len(self.db)
         self.db.append(lits)
-        ci = len(self.db) - 1
-        self.watches.setdefault(lits[0], []).append(ci)
-        self.watches.setdefault(lits[1], []).append(ci)
+        self.watches[lits[0]].append(ci)
+        self.watches[lits[1]].append(ci)
         return ci
 
     def _enqueue(self, lit, reason):
-        val = self.value(lit)
+        val = self.vals[lit]
         if val is not None:
             return val
-        v = abs(lit)
-        self.assign[v] = lit > 0
-        self.levels[v] = self.level()
+        self.vals[lit] = True
+        self.vals[-lit] = False
+        v = lit if lit > 0 else -lit
+        self.levels[v] = len(self.lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            ws = self.watches.get(neg, [])
-            self.watches[neg] = []
-            keep = self.watches[neg]
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                i += 1
-                cl = self.db[ci]
-                if cl[0] == neg:
-                    cl[0], cl[1] = cl[1], cl[0]
+        vals, watches, db = self.vals, self.watches, self.db
+        levels, reason, trail = self.levels, self.reason, self.trail
+        lvl = len(self.lim)
+        start = len(trail)
+        qhead = self.qhead
+        confl = None
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = watches[neg]
+            keep = watches[neg] = []
+            for i, ci in enumerate(ws):
+                cl = db[ci]
                 first = cl[0]
-                if self.value(first) is True:
+                if first == neg:
+                    first = cl[0] = cl[1]
+                    cl[1] = neg
+                val = vals[first]
+                if val is True:
                     keep.append(ci)
                     continue
-                moved = False
-                for k in range(2, len(cl)):
-                    if self.value(cl[k]) is not False:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches.setdefault(cl[1], []).append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
+                if len(cl) > 2:
+                    for k in range(2, len(cl)):
+                        q = cl[k]
+                        if vals[q] is not False:
+                            # q takes over the watch
+                            cl[1] = q
+                            cl[k] = neg
+                            watches[q].append(ci)
+                            break
+                    else:
+                        k = 0  # nothing can: the clause is unit or false
+                    if k:
+                        continue
                 keep.append(ci)
-                if self.value(first) is False:
-                    keep.extend(ws[i:])
-                    self.qhead = len(self.trail)
-                    return cl
-                self._enqueue(first, ci)
-        return None
+                if val is False:
+                    keep.extend(ws[i + 1:])
+                    confl = cl
+                    break
+                vals[first] = True
+                vals[-first] = False
+                v = first if first > 0 else -first
+                levels[v] = lvl
+                reason[v] = ci
+                trail.append(first)
+            if confl is not None:
+                qhead = len(trail)
+                self.stats["conflicts"] += 1
+                break
+        self.qhead = qhead
+        self.stats["propagations"] += len(trail) - start
+        return confl
 
     def _analyze(self, confl):
+        levels, trail = self.levels, self.trail
         learnt = []
         seen = set()
         pathc = 0
         p = None
-        idx = len(self.trail) - 1
-        cur = self.level()
+        idx = len(trail) - 1
+        cur = len(self.lim)
         clause = confl
         while True:
             for q in clause:
-                if p is not None and q == p:
+                if q == p:
                     continue
                 v = abs(q)
-                if v in seen or self.levels[v] == 0:
+                if v in seen or levels[v] == 0:
                     continue
                 seen.add(v)
-                if self.levels[v] >= cur:
+                if levels[v] >= cur:
                     pathc += 1
                 else:
                     learnt.append(q)
-            while abs(self.trail[idx]) not in seen:
+            while abs(trail[idx]) not in seen:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             pathc -= 1
             if pathc == 0:
@@ -301,65 +392,69 @@ class Solver:
         learnt.insert(0, -p)
         if len(learnt) == 1:
             return learnt, 0
-        bl = max(self.levels[abs(q)] for q in learnt[1:])
-        k = max(range(1, len(learnt)),
-                key=lambda i: self.levels[abs(learnt[i])])
+        bl = max(levels[abs(q)] for q in learnt[1:])
+        k = max(range(1, len(learnt)), key=lambda i: levels[abs(learnt[i])])
         learnt[1], learnt[k] = learnt[k], learnt[1]
         return learnt, bl
 
     def _backjump(self, bl):
-        while len(self.lim) > bl:
-            mark = self.lim.pop()
-            while len(self.trail) > mark:
-                lit = self.trail.pop()
-                v = abs(lit)
-                del self.assign[v]
-                del self.levels[v]
-                del self.reason[v]
-                if v < self.search_from:
-                    self.search_from = v
-        self.qhead = len(self.trail)
+        lim, trail, vals = self.lim, self.trail, self.vals
+        if len(lim) > bl:
+            mark = lim[bl]
+            del lim[bl:]
+            low = self.search_from
+            for q in trail[mark:]:
+                vals[q] = vals[-q] = None
+                v = q if q > 0 else -q
+                if v < low:
+                    low = v
+            del trail[mark:]
+            self.search_from = low
+        self.qhead = len(trail)
 
     def _decide(self):
+        vals, n = self.vals, self.nvars
         v = self.search_from
-        while v <= self.nvars and v in self.assign:
+        while v <= n and vals[v] is not None:
             v += 1
         self.search_from = v
-        return v if v <= self.nvars else None
+        return v if v <= n else None
 
     def solve(self, assumptions=()):
         """A model dict (var -> bool) or None; learned clauses are kept."""
+        self._check(assumptions)
         if not self.ok:
             return None
         self._backjump(0)
         if self._propagate() is not None:
             self.ok = False
             return None
+        vals, lim, trail, stats = self.vals, self.lim, self.trail, self.stats
         while True:
             confl = self._propagate()
             if confl is not None:
-                if self.level() == 0:
+                if not lim:
                     self.ok = False
                     return None
-                if self.level() <= len(assumptions):
+                if len(lim) <= len(assumptions):
                     # cannot flip an assumption: unsatisfiable under them
                     self._backjump(0)
                     return None
                 learnt, bl = self._analyze(confl)
                 self._backjump(bl)
+                stats["learned"] += 1
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
                         self.ok = False
                         return None
                 else:
-                    ci = self._attach(list(learnt))
-                    self._enqueue(learnt[0], ci)
+                    self._enqueue(learnt[0], self._attach(learnt))
                 continue
-            lvl = self.level()
+            lvl = len(lim)
             if lvl < len(assumptions):
                 lit = assumptions[lvl]
-                val = self.value(lit)
-                self.lim.append(len(self.trail))
+                val = vals[lit]
+                lim.append(len(trail))
                 if val is False:
                     self._backjump(0)
                     return None
@@ -368,17 +463,31 @@ class Solver:
                 continue
             v = self._decide()
             if v is None:
-                model = dict(self.assign)
+                # trail order, which is the order the variables were set
+                model = {abs(q): q > 0 for q in trail}
                 self._backjump(0)
                 return model
-            self.lim.append(len(self.trail))
+            lim.append(len(trail))
+            stats["decisions"] += 1
             self._enqueue(v, None)
+
+
+def _dedupe(lits):
+    """lits without repeats, in first-seen order; None for a tautology."""
+    seen = set()
+    out = []
+    for q in lits:
+        if -q in seen:
+            return None
+        if q not in seen:
+            seen.add(q)
+            out.append(q)
+    return out
 
 
 def solver_for(cnf):
     s = Solver(cnf.num_vars)
-    for cl in cnf.clauses:
-        s.add_clause(list(cl))
+    s._add_clauses(cnf.clauses)
     return s
 
 
@@ -585,7 +694,8 @@ def import_solution(cnf, text, window):
     """Decode an external solver's output into a tiling.
 
     Accepts "v"-prefixed model lines or bare literal lines; an explicit
-    UNSATISFIABLE status or a malformed model line is an error.
+    UNSATISFIABLE status, a malformed model line or a literal beyond
+    cnf.num_vars is an error.
     """
     true_vars = set()
     saw_lits = False
@@ -607,6 +717,9 @@ def import_solution(cnf, text, window):
                 lit = int(tok)
             except ValueError:
                 raise ValueError("malformed model line: %r" % raw)
+            if abs(lit) > cnf.num_vars:
+                raise ValueError("variable %d beyond %d in model line: %r"
+                                 % (abs(lit), cnf.num_vars, raw))
             saw_lits = True
             if lit > 0:
                 true_vars.add(lit)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,10 +8,11 @@ from tilesim.geometry import (
     ball, cell_points, dl_window, evaluate_word, identity, interior_vertices,
     tetrahedron, window_cells)
 from tilesim.graphs import CapacityError, enumerate_homs
+from tilesim.reduction import HalfPlaneTileset, reduce_halfplane
 from tilesim.sat import (
     CnfInstance, Solver, TilingAssignment, count_tilings, encode,
     enumerate_tilings, exact_count, export_dimacs, forced_values,
-    import_solution, solve_tiling, solver_for)
+    import_solution, solve_tiling, solver_for, _point_str)
 from tilesim.tilesets import (
     comb_configuration, comb_tileset, dl_ray_system, lr_system,
     random_wang_tileset, ray_left_system, tetra_to_wang, tiling_ok,
@@ -88,10 +90,131 @@ def test_solver_learns_and_survives():
     assert s.solve() is None
 
 
+def test_solver_stats_on_pigeonhole():
+    s = Solver(6)
+    for p in range(3):
+        s.add_clause([2 * p + 1, 2 * p + 2])
+    for h in (1, 2):
+        for p1, p2 in itertools.combinations(range(3), 2):
+            s.add_clause([-(2 * p1 + h), -(2 * p2 + h)])
+    assert s.stats == {"decisions": 0, "conflicts": 0, "learned": 0,
+                       "propagations": 0}
+    assert s.solve() is None
+    # deciding 1 implies 5 literals and a conflict, which teaches a unit;
+    # at the root that unit implies 5 more and a second, final conflict
+    assert s.stats == {"decisions": 1, "conflicts": 2, "learned": 1,
+                       "propagations": 10}
+    assert s.solve() is None
+    assert s.stats["conflicts"] == 2
+
+
+def test_solver_rejects_out_of_range_literals():
+    for n, lits in ((3, [5]), (2, [0, 1]), (2, [1, -3]), (0, [1])):
+        s = Solver(n)
+        with pytest.raises(ValueError):
+            s.add_clause(lits)
+    s = Solver(1)
+    s.add_clause([1])
+    with pytest.raises(ValueError):
+        s.add_clause([1, 2])  # satisfied, but 2 is still no variable
+    s = Solver(2)
+    for assumptions in ((3,), (0,), (1, -3)):
+        with pytest.raises(ValueError):
+            s.solve(assumptions)
+    # nothing stuck: the solver still answers, over its own variables only
+    s.add_clause([-1, 2])
+    assert s.solve((1,)) == {1: True, 2: True}
+
+
+def _brute_sat(n, clauses, assumptions):
+    for bits in itertools.product((False, True), repeat=n):
+        val = lambda q: bits[abs(q) - 1] == (q > 0)
+        if all(val(q) for q in assumptions) and \
+                all(any(val(q) for q in cl) for cl in clauses):
+            return True
+    return False
+
+
+def test_solver_against_brute_force():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, n)
+                    for _ in range(rng.randint(1, 4))]
+                   for _ in range(rng.randint(0, 5 * n))]
+        s = Solver(n)
+        for cl in clauses:
+            s.add_clause(cl)
+        for _ in range(4):
+            assumptions = tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                                for _ in range(rng.randint(0, 3)))
+            model = s.solve(assumptions)
+            assert (model is not None) == _brute_sat(n, clauses, assumptions)
+            if model is None:
+                continue
+            assert set(model) == set(range(1, n + 1))
+            holds = lambda q: model[abs(q)] == (q > 0)
+            assert all(holds(q) for q in assumptions)
+            assert all(any(holds(q) for q in cl) for cl in clauses)
+            if rng.random() < 0.5:
+                block = [-v if model[v] else v for v in model]
+                clauses.append(block)
+                s.add_clause(block)
+
+
 def test_encode_single_vertex_group():
     cnf = encode(ball(0), comb_tileset())
     assert cnf.num_vars == 6
     assert len(cnf.clauses) == 1 + 15  # at-least-one plus pairwise
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_encode_output_is_pinned():
+    # variable numbering, clause order and literal order, blocking form
+    cnf = encode(ball(2), comb_tileset())
+    assert _sha256(export_dimacs(cnf)) == (
+        "8b7a30f3abd5bad76e6dc95757388b514f68fcc3b9a027de7337793f7fbb79af")
+    # and selector form
+    cnf = encode(tetrahedron(0, 1), wang_to_tetra(comb_tileset()))
+    assert _sha256(export_dimacs(cnf)) == (
+        "53b0eba6a16338262367692fa7655e0a184cf0874116bc32b9e4a2eee7c60dc3")
+    assert list(cnf.var_of.values()) == list(range(1, len(cnf.var_of) + 1))
+    assert list(cnf.meaning) == list(cnf.var_of.values())
+
+
+def test_enumeration_order_is_pinned():
+    win = tetrahedron(0, 1)
+    sols, complete = enumerate_tilings(win, comb_tileset())
+    assert complete
+    pts = sorted(win.points(), key=_point_str)
+    assert [_point_str(p) for p in pts] == ["(0; 0)", "(0;)", "(1; 0)",
+                                            "(1;)"]
+    assert [tuple(s.values[p] for p in pts) for s in sols] == [
+        (0, 3, 0, 1), (1, 2, 4, 1), (2, 1, 1, 4), (2, 2, 2, 2), (2, 4, 2, 4),
+        (2, 5, 2, 5), (3, 0, 1, 0), (3, 5, 2, 3), (4, 2, 4, 2), (4, 4, 4, 4),
+        (4, 5, 4, 5), (5, 2, 5, 2), (5, 3, 3, 2), (5, 4, 5, 4), (5, 5, 5, 5)]
+
+
+@pytest.mark.parametrize("radius, learned, true_vars", [
+    (4, 0, "6861ae65c888df7f2ef691d8d7fd6de15b6f645e5f110c68917557d9b9126575"),
+    (5, 2, "3587abe4ce5d6e338af9bd9a852e533a3525b1474be325b8b6e1fddb1f75e00a"),
+])
+def test_halfplane_search_is_pinned(radius, learned, true_vars):
+    # the alternating set of the half-plane reduction makes the solver
+    # search and learn; its first model and learned clauses are pinned
+    hp = HalfPlaneTileset(frozenset("cd"), (("c", "d", "c", "c"),
+                                            ("c", "c", "c", "d")), 0)
+    cnf = encode(ball(radius), reduce_halfplane(hp))
+    s = solver_for(cnf)
+    loaded = len(s.db)
+    model = s.solve()
+    assert len(s.db) - loaded == learned
+    assert set(model) == set(range(1, cnf.num_vars + 1))
+    true = sorted(v for v, b in model.items() if b)
+    assert _sha256(" ".join(map(str, true))) == true_vars
 
 
 def test_encode_seed_errors():
@@ -250,6 +373,9 @@ def test_import_solution_errors():
         import_solution(cnf, "v 1 banana 0\n", win)
     with pytest.raises(ValueError):
         import_solution(cnf, "c nothing here\n", win)
+    # the CNF has 6 variables
+    with pytest.raises(ValueError, match="v 1 999 0"):
+        import_solution(cnf, "v 1 999 0\n", win)
     # a model that picks two tiles at one point is rejected
     with pytest.raises(ValueError):
         import_solution(cnf, "v 1 2 3 4 5 6 0\n", win)
