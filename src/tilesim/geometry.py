@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 
-from .graphs import CapacityError, LabelGraph, alphabet
+from .graphs import CapacityError, LabelGraph, add_edge_pair, alphabet
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,7 @@ def dl_label_graph(p, q):
     rev = {}
     for i in range(p):
         for j in range(q):
-            spec[("up", i, j)] = (1, 1)
-            spec[("dn", i, j)] = (1, 1)
-            rev[("up", i, j)] = ("dn", i, j)
-            rev[("dn", i, j)] = ("up", i, j)
+            add_edge_pair(spec, None, rev, ("up", i, j), ("dn", i, j), 1, 1)
     return alphabet([1], spec, rev)
 
 
@@ -240,26 +237,27 @@ def point_neighbors(pt, mode):
     return out
 
 
-def _cayley_window(points, kind, params, budget):
-    if len(points) > budget:
-        raise CapacityError("window exceeds %d vertices" % budget)
-    a = cayley_label_graph()
+def _induced_graph(points, label_graph, forward):
+    """The graph induced on points over label_graph.  forward(pt) lists
+    (label, reversed label, neighbour) triples, one per edge pair; each
+    neighbour inside gets the edge and its reversed twin."""
     vlabel = {pt: 1 for pt in points}
     edges = {}
     elabel = {}
     rev = {}
     for pt in points:
-        for g in ("a", "b"):
-            im = step(pt, g)
+        for lab, rlab, im in forward(pt):
             if im in vlabel:
-                gi = GEN_INVERSE[g]
-                edges[(pt, g)] = (pt, im)
-                elabel[(pt, g)] = g
-                edges[(im, gi)] = (im, pt)
-                elabel[(im, gi)] = gi
-                rev[(pt, g)] = (im, gi)
-                rev[(im, gi)] = (pt, g)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
+                add_edge_pair(edges, elabel, rev, (pt, lab), (im, rlab),
+                              pt, im, lab, rlab)
+    return LabelGraph(vlabel, edges, elabel, rev, label_graph)
+
+
+def _cayley_window(points, budget):
+    if len(points) > budget:
+        raise CapacityError("window exceeds %d vertices" % budget)
+    return _induced_graph(points, cayley_label_graph(), lambda pt: [
+        (g, GEN_INVERSE[g], step(pt, g)) for g in ("a", "b")])
 
 
 def ball(r, budget=500000):
@@ -279,7 +277,7 @@ def ball(r, budget=500000):
         if len(seen) > budget:
             raise CapacityError("ball exceeds %d vertices" % budget)
         frontier = nxt
-    g = _cayley_window(seen, "ball", (r,), budget)
+    g = _cayley_window(seen, budget)
     return Window(g, "ball", (r,), "cayley")
 
 
@@ -295,7 +293,7 @@ def tetrahedron(lo, hi, budget=500000):
         for size in range(len(positions) + 1):
             for supp in itertools.combinations(positions, size):
                 points.append(GroupPoint(n, tuple((k, 1) for k in supp)))
-    g = _cayley_window(points, "tetra", (lo, hi), budget)
+    g = _cayley_window(points, budget)
     return Window(g, "tetra", (lo, hi), "cayley")
 
 
@@ -317,25 +315,15 @@ def dl_window(p, q, lo, hi, budget=500000):
         for combo in itertools.product(*ranges):
             digits = tuple((k, v) for k, v in zip(below + above, combo) if v)
             points.append(GroupPoint(n, digits, p, q))
-    a = dl_label_graph(p, q)
-    vlabel = {pt: 1 for pt in points}
-    edges = {}
-    elabel = {}
-    rev = {}
-    for pt in points:
+
+    def up_edges(pt):
         if pt.marker >= hi:
-            continue
+            return ()
         i = pt.digit(pt.marker)
-        for j in range(q):
-            im = dl_step(pt, "up", i, j)
-            if im in vlabel:
-                edges[(pt, ("up", i, j))] = (pt, im)
-                elabel[(pt, ("up", i, j))] = ("up", i, j)
-                edges[(im, ("dn", i, j))] = (im, pt)
-                elabel[(im, ("dn", i, j))] = ("dn", i, j)
-                rev[(pt, ("up", i, j))] = (im, ("dn", i, j))
-                rev[(im, ("dn", i, j))] = (pt, ("up", i, j))
-    g = LabelGraph(vlabel, edges, elabel, rev, a)
+        return [(("up", i, j), ("dn", i, j), dl_step(pt, "up", i, j))
+                for j in range(q)]
+
+    g = _induced_graph(points, dl_label_graph(p, q), up_edges)
     return Window(g, "dl", (lo, hi), "dl", p, q)
 
 
@@ -435,70 +423,70 @@ def quadrant_vertex_label(x, y):
     return lab
 
 
-def quadrant_label_graph():
-    """Alphabet for the quarter plane: a vertex knows which of the four
-    directions point to more quarter plane."""
-    vs = list(QUADRANT_LABELS)
+def grid_alphabet(labels, moves):
+    """Alphabet over labelled grid vertices.  moves maps E and N to the
+    (tail label, head label) pairs such an edge may join; each pair also
+    gets its W or S twin, reversed."""
     spec = {}
     rev = {}
-    moves = {"E": [("NE", "NEW"), ("NEW", "NEW"), ("NES", "NESW"),
-                   ("NESW", "NESW")],
-             "N": [("NE", "NES"), ("NES", "NES"), ("NEW", "NESW"),
-                   ("NESW", "NESW")]}
     for d, pairs in moves.items():
         di = PLANE_INVERSE[d]
         for s, t in pairs:
-            spec[(d, s, t)] = (s, t)
-            spec[(di, t, s)] = (t, s)
-            rev[(d, s, t)] = (di, t, s)
-            rev[(di, t, s)] = (d, s, t)
-    return alphabet(vs, spec, rev)
+            add_edge_pair(spec, None, rev, (d, s, t), (di, t, s), s, t)
+    return alphabet(list(labels), spec, rev)
 
 
-def plane_window(xlo, xhi, ylo, yhi):
-    """Grid patch of the plane, over the one-vertex E/N/W/S alphabet."""
-    a = plane_label_graph()
-    vlabel = {(x, y): 1
-              for x in range(xlo, xhi + 1) for y in range(ylo, yhi + 1)}
+def quadrant_label_graph():
+    """Alphabet for the quarter plane: a vertex knows which of the four
+    directions point to more quarter plane."""
+    return grid_alphabet(QUADRANT_LABELS, {
+        "E": [("NE", "NEW"), ("NEW", "NEW"), ("NES", "NESW"),
+              ("NESW", "NESW")],
+        "N": [("NE", "NES"), ("NES", "NES"), ("NEW", "NESW"),
+              ("NESW", "NESW")]})
+
+
+def grid_patch(points, vertex_label=None, label_graph=None):
+    """The grid graph induced on a set of (x, y) points: an E or N edge,
+    with its W or S twin, between each pair of unit neighbours.
+
+    Without vertex_label the patch lies over plane_label_graph(), with
+    vertex label 1 and bare direction edge labels.  With it, vertex (x, y)
+    is labelled vertex_label(x, y) and an edge (direction, tail label, head
+    label) over label_graph (see grid_alphabet)."""
+    if vertex_label is None:
+        label_graph = plane_label_graph()
+        vlabel = {pt: 1 for pt in points}
+    else:
+        vlabel = {pt: vertex_label(*pt) for pt in points}
     edges = {}
     elabel = {}
     rev = {}
-    for (x, y) in vlabel:
+    for s in sorted(vlabel):
         for d in ("E", "N"):
             dx, dy = PLANE_STEP[d]
-            t = (x + dx, y + dy)
+            t = (s[0] + dx, s[1] + dy)
             if t in vlabel:
                 di = PLANE_INVERSE[d]
-                edges[((x, y), d)] = ((x, y), t)
-                elabel[((x, y), d)] = d
-                edges[(t, di)] = (t, (x, y))
-                elabel[(t, di)] = di
-                rev[((x, y), d)] = (t, di)
-                rev[(t, di)] = ((x, y), d)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
+                if vertex_label is None:
+                    lab, rlab = d, di
+                else:
+                    lab = (d, vlabel[s], vlabel[t])
+                    rlab = (di, vlabel[t], vlabel[s])
+                add_edge_pair(edges, elabel, rev, (s, d), (t, di), s, t,
+                              lab, rlab)
+    return LabelGraph(vlabel, edges, elabel, rev, label_graph)
+
+
+def plane_window(xlo, xhi, ylo, yhi):
+    """Grid patch [xlo,xhi] x [ylo,yhi] of the plane, over the one-vertex
+    E/N/W/S alphabet."""
+    return grid_patch([(x, y) for x in range(xlo, xhi + 1)
+                       for y in range(ylo, yhi + 1)])
 
 
 def quadrant_window(w, h):
     """Grid patch [0,w) x [0,h) of the quarter plane, over the quadrant
     alphabet (vertex labels say which directions stay in the quarter)."""
-    a = quadrant_label_graph()
-    vlabel = {(x, y): quadrant_vertex_label(x, y)
-              for x in range(w) for y in range(h)}
-    edges = {}
-    elabel = {}
-    rev = {}
-    for (x, y) in sorted(vlabel):
-        for d in ("E", "N"):
-            dx, dy = PLANE_STEP[d]
-            t = (x + dx, y + dy)
-            if t in vlabel:
-                di = PLANE_INVERSE[d]
-                lab = (d, vlabel[(x, y)], vlabel[t])
-                labi = (di, vlabel[t], vlabel[(x, y)])
-                edges[((x, y), d)] = ((x, y), t)
-                elabel[((x, y), d)] = lab
-                edges[(t, di)] = (t, (x, y))
-                elabel[(t, di)] = labi
-                rev[((x, y), d)] = (t, di)
-                rev[(t, di)] = ((x, y), d)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
+    return grid_patch([(x, y) for x in range(w) for y in range(h)],
+                      quadrant_vertex_label, quadrant_label_graph())

@@ -17,7 +17,7 @@ composition; nothing below ever depends on ids being integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import ast
 import itertools
 import shlex
@@ -174,6 +174,19 @@ def disjoint_union(g1, g2):
         vlabel = {v: v for v in vlabel}
         elabel = {e: e for e in edges}
     return LabelGraph(vlabel, edges, elabel, rev, b)
+
+
+def add_edge_pair(edges, elabel, rev, e, r, t, h, lab=None, rlab=None):
+    """Write edge e: t -> h, its reversed twin r: h -> t and both reversal
+    entries.  With elabel (None for an alphabet's edge spec), e is labelled
+    lab and r rlab."""
+    edges[e] = (t, h)
+    edges[r] = (h, t)
+    if elabel is not None:
+        elabel[e] = lab
+        elabel[r] = rlab
+    rev[e] = r
+    rev[r] = e
 
 
 def induced_subgraph(g, keep_vertices):
@@ -946,6 +959,21 @@ def _parse_token(tok):
         return tok
 
 
+def read_lines(text, handle, what):
+    """Call handle(tokens) on each non-blank line of a line format.
+
+    Lines are split by shlex, so a quoted token may hold spaces or '#',
+    and an unquoted '#' starts a comment.  A ValueError from splitting or
+    from handle is re-raised naming the line."""
+    for raw in text.splitlines():
+        try:
+            toks = shlex.split(raw, comments=True)
+            if toks:
+                handle(toks)
+        except ValueError as exc:
+            raise ValueError("bad %s line %r: %s" % (what, raw, exc)) from None
+
+
 def to_text(g):
     """Canonical text form: one line per cell, sorted deterministically."""
     lines = []
@@ -965,12 +993,8 @@ def from_text(text, label_graph=None):
     edges = {}
     elabel = {}
     rev = {}
-    saw_rev = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = shlex.split(line)
+
+    def line(toks):
         if toks[0] == "vertex" and len(toks) == 3:
             vlabel[_parse_token(toks[1])] = _parse_token(toks[2])
         elif toks[0] == "edge" and len(toks) in (5, 7):
@@ -979,26 +1003,33 @@ def from_text(text, label_graph=None):
             elabel[e] = _parse_token(toks[4])
             if len(toks) == 7:
                 if toks[5] != "rev":
-                    raise ValueError("bad edge line: %r" % raw)
+                    raise ValueError("expected 'rev'")
                 rev[e] = _parse_token(toks[6])
-                saw_rev = True
         else:
-            raise ValueError("bad graph line: %r" % raw)
-    return LabelGraph(vlabel, edges, elabel, rev if saw_rev else None, label_graph)
+            raise ValueError("unknown line")
+
+    read_lines(text, line, "graph")
+    return LabelGraph(vlabel, edges, elabel, rev or None, label_graph)
 
 
 def to_dot(g, name="g"):
     """GraphViz export; one arrow per reversal orbit when unoriented."""
+    return _dot(g, name, g.vlabel.__getitem__, g.elabel.__getitem__)
+
+
+def _dot(g, name, vertex_text, edge_text):
+    """GraphViz lines for g, with node and arrow labels vertex_text(v) and
+    edge_text(e); one arrow per reversal orbit when unoriented."""
     lines = ["digraph %s {" % name]
-    idx = {v: i for i, v in enumerate(sorted(g.vlabel, key=skey))}
-    for v, i in sorted(idx.items(), key=lambda kv: kv[1]):
-        lines.append('  n%d [label="%s"];' % (i, _dot_escape(g.vlabel[v])))
+    idx = {v: i for i, v in enumerate(g.vertices())}
+    for v, i in idx.items():
+        lines.append('  n%d [label="%s"];' % (i, _dot_escape(vertex_text(v))))
     done = set()
-    for e in sorted(g.edges, key=skey):
+    for e in g.edge_ids():
         if e in done:
             continue
         t, h = g.edges[e]
-        attrs = 'label="%s"' % _dot_escape(g.elabel[e])
+        attrs = 'label="%s"' % _dot_escape(edge_text(e))
         if g.reversal is not None:
             ep = g.reversal[e]
             done.add(ep)

@@ -18,12 +18,11 @@ for runs that fall off the window.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 
-from .geometry import PLANE_INVERSE, PLANE_STEP, evaluate_word, identity
-from .graphs import (CapacityError, LabelGraph, alphabet, backtrack,
-                     exponential, sharp, skey, _fmt, _parse_token)
+from .geometry import evaluate_word, grid_alphabet, grid_patch, identity
+from .graphs import (CapacityError, backtrack, exponential, read_lines, sharp,
+                     skey, _fmt, _parse_token)
 from .tilesets import (COMB_TILE_NAMES, DhsTarget, WangTileset,
                        comb_configuration, comb_tileset, lamp_runs)
 
@@ -76,29 +75,27 @@ def halfplane_from_text(text):
     colors = None
     tiles = []
     seed = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            key, *rest = shlex.split(line)
-            if key == "kind":
-                if rest != ["halfplane"]:
-                    raise ValueError("not a half-plane tileset")
-            elif key == "colors":
-                colors = frozenset(_parse_token(t) for t in rest)
-            elif key == "tile":
-                if len(rest) != 4:
-                    raise ValueError("tile lines carry four colours")
-                tiles.append(tuple(_parse_token(t) for t in rest))
-            elif key == "seedtile":
-                if len(rest) != 1:
-                    raise ValueError("seedtile takes one index")
-                seed = int(rest[0])
-            else:
-                raise ValueError("unknown line %r" % (key,))
-        except ValueError as exc:
-            raise ValueError("bad half-plane line %r: %s" % (raw, exc)) from None
+
+    def line(toks):
+        nonlocal colors, seed
+        key, rest = toks[0], toks[1:]
+        if key == "kind":
+            if rest != ["halfplane"]:
+                raise ValueError("not a half-plane tileset")
+        elif key == "colors":
+            colors = frozenset(_parse_token(t) for t in rest)
+        elif key == "tile":
+            if len(rest) != 4:
+                raise ValueError("tile lines carry four colours")
+            tiles.append(tuple(_parse_token(t) for t in rest))
+        elif key == "seedtile":
+            if len(rest) != 1:
+                raise ValueError("seedtile takes one index")
+            seed = int(rest[0])
+        else:
+            raise ValueError("unknown line %r" % (key,))
+
+    read_lines(text, line, "half-plane")
     if colors is None or not tiles or seed is None:
         raise ValueError("colors, tile and seedtile lines are all required")
     return HalfPlaneTileset(colors, tuple(tiles), seed)
@@ -168,44 +165,16 @@ def halfplane_vertex_label(m, n):
 def halfplane_label_graph():
     """Alphabet for the half-plane m >= n: diagonal vertices only continue
     east and south, everything else has all four directions."""
-    spec = {}
-    rev = {}
-    moves = {"E": [("ES", "NESW"), ("NESW", "NESW")],
-             "N": [("NESW", "ES"), ("NESW", "NESW")]}
-    for d, pairs in moves.items():
-        di = PLANE_INVERSE[d]
-        for s, t in pairs:
-            spec[(d, s, t)] = (s, t)
-            spec[(di, t, s)] = (t, s)
-            rev[(d, s, t)] = (di, t, s)
-            rev[(di, t, s)] = (d, s, t)
-    return alphabet(list(HALFPLANE_LABELS), spec, rev)
+    return grid_alphabet(HALFPLANE_LABELS, {
+        "E": [("ES", "NESW"), ("NESW", "NESW")],
+        "N": [("NESW", "ES"), ("NESW", "NESW")]})
 
 
 def halfplane_window(points):
     """Grid patch of the half-plane over the two-label alphabet."""
-    a = halfplane_label_graph()
-    vlabel = {}
-    for m, n in points:
-        if m < n:
-            raise ValueError("grid point outside the half-plane")
-        vlabel[(m, n)] = halfplane_vertex_label(m, n)
-    edges = {}
-    elabel = {}
-    rev = {}
-    for (x, y) in sorted(vlabel):
-        for d in ("E", "N"):
-            dx, dy = PLANE_STEP[d]
-            t = (x + dx, y + dy)
-            if t in vlabel:
-                di = PLANE_INVERSE[d]
-                edges[((x, y), d)] = ((x, y), t)
-                elabel[((x, y), d)] = (d, vlabel[(x, y)], vlabel[t])
-                edges[(t, di)] = (t, (x, y))
-                elabel[(t, di)] = (di, vlabel[t], vlabel[(x, y)])
-                rev[((x, y), d)] = (t, di)
-                rev[(t, di)] = ((x, y), d)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
+    if any(m < n for m, n in points):
+        raise ValueError("grid point outside the half-plane")
+    return grid_patch(points, halfplane_vertex_label, halfplane_label_graph())
 
 
 def _second_layers(t):

@@ -20,8 +20,7 @@ import operator
 
 from .geometry import GroupPoint, canonical, interior_vertices
 from .graphs import skey, CapacityError
-from .tilesets import (tile_count, tile_label, vertex_candidates,
-                       window_scopes)
+from .tilesets import tile_label, vertex_candidates, window_scopes
 
 
 @dataclass

@@ -22,19 +22,21 @@ because a walk left the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import shlex
 
 from .graphs import (
     LabelGraph,
     Morphism,
+    add_edge_pair,
     alpha_pullback,
     base_of_subdivision,
     flat,
     labelling_morphism,
     path_subdivision,
+    read_lines,
+    simplify,
     skey,
     vertex_blowup,
-    _dot_escape,
+    _dot,
     _fmt,
     _parse_token,
 )
@@ -44,10 +46,12 @@ from .geometry import (
     boundary_vertices,
     cayley_label_graph,
     dl_label_graph,
+    grid_patch,
     plane_label_graph,
     quadrant_label_graph,
     quadrant_vertex_label,
-    PLANE_STEP,
+    GEN_INVERSE,
+    PLANE_INVERSE,
 )
 from .tilesets import decoration_symbols, comb_tileset, sea_level_system
 
@@ -559,49 +563,9 @@ def patch_frontier(g):
     return out
 
 
-def plane_patch(points):
-    """The plane-labelled grid graph induced on a set of (x, y) points."""
-    a = plane_label_graph()
-    vlabel = {p: 1 for p in points}
-    edges = {}
-    elabel = {}
-    rev = {}
-    for (x, y) in sorted(vlabel):
-        for d in ("E", "N"):
-            dx, dy = PLANE_STEP[d]
-            t = (x + dx, y + dy)
-            if t in vlabel:
-                di = {"E": "W", "N": "S"}[d]
-                edges[((x, y), d)] = ((x, y), t)
-                elabel[((x, y), d)] = d
-                edges[(t, di)] = (t, (x, y))
-                elabel[(t, di)] = di
-                rev[((x, y), d)] = (t, di)
-                rev[(t, di)] = ((x, y), d)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
-
-
 def quadrant_patch(points):
     """The quarter-plane-labelled grid graph induced on points of N x N."""
-    a = quadrant_label_graph()
-    vlabel = {p: quadrant_vertex_label(*p) for p in points}
-    edges = {}
-    elabel = {}
-    rev = {}
-    for (x, y) in sorted(vlabel):
-        for d in ("E", "N"):
-            dx, dy = PLANE_STEP[d]
-            t = (x + dx, y + dy)
-            if t in vlabel:
-                di = {"E": "W", "N": "S"}[d]
-                lab = (d, vlabel[(x, y)], vlabel[t])
-                edges[((x, y), d)] = ((x, y), t)
-                elabel[((x, y), d)] = lab
-                edges[(t, di)] = (t, (x, y))
-                elabel[(t, di)] = (di, vlabel[t], vlabel[(x, y)])
-                rev[((x, y), d)] = (t, di)
-                rev[(t, di)] = ((x, y), d)
-    return LabelGraph(vlabel, edges, elabel, rev, a)
+    return grid_patch(points, quadrant_vertex_label, quadrant_label_graph())
 
 
 # -- comparisons ---------------------------------------------------------------
@@ -623,23 +587,11 @@ def rename_vertices(g, fn):
     vmap = {v: fn(v) for v in g.vlabel}
     if len(set(vmap.values())) != len(vmap):
         raise ValueError("vertex renaming is not injective")
-    vlabel = {vmap[v]: lab for v, lab in g.vlabel.items()}
-    edges = {}
-    elabel = {}
-    witness = {}
-    for e, (t, h) in g.edges.items():
-        eid = (vmap[t], g.elabel[e], vmap[h])
-        edges[eid] = (vmap[t], vmap[h])
-        elabel[eid] = g.elabel[e]
-        if g.reversal is not None:
-            rl = g.elabel[g.reversal[e]]
-            if witness.setdefault(eid, rl) != rl:
-                raise ValueError("reversal label ambiguous under renaming")
-    rev = None
-    if g.reversal is not None:
-        rev = {(t, lab, h): (h, witness[(t, lab, h)], t)
-               for (t, lab, h) in edges}
-    return LabelGraph(vlabel, edges, elabel, rev, g.label_graph)
+    renamed = LabelGraph({vmap[v]: lab for v, lab in g.vlabel.items()},
+                         {e: (vmap[t], vmap[h])
+                          for e, (t, h) in g.edges.items()},
+                         g.elabel, g.reversal, g.label_graph)
+    return simplify(renamed)
 
 
 # -- the concrete simulators -----------------------------------------------------
@@ -665,14 +617,10 @@ class _SimBuilder:
 
     def edge(self, eid, t, h, alab, blab):
         rid = ("r", eid)
-        self.edges[eid] = (t, h)
-        self.elabel[eid] = blab
+        add_edge_pair(self.edges, self.elabel, self.rev, eid, rid, t, h,
+                      blab, self.bstar.reversal[blab])
         self.aemap[eid] = alab
-        self.edges[rid] = (h, t)
-        self.elabel[rid] = self.bstar.reversal[blab]
         self.aemap[rid] = self.a.reversal[alab]
-        self.rev[eid] = rid
-        self.rev[rid] = eid
 
     def build(self, names=None):
         g = LabelGraph(self.vlabel, self.edges, self.elabel, self.rev,
@@ -809,8 +757,7 @@ def sea_to_quadrant():
                 ("north", "N", "SW", "A", "B"))
     slots = ("carry", "flip", "back")
     for fam, d, arrow, x, y in families:
-        xi = {"a": "A", "A": "a", "b": "B", "B": "b"}[x]
-        yi = {"a": "A", "A": "a", "b": "B", "B": "b"}[y]
+        xi, yi = GEN_INVERSE[x], GEN_INVERSE[y]
         for (e, (q1, q2)) in [(eid, eid[1:]) for eid in b.edge_ids()
                               if eid[0] == d]:
             p1, p2 = inv_quad[q1], inv_quad[q2]
@@ -849,8 +796,7 @@ def rectangle_compress():
     bld = _SimBuilder(a, b)
     bld.state("keep", "good", ("v", 1))
     for d in ("E", "N", "W", "S"):
-        bld.state(("skip", d), "bad", ("e", min(d, {"E": "W", "W": "E",
-                                                    "N": "S", "S": "N"}[d])))
+        bld.state(("skip", d), "bad", ("e", min(d, PLANE_INVERSE[d])))
     for d in ("E", "N"):
         bld.edge(("keep", "keep", d), "keep", "keep",
                  ("good", d, "good"), (0, d, 0))
@@ -968,18 +914,14 @@ def _alphabet_spec(a):
     raise ValueError("alphabet has no serializable description")
 
 
-def _parse_alphabet(toks, symbols):
-    kind = toks[0]
-    if kind == "dl":
-        base = dl_label_graph(int(toks[1]), int(toks[2]))
-    else:
-        builders = dict(_BASE_ALPHABETS)
-        if kind not in builders:
-            raise ValueError("unknown alphabet kind %r" % (kind,))
-        base = builders[kind]()
-    if symbols:
-        return alphabet_label_graph(tuple(symbols), base)
-    return base
+def _base_alphabet(toks):
+    """The base alphabet named by the tokens of an alpha or beta line."""
+    if len(toks) == 3 and toks[0] == "dl":
+        return dl_label_graph(int(toks[1]), int(toks[2]))
+    builders = dict(_BASE_ALPHABETS)
+    if len(toks) != 1 or toks[0] not in builders:
+        raise ValueError("unknown alphabet %r" % " ".join(toks))
+    return builders[toks[0]]()
 
 
 def simulator_to_text(s):
@@ -1008,7 +950,7 @@ def simulator_to_text(s):
 
 
 def simulator_from_text(text):
-    specs = {}
+    bases = {}
     symbols = {"alpha": [], "beta": []}
     current = None
     vlabel = {}
@@ -1017,19 +959,16 @@ def simulator_from_text(text):
     elabel = {}
     aemap = {}
     rev = {}
-    saw_rev = False
     saw_header = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = shlex.split(line)
+
+    def line(toks):
+        nonlocal current, saw_header
         if not saw_header:
             if toks != ["simulator"]:
                 raise ValueError("expected a simulator header")
             saw_header = True
         elif toks[0] in ("alpha", "beta"):
-            specs[toks[0]] = toks[1:]
+            bases[toks[0]] = _base_alphabet(toks[1:])
             current = toks[0]
         elif toks[0] == "symbol" and len(toks) == 2:
             if current is None:
@@ -1046,17 +985,17 @@ def simulator_from_text(text):
             elabel[e] = _parse_token(toks[5])
             if len(toks) == 8:
                 if toks[6] != "rev":
-                    raise ValueError("bad edge line: %r" % raw)
+                    raise ValueError("expected 'rev'")
                 rev[e] = _parse_token(toks[7])
-                saw_rev = True
         else:
-            raise ValueError("bad simulator line: %r" % raw)
-    if "alpha" not in specs or "beta" not in specs:
+            raise ValueError("unknown line")
+
+    read_lines(text, line, "simulator")
+    if "alpha" not in bases or "beta" not in bases:
         raise ValueError("missing alphabet description")
-    a = _parse_alphabet(specs["alpha"], symbols["alpha"])
-    b = _parse_alphabet(specs["beta"], symbols["beta"])
-    g = LabelGraph(vlabel, edges, elabel, rev if saw_rev else None,
-                   path_subdivision(b))
+    a, b = (alphabet_label_graph(tuple(symbols[tag]), bases[tag])
+            if symbols[tag] else bases[tag] for tag in ("alpha", "beta"))
+    g = LabelGraph(vlabel, edges, elabel, rev or None, path_subdivision(b))
     return Simulator(g, Morphism(avmap, aemap, g, a))
 
 
@@ -1064,26 +1003,8 @@ def simulator_to_dot(s, name="simulator"):
     """GraphViz export; node labels show state, source label and target
     label, edges show both labels."""
     g = s.graph
-    idx = {v: i for i, v in enumerate(g.vertices())}
-    lines = ["digraph %s {" % name]
-    for v in g.vertices():
-        disp = s.names.get(v, v) if s.names else v
-        lines.append('  n%d [label="%s : %s : %s"];'
-                     % (idx[v], _dot_escape(disp),
-                        _dot_escape(s.alpha.vmap[v]),
-                        _dot_escape(g.vlabel[v])))
-    done = set()
-    for e in g.edge_ids():
-        if e in done:
-            continue
-        t, h = g.edges[e]
-        attrs = 'label="%s : %s"' % (_dot_escape(s.alpha.emap[e]),
-                                     _dot_escape(g.elabel[e]))
-        if g.reversal is not None:
-            ep = g.reversal[e]
-            done.add(ep)
-            if ep != e:
-                attrs += ", dir=both"
-        lines.append("  n%d -> n%d [%s];" % (idx[t], idx[h], attrs))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = s.names or {}
+    return _dot(g, name,
+                lambda v: "%s : %s : %s" % (names.get(v, v), s.alpha.vmap[v],
+                                            g.vlabel[v]),
+                lambda e: "%s : %s" % (s.alpha.emap[e], g.elabel[e]))

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-import random
 import shlex
 import warnings
 
-from .graphs import LabelGraph, alphabet, skey, _fmt, _parse_token
-from .geometry import (GroupPoint, evaluate_word, cayley_label_graph,
-                       window_cells, cell_points, dl_window_cells,
-                       dl_cell_points)
+from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
+                     _fmt, _parse_token)
+from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
+                       cayley_label_graph, window_cells, cell_points,
+                       dl_window_cells, dl_cell_points)
 
 
 def _swap(t):
@@ -234,16 +234,12 @@ def wang_to_dhs(w):
     rev = {}
     pairs = {"a": (0, 2), "b": (1, 3)}
     for g, (i, j) in pairs.items():
-        gi = {"a": "A", "b": "B"}[g]
+        gi = GEN_INVERSE[g]
         for s in w.tiles:
             for t in w.tiles:
                 if s[i] == t[j]:
-                    edges[(s, g, t)] = (s, t)
-                    elabel[(s, g, t)] = g
-                    edges[(t, gi, s)] = (t, s)
-                    elabel[(t, gi, s)] = gi
-                    rev[(s, g, t)] = (t, gi, s)
-                    rev[(t, gi, s)] = (s, g, t)
+                    add_edge_pair(edges, elabel, rev, (s, g, t), (t, gi, s),
+                                  s, t, g, gi)
     graph = LabelGraph(vlabel, edges, elabel, rev, base)
     order = graph.vertices()
     seeds = tuple((pt, order.index(w.tiles[idx])) for pt, idx in w.seeds)
@@ -724,12 +720,13 @@ def tileset_from_text(text):
     p = q = 2
     tiles = []
     seeds = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = shlex.split(line)
+
+    def line(toks):
+        nonlocal kind, colors, symbols, p, q
         key, rest = toks[0], toks[1:]
+        arity = {"kind": 1, "params": 2, "seed": 2}.get(key)
+        if arity is not None and len(rest) != arity:
+            raise ValueError("%s takes %d values" % (key, arity))
         if key == "kind":
             kind = rest[0]
             if kind not in ("wang", "tetra", "dl"):
@@ -745,7 +742,9 @@ def tileset_from_text(text):
         elif key == "seed":
             seeds.append((rest[0], int(rest[1])))
         else:
-            raise ValueError("bad tileset line: %r" % raw)
+            raise ValueError("unknown line")
+
+    read_lines(text, line, "tileset")
     placed = tuple((evaluate_word(w, p, q), idx) for w, idx in seeds)
     if kind == "wang":
         if colors is None:

@@ -666,6 +666,19 @@ def test_text_round_trip():
     assert to_text(g2) == text
 
 
+def test_text_round_trip_with_hash_in_ids_and_labels():
+    a = alphabet(["c#", "d"], {"e#": ("c#", "d"), "f": ("d", "c#")},
+                 {"e#": "f", "f": "e#"})
+    g = labelled(a, {"v#": "c#", 1: "d"}, {"x#": ("v#", 1), 2: (1, "v#")},
+                 {"x#": "e#", 2: "f"}, {"x#": 2, 2: "x#"})
+    text = to_text(g)
+    assert from_text(text, label_graph=a) == g
+    assert from_text(to_text(a)) == a
+    # an unquoted '#' still starts a comment
+    assert from_text(text + "vertex 7 'd'#note\n# whole line\n",
+                     label_graph=a).vlabel[7] == "d"
+
+
 def test_operations_are_deterministic():
     rng1 = random.Random(13)
     rng2 = random.Random(13)

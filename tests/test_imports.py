@@ -1,0 +1,33 @@
+"""Gate: every module-level import in src/tilesim is referenced."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tilesim"
+
+
+def unused_imports(source):
+    """Names bound by module-level imports that no Name node reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_gate_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport os\nimport os.path"
+              "\nfrom re import compile as c, escape\nc(os.sep)\n")
+    assert unused_imports(source) == ["escape"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -201,6 +201,12 @@ def test_halfplane_text_round_trip():
         halfplane_from_text("colors c\nlump c\nseedtile 0")
 
 
+def test_halfplane_text_round_trip_with_hash_in_colours():
+    hp = HalfPlaneTileset(frozenset({"c#", "d"}),
+                          (("c#", "d", "c#", "d"), ("d", "d", "d", "d")), 1)
+    assert halfplane_from_text(halfplane_to_text(hp)) == hp
+
+
 def test_halfplane_text_comments_and_bad_lines():
     text = "kind halfplane  # ok\ncolors c d # two\ntile c d c c # x\n" \
            "seedtile 0 # corner\n"

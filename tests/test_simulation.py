@@ -1,18 +1,19 @@
 import random
+import re
 
 import pytest
 
 from tilesim.geometry import (
-    ball, boundary_vertices, cayley_label_graph, evaluate_word, identity,
-    plane_label_graph, plane_window, quadrant_label_graph, quadrant_window,
-    tetrahedron)
+    alphabet_label_graph, ball, boundary_vertices, cayley_label_graph,
+    evaluate_word, grid_patch, identity, plane_label_graph, plane_window,
+    quadrant_label_graph, quadrant_window, tetrahedron)
 from tilesim.graphs import (
     LabelGraph, Morphism, induced_subgraph, vertex_blowup)
 from tilesim.simulation import (
     Gwa, GwaAutomaton, apply_simulator, apply_simulator_gwa,
     blowup_simulator, builtin_simulator, comb_to_plane, compose_simulators,
     decorate_window, edge_triples, gwa_simulated_graph, gwa_to_simulator,
-    identity_simulator, patch_frontier, plane_patch, quadrant_patch,
+    identity_simulator, patch_frontier, quadrant_patch,
     quadrant_to_plane, random_simulator, rectangle_compress, relabel_graph,
     rename_vertices, run_gwa, sea_to_quadrant, simulator_from_text,
     simulator_to_dot, simulator_to_gwa, simulator_to_text, _state_copies)
@@ -122,7 +123,7 @@ def test_quadrant_unfolds_to_the_handkerchief_plane():
     assert {fold(v) for v in g.vlabel} == square
     assert len(g.vlabel) == len(square)
     ren = rename_vertices(g, fold)
-    assert same_graph(ren, plane_patch(square))
+    assert same_graph(ren, grid_patch(square))
     # the outer ring is exactly what gets flagged
     assert {fold(v) for v in inc} == {p for p in square
                                       if 4 in (abs(p[0]), abs(p[1]))}
@@ -145,7 +146,7 @@ def test_comb_trusted_interior_is_a_plane_patch():
     assert len(trusted) == 41
     ren = rename_vertices(induced_subgraph(g, trusted),
                           lambda v: decode_comb(v[0]))
-    assert same_graph(ren, plane_patch(set(ren.vlabel)))
+    assert same_graph(ren, grid_patch(set(ren.vlabel)))
 
 
 def test_comb_east_step_from_the_identity():
@@ -212,7 +213,7 @@ def test_rectangle_compress_collapses_bad_runs():
                                        for y in (2, 4, 6)}
     ren = rename_vertices(induced_subgraph(g, trusted),
                           lambda v: (v[0][0] // 3, v[0][1] // 2))
-    assert same_graph(ren, plane_patch({(x, y) for x in (1, 2)
+    assert same_graph(ren, grid_patch({(x, y) for x in (1, 2)
                                         for y in (1, 2, 3)}))
 
 
@@ -459,7 +460,7 @@ def test_quadrant_patch_matches_the_window():
 
 
 def test_rename_vertices_requires_injectivity():
-    g = plane_patch({(0, 0), (1, 0)})
+    g = grid_patch({(0, 0), (1, 0)})
     with pytest.raises(ValueError):
         rename_vertices(g, lambda v: "same")
 
@@ -481,6 +482,19 @@ def test_random_simulator_round_trips_through_text():
     s = random_simulator(rng, cayley_label_graph(), plane_label_graph())
     s2 = simulator_from_text(simulator_to_text(s))
     assert s2.graph == s.graph and s2.alpha == s.alpha
+
+
+def test_simulator_round_trips_with_hash_in_symbols():
+    s = identity_simulator(alphabet_label_graph(("c#", "d"),
+                                                cayley_label_graph()))
+    s2 = simulator_from_text(simulator_to_text(s))
+    assert s2.graph == s.graph and s2.alpha == s.alpha
+
+
+@pytest.mark.parametrize("line", ["alpha", "alpha dl 2"])
+def test_simulator_text_short_alphabet_lines_name_the_line(line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        simulator_from_text("simulator\n" + line + "\nbeta plane\n")
 
 
 def test_simulator_text_rejects_garbage():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -370,6 +371,19 @@ def test_tileset_file_errors_and_comments():
         tileset_from_text("kind prism\n")
     with pytest.raises(ValueError):
         tileset_from_text("kind wang\ncolors 'x'\nbogus line\n")
+
+
+def test_tileset_file_round_trip_with_hash_in_colours():
+    w = WangTileset(frozenset({"c#", "d"}),
+                    (("c#", "d", "c#", "d"), ("d", "d", "d", "d")),
+                    seeds=((evaluate_word("ab"), 1),))
+    assert tileset_from_text(tileset_to_text(w)) == w
+
+
+@pytest.mark.parametrize("line", ["kind", "params 2", "seed"])
+def test_tileset_file_short_lines_name_the_line(line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        tileset_from_text("kind dl\nalphabet 'x'\n" + line + "\n")
 
 
 def test_seeded_file_round_trip():
