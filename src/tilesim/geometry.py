@@ -255,7 +255,8 @@ def _induced_graph(points, label_graph, forward):
 
 def _cayley_window(points, budget):
     if len(points) > budget:
-        raise CapacityError("window exceeds %d vertices" % budget)
+        raise CapacityError("window exceeds %d vertices" % budget,
+                            "window vertices", len(points), budget)
     return _induced_graph(points, cayley_label_graph(), lambda pt: [
         (g, GEN_INVERSE[g], step(pt, g)) for g in ("a", "b")])
 
@@ -275,7 +276,8 @@ def ball(r, budget=500000):
                     seen.add(im)
                     nxt.append(im)
         if len(seen) > budget:
-            raise CapacityError("ball exceeds %d vertices" % budget)
+            raise CapacityError("ball exceeds %d vertices" % budget,
+                                "ball vertices", len(seen), budget)
         frontier = nxt
     g = _cayley_window(seen, budget)
     return Window(g, "ball", (r,), "cayley")
@@ -286,8 +288,10 @@ def tetrahedron(lo, hi, budget=500000):
     if lo > hi:
         raise ValueError("empty height range")
     positions = list(range(lo, hi))
-    if (hi - lo + 1) * 2 ** len(positions) > budget:
-        raise CapacityError("tetrahedron exceeds %d vertices" % budget)
+    count = (hi - lo + 1) * 2 ** len(positions)
+    if count > budget:
+        raise CapacityError("tetrahedron exceeds %d vertices" % budget,
+                            "tetrahedron vertices", count, budget)
     points = []
     for n in range(lo, hi + 1):
         for size in range(len(positions) + 1):
@@ -306,7 +310,8 @@ def dl_window(p, q, lo, hi, budget=500000):
         raise ValueError("empty height range")
     count = sum(q ** (n - lo) * p ** (hi - n) for n in range(lo, hi + 1))
     if count > budget:
-        raise CapacityError("window exceeds %d vertices" % budget)
+        raise CapacityError("window exceeds %d vertices" % budget,
+                            "window vertices", count, budget)
     points = []
     for n in range(lo, hi + 1):
         below = list(range(lo, n))

@@ -17,6 +17,7 @@ composition; nothing below ever depends on ids being integers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 import ast
 import itertools
@@ -24,7 +25,17 @@ import shlex
 
 
 class CapacityError(Exception):
-    """Raised when an enumeration or construction exceeds its budget."""
+    """Raised when an enumeration or construction exceeds its budget.
+
+    what names the quantity that ran over, size is how large it got (or
+    would have got) and budget is the bound it passed; each is None when
+    the raiser does not know it."""
+
+    def __init__(self, message, what=None, size=None, budget=None):
+        super().__init__(message)
+        self.what = what
+        self.size = size
+        self.budget = budget
 
 
 def skey(x):
@@ -218,6 +229,13 @@ class Morphism:
     def __post_init__(self):
         validate_morphism(self)
 
+    @classmethod
+    def _trusted(cls, vmap, emap, domain, codomain):
+        """A Morphism whose maps the caller has already checked."""
+        m = cls.__new__(cls)
+        m.vmap, m.emap, m.domain, m.codomain = vmap, emap, domain, codomain
+        return m
+
     def key(self):
         """Hashable canonical form of the underlying maps."""
         return (tuple(sorted(self.vmap.items(), key=lambda kv: skey(kv[0]))),
@@ -305,8 +323,12 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     Results, and the entries of each vmap and emap, come in that order.
     `limit` stops after the first `limit` results.  `budget` bounds the
     explored assignments (one per vertex candidate tried, one per morphism
-    built) and raises CapacityError when exhausted.  Every result is a
-    Morphism, so validate_morphism checks it.
+    built) and raises CapacityError when exhausted.  Every result is
+    checked for everything validate_morphism checks, by position on the
+    compiled form rather than by rebuilding the Morphism: the domains once
+    per call, since all results share them, and images, endpoints,
+    reversal and labels per result against h's own dicts; a result that
+    fails goes through Morphism, so validate_morphism raises its error.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
@@ -340,34 +362,75 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         orbit_ids.append((e, None if partner == e else partner))
         orbit_keys.append((g.elabel[e], pos[t], pos[hd],
                            unoriented and partner == e))
+    # validate_morphism's checks, by position.  vmap's keys are `order` and
+    # emap's are `flat` in every result, so the domains are checked here,
+    # once.  Position k of flat has its endpoints at positions ends[k] of
+    # order and its reversal at position rev[k] of flat.
+    flat = [x for pair in orbit_ids for x in pair if x is not None]
+    fpos = {x: k for k, x in enumerate(flat)}
+    same_domains = (pos.keys() == g.vlabel.keys()
+                    and fpos.keys() == g.edges.keys())
+    ends = [(pos[t], pos[hd]) for t, hd in map(g.edges.__getitem__, flat)]
+    rev = None
+    if unoriented:
+        rev = [fpos.get(g.reversal[x]) for x in flat]
+        same_domains = same_domains and None not in rev
+    labelled = g.label_graph is not None
+    vlabs = [g.vlabel[v] for v in order]
+    elabs = [g.elabel[x] for x in flat]
+    paired = [partner is not None for _, partner in orbit_ids]
+    hv, he, hl, hr = h.vlabel, h.edges, h.elabel, h.reversal
+    missing = itertools.repeat(object())
     spent = 0
+
+    def overspent():
+        return CapacityError("hom enumeration budget exceeded: more than %d "
+                             "assignments" % budget, "hom assignments",
+                             spent, budget)
 
     def fits(img, i):
         nonlocal spent
         spent += 1
         if spent > budget:
-            raise CapacityError("hom enumeration budget exceeded")
-        return all((lab, img[a], img[b]) in index for lab, a, b in checks[i])
+            raise overspent()
+        for lab, a, b in checks[i]:
+            if (lab, img[a], img[b]) not in index:
+                return False
+        return True
 
     results = []
-    for img in backtrack([by_label.get(g.vlabel[v], []) for v in order], fits):
+    for img in backtrack([by_label.get(lab, []) for lab in vlabs], fits):
         vmap = dict(zip(order, img))
+        image_ends = [(img[i], img[j]) for i, j in ends]
         choices = []
         for lab, i, j, self_rev in orbit_keys:
             ds = index[(lab, img[i], img[j])]
             if self_rev:
-                ds = [d for d in ds if h.reversal[d] == d]
+                ds = [d for d in ds if hr[d] == d]
             choices.append(ds)
         for ds in itertools.product(*choices):
             spent += 1
             if spent > budget:
-                raise CapacityError("hom enumeration budget exceeded")
-            emap = {}
-            for (e, partner), d in zip(orbit_ids, ds):
-                emap[e] = d
-                if partner is not None:
-                    emap[partner] = h.reversal[d]
-            results.append(Morphism(vmap, emap, g, h))
+                raise overspent()
+            images = []
+            for d, has_partner in zip(ds, paired):
+                images.append(d)
+                if has_partner:
+                    images.append(hr[d])
+            emap = dict(zip(flat, images))
+            if (same_domains
+                    and (list(map(hv.get, img, missing)) == vlabs if labelled
+                         else all(map(hv.__contains__, img)))
+                    and list(map(he.get, images)) == image_ends
+                    and (rev is None
+                         or list(map(hr.get, images, missing))
+                         == list(map(images.__getitem__, rev)))
+                    and (not labelled
+                         or list(map(hl.get, images, missing)) == elabs)):
+                results.append(Morphism._trusted(vmap, emap, g, h))
+            else:
+                # validate_morphism raises its usual error.
+                results.append(Morphism(vmap, emap, g, h))
             if len(results) == limit:
                 return results
     return results
@@ -546,7 +609,9 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
         for f in enumerate_homs(fiber, g1, budget=budget):
             vlabel[(f.key(), a)] = a
         if len(vlabel) > max_cells:
-            raise CapacityError("exponential exceeds %d cells" % max_cells)
+            raise CapacityError("exponential exceeds %d cells" % max_cells,
+                                "exponential vertices", len(vlabel),
+                                max_cells)
     edges = {}
     elabel = {}
     for c in av.edge_ids():
@@ -557,7 +622,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
                              (_side_key(k, "H"), av.head(c)))
             elabel[(k, c)] = c
         if len(edges) > max_cells:
-            raise CapacityError("exponential exceeds %d cells" % max_cells)
+            raise CapacityError("exponential exceeds %d cells" % max_cells,
+                                "exponential edges", len(edges), max_cells)
     rev = None
     if av.reversal is not None and g1.reversal is not None and g2.reversal is not None:
         rev = {(k, c): (_swap_key(k, g1), av.reversal[c]) for (k, c) in edges}
@@ -963,15 +1029,29 @@ def read_lines(text, handle, what):
     """Call handle(tokens) on each non-blank line of a line format.
 
     Lines are split by shlex, so a quoted token may hold spaces or '#',
-    and an unquoted '#' starts a comment.  A ValueError from splitting or
-    from handle is re-raised naming the line."""
+    and an unquoted '#' starts a comment.  handle may return a function to
+    call once every line is read, for checks that need later lines; these
+    run in line order.  A ValueError from splitting, from handle or from a
+    returned function is re-raised naming the line."""
+    later = []
     for raw in text.splitlines():
-        try:
+        with _naming_line(what, raw):
             toks = shlex.split(raw, comments=True)
             if toks:
-                handle(toks)
-        except ValueError as exc:
-            raise ValueError("bad %s line %r: %s" % (what, raw, exc)) from None
+                check = handle(toks)
+                if check is not None:
+                    later.append((raw, check))
+    for raw, check in later:
+        with _naming_line(what, raw):
+            check()
+
+
+@contextmanager
+def _naming_line(what, raw):
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError("bad %s line %r: %s" % (what, raw, exc)) from None
 
 
 def to_text(g):

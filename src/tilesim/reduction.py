@@ -312,5 +312,6 @@ def tileset_exponential(f, s, max_cells=10 ** 5, budget=10 ** 6):
         raise CapacityError(
             "%s (target %d vertices, %d with sinks, simulator %d states)"
             % (err, f.graph.num_vertices(), sharped.num_vertices(),
-               s.graph.num_vertices())) from None
+               s.graph.num_vertices()), err.what, err.size, err.budget
+        ) from None
     return DhsTarget(g)

@@ -536,9 +536,14 @@ def enumerate_tilings(window, ts, seeds=(), limit=None):
 
 
 def count_tilings(window, ts, seeds=(), limit=None):
-    sols, complete = enumerate_tilings(window, ts, seeds, limit)
-    if not complete:
-        raise CapacityError("more than %d tilings" % limit)
+    """The number of tilings; raises CapacityError when there are more
+    than limit."""
+    if limit is None:
+        return len(enumerate_tilings(window, ts, seeds)[0])
+    sols, _ = enumerate_tilings(window, ts, seeds, limit + 1)
+    if len(sols) > limit:
+        raise CapacityError("more than %d tilings" % limit, "tilings",
+                            len(sols), limit)
     return len(sols)
 
 
@@ -662,7 +667,8 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
             joined = _join_factors(joined, factors[f])
             if len(joined[1]) > max_table:
                 raise CapacityError("elimination table exceeds %d entries"
-                                    % max_table)
+                                    % max_table, "elimination table entries",
+                                    len(joined[1]), max_table)
         for f in fids:
             del factors[f]
         factors[fid] = _sum_out(joined, cheapest)

@@ -51,8 +51,7 @@ class WangTileset:
         self.tiles = tuple(tuple(t) for t in self.tiles)
         self.seeds = tuple(self.seeds)
         for t in self.tiles:
-            if len(t) != 4 or any(c not in self.colors for c in t):
-                raise ValueError("bad tile %r" % (t,))
+            _check_tile(t, 4, self.colors)
         if len(set(self.tiles)) != len(self.tiles):
             raise ValueError("duplicate tiles")
         if self.names is not None and len(self.names) != len(self.tiles):
@@ -89,8 +88,7 @@ class TetraSystem:
         n = self.arity()
         ok = set(self.alphabet)
         for t in self.allowed:
-            if len(t) != n or any(x not in ok for x in t):
-                raise ValueError("bad cell tuple %r" % (t,))
+            _check_tile(t, n, ok, "cell tuple")
         if self.mode == "cayley":
             closed = frozenset(t for t in self.allowed
                                if _swap(t) in self.allowed)
@@ -121,6 +119,11 @@ class DhsTarget:
 
     def tile_vertices(self):
         return self.graph.vertices()
+
+
+def _check_tile(t, n, symbols, what="tile"):
+    if len(t) != n or any(x not in symbols for x in t):
+        raise ValueError("bad %s %r" % (what, t))
 
 
 def _check_seeds(seeds, ntiles):
@@ -719,7 +722,23 @@ def tileset_from_text(text):
     symbols = None
     p = q = 2
     tiles = []
-    seeds = []
+    placed = []
+
+    # Tile and seed lines are checked once every line is read, since the
+    # colours, alphabet, params and tile count may come later.
+    def check_tile(tile):
+        if kind == "wang" and colors is not None:
+            _check_tile(tile, 4, colors)
+        elif kind in ("tetra", "dl") and symbols is not None:
+            _check_tile(tile, 4 if kind == "tetra" else p + q, symbols,
+                        "cell tuple")
+
+    def place(word, idx):
+        placed.append((evaluate_word(word, p, q), idx))
+        if kind == "wang":
+            _check_seeds(placed[-1:], len(tiles))
+        elif kind in ("tetra", "dl") and symbols is not None:
+            _check_seeds(placed[-1:], len(symbols))
 
     def line(toks):
         nonlocal kind, colors, symbols, p, q
@@ -738,14 +757,16 @@ def tileset_from_text(text):
         elif key == "alphabet":
             symbols = [_parse_token(t) for t in rest]
         elif key in ("tile", "tetra"):
-            tiles.append(tuple(_parse_token(t) for t in rest))
+            tile = tuple(_parse_token(t) for t in rest)
+            tiles.append(tile)
+            return lambda: check_tile(tile)
         elif key == "seed":
-            seeds.append((rest[0], int(rest[1])))
+            word, idx = rest[0], int(rest[1])
+            return lambda: place(word, idx)
         else:
             raise ValueError("unknown line")
 
     read_lines(text, line, "tileset")
-    placed = tuple((evaluate_word(w, p, q), idx) for w, idx in seeds)
     if kind == "wang":
         if colors is None:
             raise ValueError("missing colors line")

@@ -309,3 +309,22 @@ def test_group_point_copies_keep_equality_and_hash():
                       pickle.loads(pickle.dumps(x))):
                 assert y == x
                 assert hash(y) == hash(x) == hash(evaluate_word(word))
+
+
+@pytest.mark.parametrize("build, message, what, size, budget", [
+    (lambda: ball(0, budget=0), "window exceeds 0 vertices",
+     "window vertices", 1, 0),
+    (lambda: ball(30, budget=100), "ball exceeds 100 vertices",
+     "ball vertices", 208, 100),
+    (lambda: tetrahedron(0, 3, budget=10), "tetrahedron exceeds 10 vertices",
+     "tetrahedron vertices", 32, 10),
+    (lambda: dl_window(2, 2, 0, 2, budget=3), "window exceeds 3 vertices",
+     "window vertices", 12, 3),
+], ids=["cayley_window", "ball", "tetrahedron", "dl_window"])
+def test_window_capacity_errors_carry_numbers(build, message, what, size,
+                                              budget):
+    with pytest.raises(CapacityError) as err:
+        build()
+    assert str(err.value) == message
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        what, size, budget)

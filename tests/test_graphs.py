@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -33,6 +34,7 @@ from tilesim.graphs import (
     to_dot,
     to_text,
     uncurry,
+    validate_morphism,
     vertex_blowup,
 )
 from tilesim.tilesets import comb_tileset, wang_to_dhs
@@ -210,8 +212,29 @@ def test_exponential_capacity_error():
     a = alphabet(["0"], {})
     g1 = labelled(a, {i: "0" for i in range(4)}, {}, {})
     g2 = labelled(a, {i: "0" for i in range(4)}, {}, {})
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as err:
         exponential(g1, g2, max_cells=10)
+    assert str(err.value) == "exponential exceeds 10 cells"
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "exponential vertices", 256, 10)
+
+
+def test_exponential_edge_capacity_error():
+    # One vertex cell, but the E fibre alone has 16 maps into two E loops.
+    with pytest.raises(CapacityError) as err:
+        exponential(plane_torus(2), plane_window(0, 2, 0, 1), max_cells=10)
+    assert str(err.value) == "exponential exceeds 10 cells"
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "exponential edges", 16, 10)
+
+
+def test_exponential_text_is_pinned():
+    # Recorded when enumerate_homs still validated each hom by rebuilding
+    # it through Morphism.
+    e = exponential(plane_window(0, 1, 0, 1), plane_window(0, 1, 0, 0))
+    assert (e.num_vertices(), e.num_edges()) == (16, 576)
+    assert hashlib.sha256(to_text(e).encode()).hexdigest() == (
+        "f3ef2b64ae6cd23bf0c2043caed99ac0d9ad0cd3d979c859d4913fa230b3323f")
 
 
 def test_adjunction_on_loop_alphabet():
@@ -280,6 +303,8 @@ def test_adjunction_random_triples_with_roundtrip():
         prod = alpha_pullback(g1, g2b, alpha)
         lhs = enumerate_homs(prod, g3)
         rhs = enumerate_homs(g1, expg)
+        assert_valid_homs(lhs, prod, g3)
+        assert_valid_homs(rhs, g1, expg)
         assert len(lhs) == len(rhs)
         for lam in lhs:
             rho = curry(lam, g1, g2b, alpha, expg)
@@ -450,6 +475,24 @@ def test_homs_budget_exceeded():
         enumerate_homs(g, f, budget=100)
 
 
+def test_homs_budget_error_carries_numbers():
+    a = rose([])
+    two = labelled(a, {0: 1, 1: 1}, {}, {})
+    # Overspent while trying vertex candidates...
+    with pytest.raises(CapacityError) as err:
+        enumerate_homs(two, two, budget=1)
+    assert str(err.value) == ("hom enumeration budget exceeded: more than 1 "
+                              "assignments")
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "hom assignments", 2, 1)
+    # ...and while building a morphism: the empty graph has one, at no
+    # vertex cost.
+    with pytest.raises(CapacityError) as err:
+        enumerate_homs(labelled(a, {}, {}, {}), two, budget=0)
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "hom assignments", 1, 0)
+
+
 def test_homs_respect_reversal_orbits():
     a = unoriented_rose(["s"])
     with pytest.raises(ValueError):
@@ -478,6 +521,14 @@ def test_homs_deterministic_order():
     homs2 = [(m.vmap, m.emap) for m in enumerate_homs(g, f)]
     assert homs1 == homs2
     assert len(homs1) == 2
+
+
+def assert_valid_homs(homs, g, h):
+    """Each hom passes validate_morphism and equals the Morphism that the
+    validating constructor builds from its maps."""
+    for m in homs:
+        validate_morphism(m)
+        assert Morphism(m.vmap, m.emap, g, h) == m
 
 
 def brute_force_homs(g, h):
@@ -526,6 +577,29 @@ def plane_torus(loops):
     return LabelGraph({0: 1}, edges, elabel, rev, plane_label_graph())
 
 
+def special_hom_instances():
+    """(domain, target, number of homs): an alphabet domain, an oriented
+    domain into an unoriented target, and a target with self-reversed
+    edges."""
+    a = alphabet([0, 1], {"c": (0, 1), "c'": (1, 0), "l": (1, 1)},
+                 {"c": "c'", "c'": "c", "l": "l"})
+    sub = alphabet([1], {"l": (1, 1)}, {"l": "l"})
+    yield a, a, 1
+    yield sub, a, 1
+    path = LabelGraph({0: 1, 1: 1}, {0: (0, 1)}, {0: "E"}, None,
+                      plane_label_graph())
+    yield path, plane_torus(2), 2
+    b = alphabet([1], {"h": (1, 1)}, {"h": "h"})
+    # A half-edge loop, which must land on the target's one half edge, and
+    # an edge pair, which may land on any of its three edges.
+    g = labelled(b, {0: 1, 1: 1}, {0: (0, 0), 1: (0, 1), 2: (1, 0)},
+                 {0: "h", 1: "h", 2: "h"}, {0: 0, 1: 2, 2: 1})
+    h = labelled(b, {0: 1}, {"x": (0, 0), "y": (0, 0), "z": (0, 0)},
+                 {"x": "h", "y": "h", "z": "h"},
+                 {"x": "x", "y": "z", "z": "y"})
+    yield g, h, 3
+
+
 def hom_instances():
     a = unoriented_rose(["s"])
     yield (labelled(a, {0: 1}, {0: (0, 0), 1: (0, 0)}, {0: "s", 1: "s'"},
@@ -543,6 +617,8 @@ def hom_instances():
     yield plane_window(0, 2, 0, 1), plane_torus(2)
     yield plane_window(0, 2, 0, 1), plane_window(0, 1, 0, 1)
     yield ball(1).graph, wang_to_dhs(comb_tileset()).graph
+    for g, h, _count in special_hom_instances():
+        yield g, h
     rng = random.Random(7)
     for _ in range(40):
         a = random_alphabet(rng, rng.random() < 0.5)
@@ -558,12 +634,49 @@ def test_homs_match_brute_force_in_order():
     nonempty = 0
     for g, h in hom_instances():
         want = items(brute_force_homs(g, h))
-        assert items((m.vmap, m.emap) for m in enumerate_homs(g, h)) == want
+        homs = enumerate_homs(g, h)
+        assert items((m.vmap, m.emap) for m in homs) == want
+        assert_valid_homs(homs, g, h)
         for k in (1, 2, 5):
             got = enumerate_homs(g, h, limit=k)
             assert items((m.vmap, m.emap) for m in got) == want[:k]
         nonempty += bool(want)
     assert nonempty >= 20
+
+
+def test_homs_on_special_domains_and_targets():
+    for g, h, count in special_hom_instances():
+        homs = enumerate_homs(g, h)
+        assert len(homs) == count
+        assert_valid_homs(homs, g, h)
+        for m in homs:
+            for e, d in m.emap.items():
+                if g.reversal is not None and g.reversal[e] == e:
+                    assert h.reversal[d] == d
+
+
+def test_hom_results_are_checked_against_the_target():
+    # The second call reuses the edge index cached on h by the first, so
+    # its search still offers d under its old label; only the per-result
+    # check, which reads h.elabel, can reject it.
+    g = ball(1).graph
+    h = wang_to_dhs(comb_tileset()).graph
+    homs = enumerate_homs(g, h)
+    d = next(iter(homs[0].emap.values()))
+    h.elabel[d] = {"a": "b", "A": "B", "b": "a", "B": "A"}[h.elabel[d]]
+    with pytest.raises(ValueError, match="breaks edge label"):
+        enumerate_homs(g, h)
+
+
+def test_hom_results_are_checked_for_reversal():
+    # Break the involution at one partner image: the search still pairs d
+    # with r = h.reversal[d], but r no longer reverses back to d.
+    g = ball(1).graph
+    h = wang_to_dhs(comb_tileset()).graph
+    d = next(iter(enumerate_homs(g, h)[0].emap.values()))
+    h.reversal[h.reversal[d]] = next(x for x in h.edges if x != d)
+    with pytest.raises(ValueError, match="breaks reversal"):
+        enumerate_homs(g, h)
 
 
 @pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),

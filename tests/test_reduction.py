@@ -293,5 +293,8 @@ def test_exponential_capacity_error_reports_sizes():
     with pytest.raises(CapacityError) as err:
         tileset_exponential(f, s, max_cells=3)
     assert "simulator 9 states" in str(err.value)
+    assert str(err.value).startswith("exponential exceeds 3 cells (")
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "exponential vertices", 6, 3)
     with pytest.raises(ValueError):
         tileset_exponential(comb_tileset(), s)

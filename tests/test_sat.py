@@ -250,6 +250,26 @@ def test_enumerate_limit_is_not_unsat():
         count_tilings(win, comb_tileset(), limit=3)
 
 
+def test_count_tilings_limit_is_a_bound():
+    # The window has exactly 15 comb tilings: a limit of 15 is not exceeded,
+    # and one of 14 reports the 15th tiling it found.
+    win = tetrahedron(0, 1)
+    assert count_tilings(win, comb_tileset(), limit=15) == 15
+    with pytest.raises(CapacityError) as err:
+        count_tilings(win, comb_tileset(), limit=14)
+    assert str(err.value) == "more than 14 tilings"
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "tilings", 15, 14)
+
+
+def test_exact_count_capacity_error_carries_numbers():
+    with pytest.raises(CapacityError) as err:
+        exact_count(tetrahedron(-1, 1), comb_tileset(), max_table=5)
+    assert str(err.value) == "elimination table exceeds 5 entries"
+    assert (err.value.what, err.value.size, err.value.budget) == (
+        "elimination table entries", 9, 5)
+
+
 def test_counts_match_hom_counts():
     # tile assignments on a window are exactly graph homomorphisms into the
     # one-vertex-per-tile target

@@ -380,6 +380,22 @@ def test_tileset_file_round_trip_with_hash_in_colours():
     assert tileset_from_text(tileset_to_text(w)) == w
 
 
+@pytest.mark.parametrize("text, line", [
+    ("kind wang\ncolors x\ntile x x x x\n", "seed q 0"),
+    ("kind wang\ncolors x\n", "tile x x x y"),
+    ("kind wang\ncolors x\ntile x x x x\n", "seed a 3"),
+    ("kind tetra\nalphabet 0 1\n", "tetra 0 0 0 2"),
+    ("kind dl\nparams 2 3\nalphabet 0 1\n", "tetra 0 0 0 0"),
+])
+def test_tileset_file_late_errors_name_the_line(text, line):
+    # These are found only once every line is read: the seed word needs
+    # the params, a tile the colours or alphabet, a seed the tile count.
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        tileset_from_text(text + line + "\n")
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        tileset_from_text(line + "\n" + text)
+
+
 @pytest.mark.parametrize("line", ["kind", "params 2", "seed"])
 def test_tileset_file_short_lines_name_the_line(line):
     with pytest.raises(ValueError, match=re.escape(repr(line))):
