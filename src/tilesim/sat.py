@@ -1,19 +1,30 @@
-"""Finite-window tilings as CNF.
+"""Finite-window tilings: a tile-domain engine, CNF and exact counting.
+
+The domain engine answers solve_tiling, enumerate_tilings, count_tilings
+and forced_values.  It keeps one bitmask of possible tiles per point,
+enforces generalised arc consistency on the tileset's constraint scopes
+with an AC-3 queue, and searches depth first, iteratively, maintaining
+that consistency: it branches on the first undecided point in
+window.points() order and tries its smallest tile id first.  Tilings
+therefore come in lexicographic order of their tile ids read in
+window.points() order.  encode numbers variables point by point and tile
+by tile, and the clause-learning solver below sets the lowest free
+variable true first, so blocking each model it finds gives the same
+sequence; the tests compare the two model for model.
 
 encode() turns a window plus tileset into clauses over one variable per
 (point, tile) pair: an exactly-one group per point, plus the fully-contained
 constraint scopes of the tileset.  Scopes sharing a table and candidate lists
-share one clause pattern, built once and renumbered per scope.  An embedded
-clause-learning solver handles solving, enumeration (by blocking found
-solutions) and forced-value queries (one assumption per candidate); it keeps
-its state in flat lists indexed by literal or variable.  Everything is
-deterministic: branching takes the lowest unassigned variable, trying it
-positively first, so the same instance always produces the same models in
-the same order.
+share one clause pattern, built once and renumbered per scope.  The CNF goes
+out as DIMACS (export_dimacs, import_solution) and into the embedded
+clause-learning Solver, which keeps its state in flat lists indexed by
+literal or variable and is the reference the engine is tested against.
+exact_count() counts by variable elimination, independently of both.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 import itertools
 import operator
@@ -505,34 +516,197 @@ def _decode(cnf, model, window):
     return TilingAssignment(values)
 
 
+# -- the domain engine ------------------------------------------------------------
+
+
+class _Domains:
+    """Tile domains of one tiling instance, kept generalised arc consistent.
+
+    Points are numbered in window.points() order, and each point's domain
+    is an int bitmask over tile ids, starting from its vertex candidates.
+    Scopes are tuples of point numbers; scopes with equal tables share one
+    compiled table.  Every domain change goes on a trail of (point, old
+    mask) entries, so undo(mark) restores any earlier state.  ok is False
+    when propagation at the root already empties a domain.
+
+    A seed outside the window is a ValueError; a seed tile that is not a
+    candidate of its point (out of range included) empties the domain.
+    """
+
+    def __init__(self, window, ts, seeds=()):
+        self.points = pts = window.points()
+        self.index = index = {pt: i for i, pt in enumerate(pts)}
+        self.dom = dom = []
+        for pt in pts:
+            mask = 0
+            for t in vertex_candidates(ts, window, pt):
+                mask |= 1 << t
+            dom.append(mask)
+        for pt, t in tuple(ts.seeds) + tuple(seeds):
+            i = index.get(pt)
+            if i is None:
+                raise ValueError("seed %s lies outside the window"
+                                 % _point_str(pt))
+            dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
+        self.trail = []
+        self.scopes = []
+        self.watch = [[] for _ in pts]
+        tables = {}
+        for scope, allowed in window_scopes(ts, window):
+            table = tables.get(allowed)
+            if table is None:
+                table = tables[allowed] = _compile_table(allowed)
+            idx = tuple([index[v] for v in scope])
+            for i in idx:
+                self.watch[i].append(len(self.scopes))
+            self.scopes.append((idx, table))
+        self.queued = [True] * len(self.scopes)
+        self.ok = 0 not in dom and self._propagate(
+            collections.deque(range(len(self.scopes))))
+
+    def _propagate(self, queue):
+        """Revise queued scopes (AC-3) until none changes a domain; False
+        on a wipe-out.  A revision keeps, at each position, the tiles some
+        table tuple supports under the current domains.  Window scopes
+        never repeat a point, so a revised scope is consistent and is not
+        queued again by its own changes."""
+        dom, trail, scopes, watch, queued = (self.dom, self.trail,
+                                             self.scopes, self.watch,
+                                             self.queued)
+        while queue:
+            s = queue.popleft()
+            idx, (rows, memo) = scopes[s]
+            doms = tuple([dom[i] for i in idx])
+            new = memo.get(doms)
+            if new is None:
+                if len(memo) >= _MEMO_LIMIT:
+                    memo.clear()
+                new = memo[doms] = _revise(rows, doms)
+            for i, m in zip(idx, new):
+                old = dom[i]
+                if m == old:
+                    continue
+                if not m:
+                    for s2 in queue:
+                        queued[s2] = False
+                    queued[s] = False
+                    return False
+                trail.append((i, old))
+                dom[i] = m
+                for s2 in watch[i]:
+                    if not queued[s2]:
+                        queued[s2] = True
+                        queue.append(s2)
+            queued[s] = False
+        return True
+
+    def narrow(self, i, mask):
+        """Cut point i's domain to mask and propagate; False on a
+        wipe-out, which leaves the domains to be restored by undo()."""
+        old = self.dom[i]
+        mask &= old
+        if mask == old:
+            return True
+        if not mask:
+            return False
+        self.trail.append((i, old))
+        self.dom[i] = mask
+        queue = collections.deque(self.watch[i])
+        for s in queue:
+            self.queued[s] = True
+        return self._propagate(queue)
+
+    def undo(self, mark):
+        """Restore the domains to when the trail had mark entries."""
+        dom, trail = self.dom, self.trail
+        while len(trail) > mark:
+            i, old = trail.pop()
+            dom[i] = old
+
+    def search(self):
+        """Yield the tilings below the current domains as tuples of tile
+        ids in point order, in lexicographic order of those tuples.
+
+        Iterative maintained-arc-consistency search: branch on the first
+        point with more than one tile, try its smallest tile, and on
+        failure remove that tile and propagate before the next.  The
+        domains are not restored afterwards; undo() does that.
+        """
+        if not self.ok:
+            return
+        dom, trail = self.dom, self.trail
+        n = len(dom)
+        stack = []  # (point, tile bit, trail mark) per decision
+        i = 0
+        while True:
+            while i < n and not dom[i] & (dom[i] - 1):
+                i += 1
+            if i == n:
+                yield tuple([m.bit_length() - 1 for m in dom])
+                ok = False
+            else:
+                bit = dom[i] & -dom[i]
+                stack.append((i, bit, len(trail)))
+                ok = self.narrow(i, bit)
+            while not ok:
+                if not stack:
+                    return
+                i, bit, mark = stack.pop()
+                self.undo(mark)
+                ok = self.narrow(i, dom[i] ^ bit)
+
+
+# revisions memoised per table before its memo starts over
+_MEMO_LIMIT = 4096
+
+
+def _compile_table(allowed):
+    """A table as (rows, memo): each allowed tuple as a tuple of tile
+    bits, and a memo from the domains of a scope on the table to their
+    revision, since scopes on one table meet the same few domain tuples
+    over and over."""
+    return [tuple([1 << t for t in row]) for row in allowed], {}
+
+
+def _revise(rows, doms):
+    """The tiles of each domain that some row inside all domains puts
+    there."""
+    keep = [0] * len(doms)
+    for row in rows:
+        for d, bit in zip(doms, row):
+            if not d & bit:
+                break
+        else:
+            keep = [k | bit for k, bit in zip(keep, row)]
+    return keep
+
+
 def solve_tiling(window, ts, seeds=()):
-    """The first tiling of the window, or None."""
-    cnf = encode(window, ts, seeds)
-    model = solver_for(cnf).solve()
+    """The first tiling of the window, or None.  It is the least tiling in
+    the order enumerate_tilings gives."""
+    eng = _Domains(window, ts, seeds)
+    model = next(eng.search(), None)
     if model is None:
         return None
-    return _decode(cnf, model, window)
+    return TilingAssignment(dict(zip(eng.points, model)))
 
 
 def enumerate_tilings(window, ts, seeds=(), limit=None):
-    """All tilings in deterministic order, as (solutions, complete).
+    """All tilings as (solutions, complete), in lexicographic order of
+    their tile ids read in window.points() order.
 
     complete is False when a limit stopped the enumeration early, which is
     not the same thing as the instance being unsatisfiable.
     """
-    cnf = encode(window, ts, seeds)
-    s = solver_for(cnf)
+    eng = _Domains(window, ts, seeds)
+    models = eng.search()
     out = []
-    while True:
-        if limit is not None and len(out) >= limit:
-            return out, False
-        model = s.solve()
+    while limit is None or len(out) < limit:
+        model = next(models, None)
         if model is None:
             return out, True
-        asg = _decode(cnf, model, window)
-        out.append(asg)
-        block = [-cnf.var_of[(pt, t)] for pt, t in asg.values.items()]
-        s.add_clause(block)
+        out.append(TilingAssignment(dict(zip(eng.points, model))))
+    return out, False
 
 
 def count_tilings(window, ts, seeds=(), limit=None):
@@ -547,45 +721,44 @@ def count_tilings(window, ts, seeds=(), limit=None):
     return len(sols)
 
 
-def forced_values(window, ts, seeds=(), d=2, at=None):
+def forced_values(window, ts, seeds=(), d=2):
     """Feasible tiles per deep-interior point: point -> sorted tile tuple.
 
     A point is deep interior when its whole d-ball lies in the window; a
-    tile is feasible when the instance stays satisfiable with it pinned.
-    Models found along the way settle other pending pairs for free.  With
-    at= only the given points are queried (still restricted to the deep
-    interior).
+    tile is feasible when some tiling puts it there.  Root propagation
+    drops most infeasible tiles; each (point, tile) it leaves that no model
+    found so far settles is probed with a search, and every model found
+    settles further pairs for free.  An unsatisfiable instance gives every
+    point the empty tuple.
     """
-    cnf = encode(window, ts, seeds)
-    s = solver_for(cnf)
+    eng = _Domains(window, ts, seeds)
     inner = sorted(interior_vertices(window, d), key=skey)
-    if at is not None:
-        chosen = set(at)
-        inner = [pt for pt in inner if pt in chosen]
-    pending = {pt: set(vertex_candidates(ts, window, pt)) for pt in inner}
-    feasible = {pt: set() for pt in inner}
+    at = [(pt, eng.index[pt]) for pt in inner]
+    feasible = dict.fromkeys(inner, 0)
 
     def harvest(model):
-        asg = _decode(cnf, model, window)
-        for pt in inner:
-            t = asg.values[pt]
-            if t in pending[pt]:
-                pending[pt].discard(t)
-                feasible[pt].add(t)
+        for pt, i in at:
+            feasible[pt] |= 1 << model[i]
 
-    model = s.solve()
+    root = len(eng.trail)
+    model = next(eng.search(), None)
+    eng.undo(root)
     if model is not None:
         harvest(model)
-        for pt in inner:
-            for t in sorted(pending[pt]):
-                if t not in pending[pt]:
-                    continue
-                m = s.solve((cnf.var_of[(pt, t)],))
-                pending[pt].discard(t)
-                if m is not None:
-                    feasible[pt].add(t)
-                    harvest(m)
-    return {pt: tuple(sorted(feasible[pt])) for pt in inner}
+        for pt, i in at:
+            # a probe's model puts its own tile at pt, so models found in
+            # this loop settle no other pending tile of pt
+            pending = eng.dom[i] & ~feasible[pt]
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                if eng.narrow(i, bit):
+                    model = next(eng.search(), None)
+                    if model is not None:
+                        harvest(model)
+                eng.undo(root)
+    return {pt: tuple(t for t in range(m.bit_length()) if m >> t & 1)
+            for pt, m in feasible.items()}
 
 
 # -- exact counting ---------------------------------------------------------------

@@ -665,7 +665,8 @@ def random_tetra_system(rng, nsymbols=2, density=0.5):
 
 def tileset_to_text(ts):
     """Line format: kind, colour/alphabet list, one line per tile or cell,
-    seeds as generator words.  DL systems add a params line."""
+    seeds as generator words.  DL systems add a params line, and named
+    tiles or symbols a names line."""
     lines = []
     if isinstance(ts, WangTileset):
         lines.append("kind wang")
@@ -682,6 +683,8 @@ def tileset_to_text(ts):
             lines.append("tetra " + " ".join(_fmt(x) for x in t))
     else:
         raise ValueError("cannot serialize %r" % type(ts).__name__)
+    if ts.names is not None:
+        lines.append(" ".join(["names"] + [_fmt(x) for x in ts.names]))
     for pt, idx in ts.seeds:
         lines.append("seed %s %d" % (shlex.quote(_point_word(pt)), idx))
     return "\n".join(lines) + "\n"
@@ -721,7 +724,8 @@ def tileset_from_text(text):
     colors = None
     symbols = None
     p = q = 2
-    tiles = []
+    tiles = {}  # tile or cell tuple -> None, in line order
+    names = None
     placed = []
 
     # Tile and seed lines are checked once every line is read, since the
@@ -733,6 +737,16 @@ def tileset_from_text(text):
             _check_tile(tile, 4 if kind == "tetra" else p + q, symbols,
                         "cell tuple")
 
+    def check_names():
+        if kind == "wang":
+            count = len(tiles)
+        elif symbols is not None:
+            count = len(symbols)
+        else:
+            return
+        if len(names) != count:
+            raise ValueError("%d names for %d tiles" % (len(names), count))
+
     def place(word, idx):
         placed.append((evaluate_word(word, p, q), idx))
         if kind == "wang":
@@ -741,7 +755,7 @@ def tileset_from_text(text):
             _check_seeds(placed[-1:], len(symbols))
 
     def line(toks):
-        nonlocal kind, colors, symbols, p, q
+        nonlocal kind, colors, symbols, names, p, q
         key, rest = toks[0], toks[1:]
         arity = {"kind": 1, "params": 2, "seed": 2}.get(key)
         if arity is not None and len(rest) != arity:
@@ -756,9 +770,14 @@ def tileset_from_text(text):
             colors = [_parse_token(t) for t in rest]
         elif key == "alphabet":
             symbols = [_parse_token(t) for t in rest]
+        elif key == "names":
+            names = tuple(_parse_token(t) for t in rest)
+            return check_names
         elif key in ("tile", "tetra"):
             tile = tuple(_parse_token(t) for t in rest)
-            tiles.append(tile)
+            if tile in tiles:
+                raise ValueError("repeated %s" % key)
+            tiles[tile] = None
             return lambda: check_tile(tile)
         elif key == "seed":
             word, idx = rest[0], int(rest[1])
@@ -770,11 +789,12 @@ def tileset_from_text(text):
     if kind == "wang":
         if colors is None:
             raise ValueError("missing colors line")
-        return WangTileset(frozenset(colors), tuple(tiles), placed)
+        return WangTileset(frozenset(colors), tuple(tiles), placed,
+                           names)
     if kind in ("tetra", "dl"):
         if symbols is None:
             raise ValueError("missing alphabet line")
         mode = "cayley" if kind == "tetra" else "dl"
         return TetraSystem(tuple(symbols), frozenset(tiles), placed,
-                           mode, p, q)
+                           mode, p, q, names)
     raise ValueError("missing kind line")

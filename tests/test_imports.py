@@ -1,7 +1,10 @@
-"""Gate: every module-level import in src/tilesim is referenced."""
+"""Gates on src/tilesim's module-level imports: each one is referenced,
+and each absolute one names a standard-library module, since the runtime
+has no dependencies."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -31,3 +34,30 @@ def test_gate_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source):
+    """Top-level modules of absolute module-level imports that are not in
+    the standard library."""
+    tree = ast.parse(source)
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_gate_finds_a_non_stdlib_import():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "import numpy as np\nfrom yaml import safe_load\n"
+              "from .graphs import skey\nfrom collections import deque\n")
+    assert non_stdlib_imports(source) == ["numpy", "yaml"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text()) == []

@@ -18,6 +18,11 @@ from tilesim.simulation import apply_simulator, builtin_simulator, \
 from tilesim.tilesets import DhsTarget, comb_tileset
 
 MONO = HalfPlaneTileset(frozenset("c"), (("c", "c", "c", "c"),), 0)
+# a row that dies after two steps east, and one that alternates freely
+DEADEND = HalfPlaneTileset(
+    frozenset("cde"), (("c", "d", "c", "c"), ("c", "e", "c", "d")), 0)
+ALTERNATING = HalfPlaneTileset(
+    frozenset("cd"), (("c", "d", "c", "c"), ("c", "c", "c", "d")), 0)
 
 
 def grid_ok(hp, tiling):
@@ -87,12 +92,7 @@ def test_every_solution_decodes_to_a_full_grid_tiling_with_star():
 
 
 def test_end_to_end_agreement_with_patch_brute_force():
-    # A row that dies after two steps east, and one that alternates freely.
-    deadend = HalfPlaneTileset(
-        frozenset("cde"), (("c", "d", "c", "c"), ("c", "e", "c", "d")), 0)
-    alternating = HalfPlaneTileset(
-        frozenset("cd"), (("c", "d", "c", "c"), ("c", "c", "c", "d")), 0)
-    for hp, want in ((MONO, True), (deadend, False), (alternating, True)):
+    for hp, want in ((MONO, True), (DEADEND, False), (ALTERNATING, True)):
         brute = grid_wang_tilings(hp.tiles, halfplane_points(3),
                                   seed=((0, 0), hp.seed))
         sat = solve_tiling(ball(3), reduce_halfplane(hp))
@@ -102,6 +102,19 @@ def test_end_to_end_agreement_with_patch_brute_force():
             dec = decode_halfplane(sat.values, reduce_halfplane(hp), hp)
             patch = {p: dec[p] for p in halfplane_points(3)}
             assert patch in brute
+
+
+def test_reduction_round_trips_on_the_solver_model():
+    pts = halfplane_points(5)
+    for hp, want in ((ALTERNATING, True), (DEADEND, False)):
+        pi = reduce_halfplane(hp)
+        sat = solve_tiling(ball(5), pi)
+        assert (sat is not None) == want
+        if sat is not None:
+            dec = decode_halfplane(sat.values, pi, hp)
+            assert set(dec) >= set(pts) and dec[(0, 0)] == hp.seed
+            assert grid_ok(hp, dec)
+            assert star_violations(sat.values, pi, hp) == []
 
 
 def test_star_violation_is_reported_for_a_corrupted_memo():

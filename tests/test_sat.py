@@ -7,15 +7,17 @@ import pytest
 from tilesim.geometry import (
     ball, cell_points, dl_window, evaluate_word, identity, interior_vertices,
     tetrahedron, window_cells)
-from tilesim.graphs import CapacityError, enumerate_homs
+from tilesim.graphs import (
+    CapacityError, alphabet, enumerate_homs, labelled, skey)
 from tilesim.reduction import HalfPlaneTileset, reduce_halfplane
 from tilesim.sat import (
     CnfInstance, Solver, TilingAssignment, count_tilings, encode,
     enumerate_tilings, exact_count, export_dimacs, forced_values,
-    import_solution, solve_tiling, solver_for, _point_str)
+    import_solution, solve_tiling, solver_for, _decode, _point_str)
 from tilesim.tilesets import (
-    comb_configuration, comb_tileset, dl_ray_system, lr_system,
-    random_wang_tileset, ray_left_system, tetra_to_wang, tiling_ok,
+    DhsTarget, comb_configuration, comb_tileset, dl_ray_system, lr_system,
+    random_tetra_system, random_wang_tileset, ray_left_system,
+    sea_level_system, tetra_to_wang, tile_count, tiling_ok,
     vertex_candidates, wang_to_dhs, wang_to_tetra, window_scopes)
 
 
@@ -480,3 +482,135 @@ def test_scope_selector_encoding_kicks_in():
     cnf = encode(win, ts)
     assert cnf.num_vars > 4 * 6
     assert count_tilings(win, ts) == len(brute_tilings(win, ts))
+
+
+# -- the domain engine against the clause-learning solver -------------------------
+
+
+def reference_enumeration(window, ts, seeds=(), limit=None):
+    # the clause-learning path: solve, block the model, solve again
+    cnf = encode(window, ts, seeds)
+    s = solver_for(cnf)
+    out = []
+    while limit is None or len(out) < limit:
+        model = s.solve()
+        if model is None:
+            break
+        values = _decode(cnf, model, window).values
+        out.append(values)
+        s.add_clause([-cnf.var_of[key] for key in values.items()])
+    return out
+
+
+def reference_forced(window, ts, seeds=(), d=2):
+    # one assumption per pending (point, tile) on the clause-learning
+    # solver; every model found settles the pairs it shows feasible
+    cnf = encode(window, ts, seeds)
+    s = solver_for(cnf)
+    inner = sorted(interior_vertices(window, d), key=skey)
+    pending = {pt: set(vertex_candidates(ts, window, pt)) for pt in inner}
+    feasible = {pt: set() for pt in inner}
+
+    def harvest(model):
+        values = _decode(cnf, model, window).values
+        for pt in inner:
+            pending[pt].discard(values[pt])
+            feasible[pt].add(values[pt])
+
+    model = s.solve()
+    if model is not None:
+        harvest(model)
+        for pt in inner:
+            for t in sorted(pending[pt]):
+                if t in pending[pt]:
+                    pending[pt].discard(t)
+                    model = s.solve((cnf.var_of[(pt, t)],))
+                    if model is not None:
+                        harvest(model)
+    return {pt: tuple(sorted(feasible[pt])) for pt in inner}
+
+
+HALFPLANE_SETS = (
+    HalfPlaneTileset(frozenset("cd"), (("c", "d", "c", "c"),
+                                       ("c", "c", "c", "d")), 0),
+    HalfPlaneTileset(frozenset("cde"), (("c", "d", "c", "c"),
+                                        ("c", "e", "c", "d")), 0),
+)
+
+
+def differential_instances():
+    rng = random.Random(29)
+    out = []
+    for _ in range(8):
+        w = random_wang_tileset(rng, rng.randint(2, 3), rng.randint(3, 6))
+        out.append((rng.choice((ball(2), tetrahedron(-1, 1))), w))
+        out.append((rng.choice((ball(1), ball(2))), wang_to_dhs(w)))
+        t = random_tetra_system(rng, rng.randint(2, 3), rng.random())
+        out.append((rng.choice((tetrahedron(-1, 1), tetrahedron(0, 2))), t))
+    for hp in HALFPLANE_SETS:
+        for r in (3, 4, 5):
+            out.append((ball(r), reduce_halfplane(hp)))
+    for i, (win, ts) in enumerate(out):
+        seeds = ()
+        if i % 3 == 0:
+            seeds = ((identity(), rng.randrange(tile_count(ts))),)
+        out[i] = (win, ts, seeds)
+    return out
+
+
+def test_enumeration_matches_the_clause_learning_solver_in_order():
+    for win, ts, seeds in differential_instances():
+        sols, complete = enumerate_tilings(win, ts, seeds, limit=200)
+        want = reference_enumeration(win, ts, seeds, limit=201)
+        assert complete == (len(want) < 201)
+        assert [list(s.values.items()) for s in sols] == \
+            [list(v.items()) for v in want[:200]]
+        first = solve_tiling(win, ts, seeds)
+        assert (first.values if first else None) == \
+            (want[0] if want else None)
+
+
+@pytest.mark.parametrize("win, ts", [
+    (ball(3), comb_tileset()),
+    (tetrahedron(-2, 2), sea_level_system()),
+])
+def test_forced_values_match_assumption_probes(win, ts):
+    # unseeded, so root propagation leaves choices and probes run
+    forced = forced_values(win, ts, d=1)
+    assert forced == reference_forced(win, ts, d=1)
+    assert list(forced) == sorted(interior_vertices(win, 1), key=skey)
+    assert any(len(v) > 1 for v in forced.values())
+
+
+def two_label_target():
+    # tile 0 ('x') fits every window vertex; tile 1 ('y') has a vertex
+    # label no window vertex carries, so it is no vertex's candidate
+    rev = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    base = alphabet([1, 2], {g: (1, 1) for g in "abAB"}, rev)
+    return DhsTarget(labelled(base, {"x": 1, "y": 2},
+                              {g: ("x", "x") for g in "abAB"},
+                              {g: g for g in "abAB"}, rev))
+
+
+@pytest.mark.parametrize("ts, seed", [
+    (two_label_target(), 1),
+    (comb_tileset(), 6),
+    (comb_tileset(), -1),
+    (comb_tileset(), 10 ** 9),
+])
+def test_seed_tile_that_is_no_candidate_is_unsatisfiable(ts, seed):
+    seeds = ((identity(), seed),)
+    assert solver_for(encode(ball(1), ts, seeds)).solve() is None
+    assert solve_tiling(ball(1), ts, seeds) is None
+    assert enumerate_tilings(ball(1), ts, seeds) == ([], True)
+    assert count_tilings(ball(1), ts, seeds) == 0
+    forced = forced_values(ball(2), ts, seeds, d=1)
+    assert forced and all(v == () for v in forced.values())
+
+
+def test_seed_outside_the_window_raises_everywhere():
+    seeds = ((evaluate_word("aaa"), 0),)
+    for call in (solve_tiling, enumerate_tilings, count_tilings,
+                 forced_values):
+        with pytest.raises(ValueError, match="outside the window"):
+            call(ball(1), comb_tileset(), seeds)

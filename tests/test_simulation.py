@@ -5,8 +5,9 @@ import pytest
 
 from tilesim.geometry import (
     alphabet_label_graph, ball, boundary_vertices, cayley_label_graph,
-    evaluate_word, grid_patch, identity, plane_label_graph, plane_window,
-    quadrant_label_graph, quadrant_window, tetrahedron)
+    evaluate_word, grid_patch, identity, interior_vertices,
+    plane_label_graph, plane_window, quadrant_label_graph, quadrant_window,
+    tetrahedron)
 from tilesim.graphs import (
     LabelGraph, Morphism, induced_subgraph, vertex_blowup)
 from tilesim.simulation import (
@@ -17,6 +18,7 @@ from tilesim.simulation import (
     quadrant_to_plane, random_simulator, rectangle_compress, relabel_graph,
     rename_vertices, run_gwa, sea_to_quadrant, simulator_from_text,
     simulator_to_dot, simulator_to_gwa, simulator_to_text, _state_copies)
+from tilesim.sat import forced_values, solve_tiling
 from tilesim.tilesets import (
     comb_configuration, comb_tileset, lamp_runs, omega_configuration,
     sea_level_system)
@@ -196,6 +198,47 @@ def test_sea_interior_grows_with_the_window():
     # m in {4} come back from it, and likewise for n
     good = {0, 1, 2, 5, 6}
     assert trusted == {(m, n) for m in good for n in good}
+
+
+# -- the paper's claims on solver output
+
+
+def seeded_omega(h):
+    # omega_full with the identity pinned to its omega tile
+    ts = sea_level_system()
+    seeds = ((identity(), ts.alphabet.index(omega_configuration(identity()))),)
+    return tetrahedron(-h, h), ts, seeds
+
+
+def omega_singletons(w, ts):
+    return {pt: (ts.alphabet.index(omega_configuration(pt)),)
+            for pt in interior_vertices(w, 2)}
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_seeded_omega_full_is_rigid_and_simulates_the_quadrant(h):
+    w, ts, seeds = seeded_omega(h)
+    model = solve_tiling(w, ts, seeds).values
+    omega = omega_singletons(w, ts)
+    assert omega
+    assert {pt: (model[pt],) for pt in omega} == omega
+    assert forced_values(w, ts, seeds) == omega
+    g, inc = apply_simulator(decorate_window(w, ts, model), sea_to_quadrant(),
+                             frontier=boundary_vertices(w))
+    trusted = [v for v in g.vlabel if v not in inc]
+    coords = {v: decode_sea(v[0]) for v in trusted}
+    points = set(coords.values())
+    assert trusted and len(points) == len(trusted)
+    ren = rename_vertices(induced_subgraph(g, trusted), coords.get)
+    assert same_graph(ren, quadrant_patch(points))
+
+
+def test_forced_values_on_ten_thousand_points():
+    # 11264 points: the engine must neither recurse nor copy domains per
+    # point, and root propagation alone leaves the omega singletons
+    w, ts, seeds = seeded_omega(5)
+    assert len(w.points()) > 10 ** 4
+    assert forced_values(w, ts, seeds) == omega_singletons(w, ts)
 
 
 # -- run compression

@@ -10,9 +10,9 @@ from tilesim.geometry import (
 from tilesim.graphs import LabelGraph, alphabet, enumerate_homs
 from tilesim.tilesets import (
     DhsTarget, TetraSystem, WangTileset, builtin_tileset, comb_configuration,
-    comb_tileset, dhs_to_sft, dl_ray_system, lamp_runs, lr_configuration,
-    lr_system, omega_configuration, on_comb_spine_region, parse_tile_ref,
-    product_tileset, random_tetra_system, random_wang_tileset,
+    comb_tileset, decoration_symbols, dhs_to_sft, dl_ray_system, lamp_runs,
+    lr_configuration, lr_system, omega_configuration, on_comb_spine_region,
+    parse_tile_ref, product_tileset, random_tetra_system, random_wang_tileset,
     ray_left_system, ray_right_system, sea_level_system, sea_system,
     sft_to_dhs, tetra_system, tetra_to_wang, tile_count, tile_label,
     tileset_from_text, tileset_to_text, tiling_ok, vertex_candidates,
@@ -400,6 +400,43 @@ def test_tileset_file_late_errors_name_the_line(text, line):
 def test_tileset_file_short_lines_name_the_line(line):
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         tileset_from_text("kind dl\nalphabet 'x'\n" + line + "\n")
+
+
+@pytest.mark.parametrize("name", ["comb", "ray_left", "ray_right",
+                                  "omega_lr", "omega_sea", "omega_full",
+                                  "dl_ray:2:3"])
+def test_builtin_tileset_file_round_trip_is_exact(name):
+    ts = builtin_tileset(name)
+    again = tileset_from_text(tileset_to_text(ts))
+    assert again == ts
+    assert decoration_symbols(again) == decoration_symbols(ts)
+
+
+def test_tileset_file_names_line():
+    named = TetraSystem((False, True), ray_left_system().allowed,
+                        names=("off", "on"))
+    text = tileset_to_text(named)
+    assert text.splitlines()[-1].startswith("names ")
+    assert tileset_from_text(text) == named
+    for text, line in (
+            ("kind wang\ncolors x\ntile x x x x\n", "names p q"),
+            ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\n", "names p")):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            tileset_from_text(text + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            tileset_from_text(line + "\n" + text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("kind wang\ncolors x y\ntile x x x x\ntile y y y y\n", "tile x x x x"),
+    ("kind wang\ncolors x\ntile 'x' 'x' 'x' 'x'\n", "tile x x x x"),
+    ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\n", "tetra 0 0 0 0"),
+    ("kind dl\nparams 2 3\nalphabet 0\ntetra 0 0 0 0 0\n",
+     "tetra 0 0 0 0 0"),
+])
+def test_tileset_file_repeated_tile_names_the_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        tileset_from_text(text + line + "\n")
 
 
 def test_seeded_file_round_trip():
