@@ -344,15 +344,19 @@ def boundary_vertices(window):
 
 
 def interior_vertices(window, d):
-    """Vertices all of whose walks of length <= d stay inside the window."""
-    current = set(window.graph.vlabel)
-    for _ in range(d):
-        bad = boundary_vertices(window)
+    """Vertices all of whose walks of length <= d stay inside the window:
+    the first round drops the boundary, and each later one the points with
+    a window neighbour (an edge's head) dropped before."""
+    vlabel = window.graph.vlabel
+    if d <= 0:
+        return set(vlabel)
+    adj = {pt: [] for pt in vlabel}
+    for t, h in window.graph.edges.values():
+        adj[t].append(h)
+    current = set(vlabel) - boundary_vertices(window)
+    for _ in range(d - 1):
         current = {pt for pt in current
-                   if pt not in bad
-                   and all(im in current
-                           for im in point_neighbors(pt, window.mode)
-                           if im in window.graph.vlabel)}
+                   if all(im in current for im in adj[pt])}
     return current
 
 
@@ -360,27 +364,20 @@ def interior_vertices(window, d):
 
 
 def cell_points(g):
-    """The height-1 cell at g: (g, g ab^-1, g a, g b) for the lamplighter."""
+    """The height-1 cell read from g: (g, g ab^-1, g a, g b).
+
+    At a base (no lamp at the marker position) this is dl_cell_points(g),
+    lower points then upper; at a point whose marker lamp is lit it is the
+    other reading of the same cell, with each pair swapped."""
     return (g, multiply(g, evaluate_word("aB")),
             step(g, "a"), step(g, "b"))
 
 
-def window_cells(window):
-    """Base points of complete lamplighter cells inside the window; the base
-    of a cell is its lower point with no lamp at the marker position."""
-    out = []
-    for pt in window.graph.vlabel:
-        if pt.digit(pt.marker) != 0:
-            continue
-        cell = cell_points(pt)
-        if all(x in window.graph.vlabel for x in cell):
-            out.append(pt)
-    return sorted(out, key=repr)
-
-
 def dl_cell_points(g):
-    """The DL cell at a base point g (marker n, digit 0 at position n):
-    p lower points followed by q upper points."""
+    """The cell at a base point g (marker n, digit 0 at position n): p lower
+    points followed by q upper points, each in digit order at position n.
+    On the lamplighter, DL(2,2), these are the four points of
+    cell_points(g) in its order."""
     vals = dict(g.digits)
     lower = []
     for i in range(g.p):
@@ -393,13 +390,17 @@ def dl_cell_points(g):
     return tuple(lower), tuple(upper)
 
 
-def dl_window_cells(window):
+def window_cells(window):
+    """Base points of the complete cells inside the window, sorted by repr.
+    A base is a point with digit 0 at its marker position, and its cell is
+    dl_cell_points(base), in Cayley and DL windows alike."""
+    vlabel = window.graph.vlabel
     out = []
-    for pt in window.graph.vlabel:
+    for pt in vlabel:
         if pt.digit(pt.marker) != 0:
             continue
         lower, upper = dl_cell_points(pt)
-        if all(x in window.graph.vlabel for x in lower + upper):
+        if all(x in vlabel for x in lower + upper):
             out.append(pt)
     return sorted(out, key=repr)
 

@@ -476,25 +476,11 @@ def _label_edges(h):
 
 def pullback(g1, g2):
     """Fibre product over the common alphabet: cells are pairs of cells with
-    equal labels, structure maps act componentwise."""
+    equal labels, structure maps act componentwise.  This is alpha_pullback
+    through g2's own labelling."""
     if g1.label_graph != g2.label_graph or g1.label_graph is None:
         raise ValueError("pullback needs a common alphabet")
-    vlabel = {}
-    for u1 in g1.vertices():
-        for u2 in g2.vertices():
-            if g1.vlabel[u1] == g2.vlabel[u2]:
-                vlabel[(u1, u2)] = g1.vlabel[u1]
-    edges = {}
-    elabel = {}
-    for e1 in g1.edge_ids():
-        for e2 in _label_edges(g2).get(g1.elabel[e1], []):
-            e = (e1, e2)
-            edges[e] = ((g1.tail(e1), g2.tail(e2)), (g1.head(e1), g2.head(e2)))
-            elabel[e] = g1.elabel[e1]
-    rev = None
-    if g1.reversal is not None and g2.reversal is not None:
-        rev = {(e1, e2): (g1.reversal[e1], g2.reversal[e2]) for (e1, e2) in edges}
-    return LabelGraph(vlabel, edges, elabel, rev, g1.label_graph)
+    return alpha_pullback(g1, g2, labelling_morphism(g2))
 
 
 def identity_over(b):

@@ -20,6 +20,10 @@ out as DIMACS (export_dimacs, import_solution) and into the embedded
 clause-learning Solver, which keeps its state in flat lists indexed by
 literal or variable and is the reference the engine is tested against.
 exact_count() counts by variable elimination, independently of both.
+
+encode, the engine and exact_count share one numbered form of an instance
+(_instance), so points, candidates, scopes and seeds are numbered and the
+seeds checked in one place.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ class TilingAssignment:
 
     def to_text(self, ts=None):
         lines = []
-        for pt in sorted(self.values, key=_point_key):
+        for pt in sorted(self.values, key=_point_str):
             t = self.values[pt]
             shown = tile_label(ts, t) if ts is not None else t
             lines.append("%s %s" % (_point_str(pt), shown))
@@ -71,8 +75,24 @@ def _point_str(pt):
     return canonical(pt) if isinstance(pt, GroupPoint) else repr(pt)
 
 
-def _point_key(pt):
-    return _point_str(pt)
+def _instance(window, ts, seeds):
+    """(points, index, cands, scopes, pins): window.points() (so numbers
+    follow skey order), point -> number, each point's candidate tuple,
+    window_scopes over point numbers, and the tileset's then the extra
+    seeds as (number, tile).  A seed outside the window is a ValueError."""
+    pts = window.points()
+    index = {pt: i for i, pt in enumerate(pts)}
+    pins = []
+    for pt, t in tuple(ts.seeds) + tuple(seeds):
+        i = index.get(pt)
+        if i is None:
+            raise ValueError("seed %s lies outside the window"
+                             % _point_str(pt))
+        pins.append((i, t))
+    cands = [tuple(vertex_candidates(ts, window, pt)) for pt in pts]
+    scopes = [(tuple([index[v] for v in scope]), allowed)
+              for scope, allowed in window_scopes(ts, window)]
+    return pts, index, cands, scopes, pins
 
 
 _PAIRWISE_LIMIT = 8
@@ -93,23 +113,21 @@ def encode(window, ts, seeds=()):
     each distinct (table, candidate lists) pattern is built once over local
     literals and instantiated per scope through a literal table.
     """
+    pts, _, cands, scopes, pins = _instance(window, ts, seeds)
     cnf = CnfInstance()
     var_of, meaning, clauses = cnf.var_of, cnf.meaning, cnf.clauses
-    pts = window.points()
     n = 0
-    # point -> (first tile variable, candidate list id, candidate count)
-    slot = {}
+    # per point: (first tile variable, candidate list id, candidate count)
+    slot = []
     cand_ids = {}
-    for pt in pts:
-        cs = tuple(vertex_candidates(ts, window, pt))
-        slot[pt] = (n + 1, cand_ids.setdefault(cs, len(cand_ids)), len(cs))
+    for pt, cs in zip(pts, cands):
+        slot.append((n + 1, cand_ids.setdefault(cs, len(cand_ids)), len(cs)))
         for t in cs:
             n += 1
             key = (pt, t)
             var_of[key] = n
             meaning[n] = key
-    for pt in pts:
-        first, _, k = slot[pt]
+    for first, _, k in slot:
         group = tuple(range(first, first + k))
         clauses.append(group)
         if k <= _PAIRWISE_LIMIT:
@@ -125,8 +143,8 @@ def encode(window, ts, seeds=()):
             clauses.append((-group[-1], -regs[-1]))
     cand_lists = list(cand_ids)
     patterns = {}
-    for scope, allowed in window_scopes(ts, window):
-        info = [slot[v] for v in scope]
+    for scope, allowed in scopes:
+        info = [slot[i] for i in scope]
         key = (allowed, tuple([cid for _, cid, _ in info]))
         pattern = patterns.get(key)
         if pattern is None:
@@ -143,15 +161,9 @@ def encode(window, ts, seeds=()):
         lits.extend([-x for x in reversed(lits[1:])])
         clauses.extend([pick(lits) for pick in pickers])
     cnf.num_vars = n
-    for pt, t in tuple(ts.seeds) + tuple(seeds):
-        if pt not in window:
-            raise ValueError("seed %s lies outside the window"
-                             % _point_str(pt))
-        var = var_of.get((pt, t))
-        if var is None:
-            clauses.append(())
-        else:
-            clauses.append((var,))
+    for i, t in pins:
+        var = var_of.get((pts[i], t))
+        clauses.append(() if var is None else (var,))
     return cnf
 
 
@@ -522,41 +534,36 @@ def _decode(cnf, model, window):
 class _Domains:
     """Tile domains of one tiling instance, kept generalised arc consistent.
 
-    Points are numbered in window.points() order, and each point's domain
-    is an int bitmask over tile ids, starting from its vertex candidates.
-    Scopes are tuples of point numbers; scopes with equal tables share one
-    compiled table.  Every domain change goes on a trail of (point, old
-    mask) entries, so undo(mark) restores any earlier state.  ok is False
-    when propagation at the root already empties a domain.
+    Points are numbered as in _instance, and each point's domain is an int
+    bitmask over tile ids, starting from its vertex candidates.  Scopes are
+    tuples of point numbers; scopes with equal tables share one compiled
+    table.  Every domain change goes on a trail of (point, old mask)
+    entries, so undo(mark) restores any earlier state.  ok is False when
+    propagation at the root already empties a domain.
 
     A seed outside the window is a ValueError; a seed tile that is not a
     candidate of its point (out of range included) empties the domain.
     """
 
     def __init__(self, window, ts, seeds=()):
-        self.points = pts = window.points()
-        self.index = index = {pt: i for i, pt in enumerate(pts)}
+        self.points, self.index, cands, scopes, pins = _instance(window, ts,
+                                                                 seeds)
         self.dom = dom = []
-        for pt in pts:
+        for cs in cands:
             mask = 0
-            for t in vertex_candidates(ts, window, pt):
+            for t in cs:
                 mask |= 1 << t
             dom.append(mask)
-        for pt, t in tuple(ts.seeds) + tuple(seeds):
-            i = index.get(pt)
-            if i is None:
-                raise ValueError("seed %s lies outside the window"
-                                 % _point_str(pt))
+        for i, t in pins:
             dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
         self.trail = []
         self.scopes = []
-        self.watch = [[] for _ in pts]
+        self.watch = [[] for _ in dom]
         tables = {}
-        for scope, allowed in window_scopes(ts, window):
+        for idx, allowed in scopes:
             table = tables.get(allowed)
             if table is None:
                 table = tables[allowed] = _compile_table(allowed)
-            idx = tuple([index[v] for v in scope])
             for i in idx:
                 self.watch[i].append(len(self.scopes))
             self.scopes.append((idx, table))
@@ -799,32 +806,28 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
     """The number of tilings, by sparse variable elimination.
 
     Independent of the clause solver: constraint scopes become weight-one
-    tables, points are summed out in min-degree order, and the result is the
+    tables, points are summed out in min-degree order (ties to the lower
+    point number, that is the skey-least point), and the result is the
     product of the remaining constants.  Exact for any solution count, but
     the intermediate tables grow with the window's induced width; a table
     beyond max_table entries raises CapacityError.
     """
-    for pt, _ in tuple(ts.seeds) + tuple(seeds):
-        if pt not in window:
-            raise ValueError("seed %s lies outside the window"
-                             % _point_str(pt))
+    _, _, cands, scopes, pins = _instance(window, ts, seeds)
     pinned = {}
-    for pt, t in tuple(ts.seeds) + tuple(seeds):
-        if pt in pinned and pinned[pt] != t:
+    for i, t in pins:
+        if pinned.setdefault(i, t) != t:
             return 0
-        pinned[pt] = t
     factors = {}
     fid = 0
-    for pt in window.points():
-        cs = vertex_candidates(ts, window, pt)
-        if pt in pinned:
-            cs = [t for t in cs if t == pinned[pt]]
-        factors[fid] = ((pt,), {(t,): 1 for t in cs})
+    for i, cs in enumerate(cands):
+        if i in pinned:
+            cs = [t for t in cs if t == pinned[i]]
+        factors[fid] = ((i,), {(t,): 1 for t in cs})
         fid += 1
-    for scope, allowed in window_scopes(ts, window):
-        factors[fid] = (tuple(scope), {t: 1 for t in sorted(allowed)})
+    for scope, allowed in scopes:
+        factors[fid] = (scope, {t: 1 for t in sorted(allowed)})
         fid += 1
-    remaining = set(window.points())
+    remaining = set(range(len(cands)))
     while remaining:
         touching = {}
         for f, (vs, _) in factors.items():
@@ -833,7 +836,7 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
         cheapest = min(
             remaining,
             key=lambda v: (len({u for f in touching.get(v, ())
-                                for u in factors[f][0]}), skey(v)))
+                                for u in factors[f][0]}), v))
         fids = sorted(touching.get(cheapest, ()))
         joined = factors[fids[0]]
         for f in fids[1:]:

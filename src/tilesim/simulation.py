@@ -571,14 +571,9 @@ def quadrant_patch(points):
 # -- comparisons ---------------------------------------------------------------
 
 
-def edge_triples(g, loops=True):
+def edge_triples(g):
     """The set of (tail, label, head) triples of a graph."""
-    out = set()
-    for e, (t, h) in g.edges.items():
-        if not loops and t == h:
-            continue
-        out.add((t, g.elabel[e], h))
-    return frozenset(out)
+    return frozenset((t, g.elabel[e], h) for e, (t, h) in g.edges.items())
 
 
 def rename_vertices(g, fn):
@@ -824,9 +819,11 @@ def builtin_simulator(name):
     return builders[name]()
 
 
-def random_simulator(rng, a, b, settled=2, transit=2, nedges=6):
+def random_simulator(rng, a, b):
     """A small random simulator between one-vertex unoriented alphabets,
-    for property tests."""
+    for property tests: two settled states, two transit states and up to
+    six edges."""
+    settled, transit, nedges = 2, 2, 6
     if len(a.vlabel) != 1 or len(b.vlabel) != 1:
         raise ValueError("random simulators use one-vertex alphabets")
     av = a.vertices()[0]

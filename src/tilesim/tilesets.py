@@ -25,8 +25,7 @@ import warnings
 from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
                      _fmt, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
-                       cayley_label_graph, window_cells, cell_points,
-                       dl_window_cells, dl_cell_points)
+                       cayley_label_graph, window_cells, dl_cell_points)
 
 
 def _swap(t):
@@ -117,9 +116,6 @@ class DhsTarget:
         self.seeds = tuple(self.seeds)
         _check_seeds(self.seeds, self.graph.num_vertices())
 
-    def tile_vertices(self):
-        return self.graph.vertices()
-
 
 def _check_tile(t, n, symbols, what="tile"):
     if len(t) != n or any(x not in symbols for x in t):
@@ -147,22 +143,14 @@ def tetra_system(alphabet_, allowed, seeds=(), strict=False, mode="cayley",
 
 
 def tile_count(ts):
-    if isinstance(ts, WangTileset):
-        return len(ts.tiles)
-    if isinstance(ts, TetraSystem):
-        return len(ts.alphabet)
-    return ts.graph.num_vertices()
+    return len(decoration_symbols(ts))
 
 
 def tile_label(ts, idx):
     """Display string for a tile id: its name when one was given."""
     if getattr(ts, "names", None):
         return ts.names[idx]
-    if isinstance(ts, WangTileset):
-        return repr(ts.tiles[idx])
-    if isinstance(ts, TetraSystem):
-        return repr(ts.alphabet[idx])
-    return repr(ts.tile_vertices()[idx])
+    return repr(decoration_symbols(ts)[idx])
 
 
 def parse_tile_ref(ts, token):
@@ -189,7 +177,7 @@ def decoration_symbols(ts):
         return tuple(ts.names) if ts.names else tuple(ts.tiles)
     if isinstance(ts, TetraSystem):
         return tuple(ts.alphabet)
-    return tuple(ts.tile_vertices())
+    return tuple(ts.graph.vertices())
 
 
 # -- conversions ---------------------------------------------------------------
@@ -549,7 +537,8 @@ def window_scopes(ts, window):
     """Fully-contained constraint scopes of a tileset over a window, as
     (vertex tuple, set of allowed tile-id tuples) pairs, deterministically
     ordered.  Edge scopes are emitted once per reversal orbit; cell scopes
-    once per cell."""
+    once per cell, as dl_cell_points of its base (window_cells), lower
+    points first, which on the lamplighter is the DL(2,2) cell."""
     if isinstance(ts, WangTileset):
         if window.mode != "cayley":
             raise ValueError("Wang tiles live on the lamplighter graph")
@@ -573,13 +562,11 @@ def window_scopes(ts, window):
         if ts.mode == "cayley":
             if window.mode != "cayley":
                 raise ValueError("cell system needs a lamplighter window")
-            return [(cell_points(base), allowed)
-                    for base in window_cells(window)]
-        if window.mode != "dl" or (window.p, window.q) != (ts.p, ts.q):
+        elif window.mode != "dl" or (window.p, window.q) != (ts.p, ts.q):
             raise ValueError("DL system needs a DL(%d,%d) window"
                              % (ts.p, ts.q))
         out = []
-        for base in dl_window_cells(window):
+        for base in window_cells(window):
             lower, upper = dl_cell_points(base)
             out.append((lower + upper, allowed))
         return out

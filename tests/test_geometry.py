@@ -7,10 +7,11 @@ import pytest
 from tilesim.geometry import (
     GroupPoint, alphabet_label_graph, ball, boundary_vertices, canonical,
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
-    dl_step, dl_window, dl_window_cells, evaluate_word, height, identity,
+    dl_step, dl_window, evaluate_word, height, identity,
     interior_vertices, inverse, multiply, plane_window, point_neighbors,
     quadrant_window, step, tetrahedron, window_cells, GENERATORS)
 from tilesim.graphs import CapacityError, validate
+from tilesim.tilesets import _swap
 
 
 def word_oracle(word):
@@ -176,6 +177,30 @@ def test_interior_matches_walk_oracle():
         assert interior_vertices(w, d) == oracle
 
 
+def rounds_interior(w, d):
+    # the round-by-round definition: each round drops the boundary and every
+    # point with a Cayley/DL neighbour in the window dropped in an earlier
+    # round, neighbours taken by group steps
+    current = set(w.graph.vlabel)
+    for _ in range(d):
+        bad = boundary_vertices(w)
+        current = {pt for pt in current
+                   if pt not in bad
+                   and all(im in current
+                           for im in point_neighbors(pt, w.mode)
+                           if im in w.graph.vlabel)}
+    return current
+
+
+def test_interior_matches_round_definition():
+    windows = [ball(0), ball(1), ball(3), ball(5), tetrahedron(-3, 3),
+               tetrahedron(0, 2), dl_window(2, 3, -2, 2),
+               dl_window(3, 3, -2, 2), dl_window(3, 2, -1, 2)]
+    for w in windows:
+        for d in range(5):
+            assert interior_vertices(w, d) == rounds_interior(w, d)
+
+
 def test_tetrahedron_interior_and_boundary():
     w = tetrahedron(-3, 3)
     inner = interior_vertices(w, 2)
@@ -194,6 +219,28 @@ def test_cells():
     assert (ga, gb) == (evaluate_word("a"), evaluate_word("b"))
     assert window_cells(tetrahedron(0, 1)) == [identity()]
     assert len(window_cells(tetrahedron(-3, 3))) == 6 * 2 ** 5
+
+
+def test_cell_points_follow_the_paper_formula():
+    # (g, g aB, g a, g b) at every base, which is the DL(2,2) cell there
+    w = tetrahedron(-3, 3)
+    bases = window_cells(w)
+    assert len(bases) == 6 * 2 ** 5
+    for g in bases:
+        cell = tuple(multiply(g, evaluate_word(word))
+                     for word in ("", "aB", "a", "b"))
+        assert cell_points(g) == cell
+        lower, upper = dl_cell_points(g)
+        assert lower + upper == cell
+    # a point whose marker lamp is lit reads its base's cell swapped
+    base = GroupPoint(1, ((-1, 1),))
+    lit = GroupPoint(1, ((-1, 1), (1, 1)))
+    assert base in bases and lit in w
+    assert cell_points(lit) == _swap(cell_points(base))
+
+
+def test_dl_window_cells_count():
+    assert len(window_cells(dl_window(3, 3, -2, 2))) == 108
 
 
 def test_dl_window_counts():
@@ -242,7 +289,7 @@ def test_dl_step_and_labels():
 
 def test_dl_cells():
     w = dl_window(2, 3, 0, 2)
-    bases = dl_window_cells(w)
+    bases = window_cells(w)
     assert len(bases) == 5
     for base in bases:
         lower, upper = dl_cell_points(base)

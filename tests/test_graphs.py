@@ -171,6 +171,42 @@ def test_pullback_counts_match_pair_enumeration():
         assert p.num_edges() == ne
 
 
+def pair_pullback(g1, g2):
+    # every pair of cells with equal labels, g1's cells outer, both in
+    # vertex and edge id order
+    vlabel = {(u1, u2): g1.vlabel[u1] for u1 in g1.vertices()
+              for u2 in g2.vertices() if g1.vlabel[u1] == g2.vlabel[u2]}
+    edges = {}
+    elabel = {}
+    for e1 in g1.edge_ids():
+        for e2 in g2.edge_ids():
+            if g1.elabel[e1] == g2.elabel[e2]:
+                edges[(e1, e2)] = ((g1.tail(e1), g2.tail(e2)),
+                                   (g1.head(e1), g2.head(e2)))
+                elabel[(e1, e2)] = g1.elabel[e1]
+    rev = None
+    if g1.reversal is not None and g2.reversal is not None:
+        rev = {(e1, e2): (g1.reversal[e1], g2.reversal[e2])
+               for (e1, e2) in edges}
+    return LabelGraph(vlabel, edges, elabel, rev, g1.label_graph)
+
+
+def test_pullback_matches_pair_enumeration_in_order():
+    rng = random.Random(11)
+    for k in range(200):
+        a = random_alphabet(rng, unoriented=k % 2 == 1)
+        g1 = random_labelled(rng, a)
+        g2 = random_labelled(rng, a)
+        got = pullback(g1, g2)
+        want = pair_pullback(g1, g2)
+        assert got == want
+        for field in ("vlabel", "edges", "elabel"):
+            assert list(getattr(got, field).items()) == \
+                list(getattr(want, field).items())
+        if want.reversal is not None:
+            assert list(got.reversal.items()) == list(want.reversal.items())
+
+
 def test_pullback_rejects_alphabet_mismatch():
     a = two_vertex_alphabet()
     b = rose(["s"])

@@ -611,6 +611,6 @@ def test_seed_tile_that_is_no_candidate_is_unsatisfiable(ts, seed):
 def test_seed_outside_the_window_raises_everywhere():
     seeds = ((evaluate_word("aaa"), 0),)
     for call in (solve_tiling, enumerate_tilings, count_tilings,
-                 forced_values):
+                 forced_values, encode, exact_count):
         with pytest.raises(ValueError, match="outside the window"):
             call(ball(1), comb_tileset(), seeds)
