@@ -333,14 +333,14 @@ def dl_window(p, q, lo, hi, budget=500000):
 
 
 def boundary_vertices(window):
-    """Window vertices with at least one graph neighbour outside."""
-    out = set()
-    for pt in window.graph.vlabel:
-        for im in point_neighbors(pt, window.mode):
-            if im not in window.graph.vlabel:
-                out.add(pt)
-                break
-    return out
+    """Window vertices with at least one graph neighbour outside: those with
+    fewer edges out in the window than the full degree, 4 on a Cayley
+    window and p + q on a DL window."""
+    degree = 4 if window.mode == "cayley" else window.p + window.q
+    out_edges = dict.fromkeys(window.graph.vlabel, 0)
+    for t, _ in window.graph.edges.values():
+        out_edges[t] += 1
+    return {pt for pt, n in out_edges.items() if n < degree}
 
 
 def interior_vertices(window, d):
@@ -394,6 +394,12 @@ def window_cells(window):
     """Base points of the complete cells inside the window, sorted by repr.
     A base is a point with digit 0 at its marker position, and its cell is
     dl_cell_points(base), in Cayley and DL windows alike."""
+    return [base for base, _, _ in _complete_cells(window)]
+
+
+def _complete_cells(window):
+    """(base, lower, upper) for each window_cells base, in its order, with
+    dl_cell_points(base) computed once."""
     vlabel = window.graph.vlabel
     out = []
     for pt in vlabel:
@@ -401,8 +407,8 @@ def window_cells(window):
             continue
         lower, upper = dl_cell_points(pt)
         if all(x in vlabel for x in lower + upper):
-            out.append(pt)
-    return sorted(out, key=repr)
+            out.append((pt, lower, upper))
+    return sorted(out, key=lambda cell: repr(cell[0]))
 
 
 # -- grid windows ---------------------------------------------------------------

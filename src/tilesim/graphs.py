@@ -311,24 +311,28 @@ def backtrack(rows, fits):
 def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     """All label-preserving morphisms g -> h, in a deterministic order.
 
-    The search runs over a form compiled once per call.  Position i of
-    _vertex_order(g) (each vertex after the first in its component touches
-    an earlier one) keeps its candidates, the vertices of h with its label
-    in h.vertices() order, and the edges of g whose later endpoint is i,
-    checked as (label, tail, head) against an index of h's edges.  The
-    iterative backtrack fills the positions in order; for each complete
-    vertex map, edge images are chosen per reversal orbit of g.edge_ids(),
-    the last orbit varying fastest, each orbit's images in skey order.
+    The search runs over a form compiled once per call.  h's vertices are
+    numbered in h.vertices() order.  Position i of _vertex_order(g) (each
+    vertex after the first in its component touches an earlier one) keeps
+    its candidates, the numbers of h's vertices with its label, and the
+    edges of g whose later endpoint is i, checked as (label, tail number,
+    head number) against an index of h's edges.  The iterative backtrack
+    fills the positions in order; for each complete vertex map, edge images
+    are chosen per reversal orbit of g.edge_ids(), the last orbit varying
+    fastest, each orbit's images in skey order.
 
     Results, and the entries of each vmap and emap, come in that order.
     `limit` stops after the first `limit` results.  `budget` bounds the
     explored assignments (one per vertex candidate tried, one per morphism
     built) and raises CapacityError when exhausted.  Every result is
-    checked for everything validate_morphism checks, by position on the
-    compiled form rather than by rebuilding the Morphism: the domains once
-    per call, since all results share them, and images, endpoints,
-    reversal and labels per result against h's own dicts; a result that
-    fails goes through Morphism, so validate_morphism raises its error.
+    checked for everything validate_morphism checks, each fact once per
+    call rather than once per result: the domains up front, each vertex
+    image's label when the candidates are read from h.vlabel, and each
+    orbit's images (endpoints, labels, partner reversal, self-reversal,
+    against h's own dicts) the first time the orbit meets a pair of
+    endpoint images.  A result that uses a failed check goes through
+    Morphism, so validate_morphism raises its error.  No check outlives
+    the call, so a later call sees h's dicts as they are then.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
@@ -336,9 +340,11 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         return []
     order = _vertex_order(g)
     pos = {v: i for i, v in enumerate(order)}
+    hverts = h.vertices()
+    hid = {w: k for k, w in enumerate(hverts)}
     by_label = {}
-    for w in h.vertices():
-        by_label.setdefault(h.vlabel[w], []).append(w)
+    for k, w in enumerate(hverts):
+        by_label.setdefault(h.vlabel[w], []).append(k)
     checks = [[] for _ in order]
     for e, (t, hd) in g.edges.items():
         i, j = pos[t], pos[hd]
@@ -346,12 +352,17 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     index = {}
     for lab, ds in _label_edges(h).items():
         for d in ds:
-            index.setdefault((lab,) + h.edges[d], []).append(d)
-    # Per edge orbit: (representative, distinct partner or None) and
-    # (label, tail position, head position, image must be self-reversed).
+            t, hd = h.edges[d]
+            index.setdefault((lab, hid.get(t), hid.get(hd)), []).append(d)
+    # Per edge orbit: (representative, distinct partner or None), and its
+    # images so far, (tail number, head number) -> [(images, passed)], with
+    # its label, tail and head positions, whether its image must be
+    # self-reversed, and its partner's label (`missing` when it has none).
+    missing = object()
     unoriented = g.reversal is not None and h.reversal is not None
+    labelled = g.label_graph is not None
     orbit_ids = []
-    orbit_keys = []
+    orbits = []
     seen = set()
     for e in g.edge_ids():
         if e in seen:
@@ -360,27 +371,19 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         seen.update((e, partner))
         t, hd = g.edges[e]
         orbit_ids.append((e, None if partner == e else partner))
-        orbit_keys.append((g.elabel[e], pos[t], pos[hd],
-                           unoriented and partner == e))
-    # validate_morphism's checks, by position.  vmap's keys are `order` and
-    # emap's are `flat` in every result, so the domains are checked here,
-    # once.  Position k of flat has its endpoints at positions ends[k] of
-    # order and its reversal at position rev[k] of flat.
+        orbits.append(({}, g.elabel[e], pos[t], pos[hd],
+                       unoriented and partner == e,
+                       missing if partner == e else g.elabel[partner]))
+    # vmap's keys are `order` and emap's are `flat` in every result, so the
+    # domains are checked here, once, as is that each partner is its
+    # representative's reversed twin, which orbit_images takes for granted.
     flat = [x for pair in orbit_ids for x in pair if x is not None]
-    fpos = {x: k for k, x in enumerate(flat)}
     same_domains = (pos.keys() == g.vlabel.keys()
-                    and fpos.keys() == g.edges.keys())
-    ends = [(pos[t], pos[hd]) for t, hd in map(g.edges.__getitem__, flat)]
-    rev = None
-    if unoriented:
-        rev = [fpos.get(g.reversal[x]) for x in flat]
-        same_domains = same_domains and None not in rev
-    labelled = g.label_graph is not None
-    vlabs = [g.vlabel[v] for v in order]
-    elabs = [g.elabel[x] for x in flat]
-    paired = [partner is not None for _, partner in orbit_ids]
-    hv, he, hl, hr = h.vlabel, h.edges, h.elabel, h.reversal
-    missing = itertools.repeat(object())
+                    and set(flat) == g.edges.keys()
+                    and all(p is None or (g.reversal[p] == e
+                                          and g.edges[p] == g.edges[e][::-1])
+                            for e, p in orbit_ids))
+    he, hl, hr = h.edges, h.elabel, h.reversal
     spent = 0
 
     def overspent():
@@ -398,35 +401,44 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 return False
         return True
 
+    def orbit_images(lab, ti, hi, self_rev, plab):
+        """[(images, passed)] for an orbit whose ends map to vertex numbers
+        ti, hi: images is (d,) or (d, d') in skey order of d, and passed
+        says whether they pass validate_morphism's checks against h.  The
+        index read h.edges in this call, so d has the right endpoints, and
+        the filter below makes a self-reversed image its own reversal."""
+        out = []
+        for d in index[(lab, ti, hi)]:
+            if self_rev and hr[d] != d:
+                continue
+            ok = not labelled or hl.get(d, missing) == lab
+            if plab is missing:
+                out.append(((d,), ok))
+                continue
+            r = hr[d]
+            out.append(((d, r), ok and he.get(r) == (hverts[hi], hverts[ti])
+                        and hr.get(r, missing) == d
+                        and (not labelled or hl.get(r, missing) == plab)))
+        return out
+
     results = []
-    for img in backtrack([by_label.get(lab, []) for lab in vlabs], fits):
-        vmap = dict(zip(order, img))
-        image_ends = [(img[i], img[j]) for i, j in ends]
+    for img in backtrack([by_label.get(g.vlabel[v], []) for v in order],
+                         fits):
+        vmap = dict(zip(order, map(hverts.__getitem__, img)))
         choices = []
-        for lab, i, j, self_rev in orbit_keys:
-            ds = index[(lab, img[i], img[j])]
-            if self_rev:
-                ds = [d for d in ds if hr[d] == d]
-            choices.append(ds)
-        for ds in itertools.product(*choices):
+        for memo, lab, i, j, self_rev, plab in orbits:
+            ends = (img[i], img[j])
+            ch = memo.get(ends)
+            if ch is None:
+                ch = memo[ends] = orbit_images(lab, *ends, self_rev, plab)
+            choices.append(ch)
+        for combo in itertools.product(*choices):
             spent += 1
             if spent > budget:
                 raise overspent()
-            images = []
-            for d, has_partner in zip(ds, paired):
-                images.append(d)
-                if has_partner:
-                    images.append(hr[d])
-            emap = dict(zip(flat, images))
-            if (same_domains
-                    and (list(map(hv.get, img, missing)) == vlabs if labelled
-                         else all(map(hv.__contains__, img)))
-                    and list(map(he.get, images)) == image_ends
-                    and (rev is None
-                         or list(map(hr.get, images, missing))
-                         == list(map(images.__getitem__, rev)))
-                    and (not labelled
-                         or list(map(hl.get, images, missing)) == elabs)):
+            images, passed = zip(*combo) if combo else ((), ())
+            emap = dict(zip(flat, itertools.chain.from_iterable(images)))
+            if same_domains and all(passed):
                 results.append(Morphism._trusted(vmap, emap, g, h))
             else:
                 # validate_morphism raises its usual error.

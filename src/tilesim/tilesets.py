@@ -25,7 +25,7 @@ import warnings
 from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
                      _fmt, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
-                       cayley_label_graph, window_cells, dl_cell_points)
+                       cayley_label_graph, _complete_cells)
 
 
 def _swap(t):
@@ -565,11 +565,8 @@ def window_scopes(ts, window):
         elif window.mode != "dl" or (window.p, window.q) != (ts.p, ts.q):
             raise ValueError("DL system needs a DL(%d,%d) window"
                              % (ts.p, ts.q))
-        out = []
-        for base in window_cells(window):
-            lower, upper = dl_cell_points(base)
-            out.append((lower + upper, allowed))
-        return out
+        return [(lower + upper, allowed)
+                for _, lower, upper in _complete_cells(window)]
     return _dhs_scopes(ts, window)
 
 

@@ -9,8 +9,8 @@ from tilesim.geometry import (
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
     dl_step, dl_window, evaluate_word, height, identity,
     interior_vertices, inverse, multiply, plane_window, point_neighbors,
-    quadrant_window, step, tetrahedron, window_cells, GENERATORS)
-from tilesim.graphs import CapacityError, validate
+    quadrant_window, step, tetrahedron, window_cells, GENERATORS, Window)
+from tilesim.graphs import CapacityError, induced_subgraph, validate
 from tilesim.tilesets import _swap
 
 
@@ -177,13 +177,20 @@ def test_interior_matches_walk_oracle():
         assert interior_vertices(w, d) == oracle
 
 
+def neighbour_boundary(w):
+    # points with a Cayley/DL neighbour, taken by group steps, outside
+    return {pt for pt in w.graph.vlabel
+            if any(im not in w.graph.vlabel
+                   for im in point_neighbors(pt, w.mode))}
+
+
 def rounds_interior(w, d):
     # the round-by-round definition: each round drops the boundary and every
     # point with a Cayley/DL neighbour in the window dropped in an earlier
     # round, neighbours taken by group steps
     current = set(w.graph.vlabel)
     for _ in range(d):
-        bad = boundary_vertices(w)
+        bad = neighbour_boundary(w)
         current = {pt for pt in current
                    if pt not in bad
                    and all(im in current
@@ -199,6 +206,21 @@ def test_interior_matches_round_definition():
     for w in windows:
         for d in range(5):
             assert interior_vertices(w, d) == rounds_interior(w, d)
+
+
+def test_boundary_matches_neighbour_definition():
+    windows = [ball(0), ball(3), ball(5), tetrahedron(-3, 3),
+               tetrahedron(0, 2), dl_window(2, 3, -2, 2),
+               dl_window(3, 3, -2, 2), dl_window(3, 2, -1, 2)]
+    # With one middle point cut out, its neighbours each miss just one
+    # neighbour, which no tetrahedron or DL window point does.
+    for w in windows[3:]:
+        pts = w.points()
+        keep = set(pts) - {pts[len(pts) // 2]}
+        windows.append(Window(induced_subgraph(w.graph, keep), w.kind,
+                              w.params, w.mode, w.p, w.q))
+    for w in windows:
+        assert boundary_vertices(w) == neighbour_boundary(w)
 
 
 def test_tetrahedron_interior_and_boundary():

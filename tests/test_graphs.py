@@ -715,6 +715,28 @@ def test_hom_results_are_checked_for_reversal():
         enumerate_homs(g, h)
 
 
+def test_hom_checks_catch_a_target_edge_first_used_late():
+    # d first appears as an edge image in result 10 of ball(1) -> comb, so
+    # its label check must run when that result is built, not only for the
+    # images the first results used.  The message and the first ten results
+    # are the ones enumerate_homs gave when it checked every result in full.
+    g = ball(1).graph
+    h = wang_to_dhs(comb_tileset()).graph
+    first = enumerate_homs(g, h, limit=11)
+    d = (("s", "o", "s", "o"), "b", ("s", "o", "s", "o"))
+    assert [d in m.emap.values() for m in first] == [False] * 10 + [True]
+    h.elabel[d] = "a"
+    with pytest.raises(ValueError) as err:
+        enumerate_homs(g, h)
+    assert str(err.value) == ("morphism breaks edge label at "
+                              "(GroupPoint(marker=0, digits=(), p=2, q=2), "
+                              "'b')")
+    got = enumerate_homs(g, h, limit=10)
+    assert ([(list(m.vmap.items()), list(m.emap.items())) for m in got]
+            == [(list(m.vmap.items()), list(m.emap.items()))
+                for m in first[:10]])
+
+
 @pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),
                                                 (2, 5, 132)])
 def test_homs_budget_threshold(r, limit, first_ok):

@@ -1,6 +1,6 @@
 """Gates on src/tilesim's module-level imports: each one is referenced,
 and each absolute one names a standard-library module, since the runtime
-has no dependencies."""
+has no dependencies; and on pyproject.toml, which declares none."""
 
 import ast
 import pathlib
@@ -61,3 +61,11 @@ def test_gate_finds_a_non_stdlib_import():
                          ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library(path):
     assert non_stdlib_imports(path.read_text()) == []
+
+
+def test_project_is_tilesim_with_no_dependencies():
+    # Read as text rather than with tomllib, which Python 3.10 lacks.
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert 'name = "tilesim"' in project.splitlines()
+    assert "dependencies = []" in project.splitlines()
