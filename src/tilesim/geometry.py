@@ -15,32 +15,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+from typing import NamedTuple
 
 from .graphs import CapacityError, LabelGraph, add_edge_pair, alphabet
 
 
-@dataclass(frozen=True)
-class GroupPoint:
+class GroupPoint(NamedTuple):
     """A point of the lamplighter group or of DL(p,q).
 
     digits is a sorted tuple of (stored position, value) with no zero
-    values, so equality and hashing are structural.  The hash is the
-    dataclass one, hash((marker, digits, p, q)), computed on first use and
-    kept on the instance: windows hash the same points many times.
+    values, so equality and hashing are structural.  As a tuple, a point
+    hashes as hash((marker, digits, p, q)), computed in C on every use.
     """
 
     marker: int
     digits: tuple = ()
     p: int = 2
     q: int = 2
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.marker, self.digits, self.p, self.q))
-            object.__setattr__(self, "_hash", h)
-            return h
 
     def digit(self, k):
         for pos, val in self.digits:

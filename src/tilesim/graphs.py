@@ -324,15 +324,15 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     Results, and the entries of each vmap and emap, come in that order.
     `limit` stops after the first `limit` results.  `budget` bounds the
     explored assignments (one per vertex candidate tried, one per morphism
-    built) and raises CapacityError when exhausted.  Every result is
-    checked for everything validate_morphism checks, each fact once per
-    call rather than once per result: the domains up front, each vertex
-    image's label when the candidates are read from h.vlabel, and each
-    orbit's images (endpoints, labels, partner reversal, self-reversal,
-    against h's own dicts) the first time the orbit meets a pair of
-    endpoint images.  A result that uses a failed check goes through
-    Morphism, so validate_morphism raises its error.  No check outlives
-    the call, so a later call sees h's dicts as they are then.
+    built) and raises CapacityError when exhausted.  The candidates and the
+    edge index are read from h.vlabel, h.edges and h.elabel on each call,
+    so vertex images keep their labels and edge images their endpoints and
+    labels by construction, and a later call sees h as it is then.  The
+    rest of what validate_morphism checks is checked once per call rather
+    than once per result: the domains up front, and each orbit's partner
+    and self-reversed images against h.reversal the first time the orbit
+    meets a pair of endpoint images.  A result that uses a failed check
+    goes through Morphism, so validate_morphism raises its error.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
@@ -350,10 +350,9 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         i, j = pos[t], pos[hd]
         checks[max(i, j)].append((g.elabel[e], i, j))
     index = {}
-    for lab, ds in _label_edges(h).items():
-        for d in ds:
-            t, hd = h.edges[d]
-            index.setdefault((lab, hid.get(t), hid.get(hd)), []).append(d)
+    for d in sorted(h.elabel, key=skey):
+        t, hd = h.edges[d]
+        index.setdefault((h.elabel[d], hid.get(t), hid.get(hd)), []).append(d)
     # Per edge orbit: (representative, distinct partner or None), and its
     # images so far, (tail number, head number) -> [(images, passed)], with
     # its label, tail and head positions, whether its image must be
@@ -405,18 +404,18 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         """[(images, passed)] for an orbit whose ends map to vertex numbers
         ti, hi: images is (d,) or (d, d') in skey order of d, and passed
         says whether they pass validate_morphism's checks against h.  The
-        index read h.edges in this call, so d has the right endpoints, and
-        the filter below makes a self-reversed image its own reversal."""
+        index read h.edges and h.elabel in this call, so d has the right
+        endpoints and label, and the filter below makes a self-reversed
+        image its own reversal; only a partner image needs checking."""
         out = []
         for d in index[(lab, ti, hi)]:
             if self_rev and hr[d] != d:
                 continue
-            ok = not labelled or hl.get(d, missing) == lab
             if plab is missing:
-                out.append(((d,), ok))
+                out.append(((d,), True))
                 continue
             r = hr[d]
-            out.append(((d, r), ok and he.get(r) == (hverts[hi], hverts[ti])
+            out.append(((d, r), he.get(r) == (hverts[hi], hverts[ti])
                         and hr.get(r, missing) == d
                         and (not labelled or hl.get(r, missing) == plab)))
         return out
@@ -468,19 +467,6 @@ def _vertex_order(g):
                     seen.add(w)
                     queue.append(w)
     return order
-
-
-def _label_edges(h):
-    """label -> edge ids of h with that label in skey order, cached on h."""
-    cache = getattr(h, "_edges_by_label", None)
-    if cache is None:
-        cache = {}
-        for e, l in h.elabel.items():
-            cache.setdefault(l, []).append(e)
-        for l in cache:
-            cache[l].sort(key=skey)
-        object.__setattr__(h, "_edges_by_label", cache)
-    return cache
 
 
 # -- pullback and exponential ----------------------------------------------
@@ -800,9 +786,9 @@ def flat(g, frontier=None):
     edges = {}
     elabel = {}
     incomplete = set(v for v in keep if v in frontier_set)
-
+    bedges = b.edge_ids()
     for u in keep:
-        for c in b.edge_ids():
+        for c in bedges:
             heads, touched = _coherent_heads(g, u, c, by_label_tail)
             if touched & frontier_set:
                 incomplete.add(u)

@@ -617,6 +617,12 @@ class _SimBuilder:
         self.aemap[eid] = alab
         self.aemap[rid] = self.a.reversal[alab]
 
+    def draw(self, t, h, gen, blab):
+        """Edge (t, h, gen) from state t to state h, over the edge gen
+        between their labels in a Cayley alphabet."""
+        self.edge((t, h, gen), t, h, (self.avmap[t], gen, self.avmap[h]),
+                  blab)
+
     def build(self, names=None):
         g = LabelGraph(self.vlabel, self.edges, self.elabel, self.rev,
                        self.bstar)
@@ -688,43 +694,39 @@ def comb_to_plane():
     for stage, tile in _COMB_LOWER:
         bld.state(("lower", stage), tile, ("e", "N"))
 
-    def draw(t, h, gen, blab):
-        alab = (bld.avmap[t], gen, bld.avmap[h])
-        bld.edge((t, h, gen), t, h, alab, blab)
-
-    draw("spine", "tooth", "b", (0, "E", 0))
-    draw("spine", "spine", "a", (0, "N", 0))
-    draw("antitooth", "spine", "b", (0, "E", 0))
-    draw("antitooth", "antitooth", "b", (0, "E", 0))
-    draw("tooth", "tooth", "b", (0, "E", 0))
+    bld.draw("spine", "tooth", "b", (0, "E", 0))
+    bld.draw("spine", "spine", "a", (0, "N", 0))
+    bld.draw("antitooth", "spine", "b", (0, "E", 0))
+    bld.draw("antitooth", "antitooth", "b", (0, "E", 0))
+    bld.draw("tooth", "tooth", "b", (0, "E", 0))
     # the raise circuit: A (down the tooth), b (cross the gap), a* (back
     # up), b (onto the raised tooth)
-    draw("tooth", ("raise", "turn"), "A", (0, "N", 1))
-    draw("tooth", ("raise", "down"), "A", (0, "N", 1))
-    draw(("raise", "down"), ("raise", "turn"), "A", (1, "N", 1))
-    draw(("raise", "down"), ("raise", "down"), "A", (1, "N", 1))
-    draw(("raise", "turn"), ("raise", "spine"), "b", (1, "N", 1))
-    draw(("raise", "turn"), ("raise", "cross"), "b", (1, "N", 1))
-    draw(("raise", "cross"), ("raise", "up"), "a", (1, "N", 1))
-    draw(("raise", "cross"), ("raise", "tooth"), "a", (1, "N", 1))
-    draw(("raise", "up"), ("raise", "up"), "a", (1, "N", 1))
-    draw(("raise", "up"), ("raise", "tooth"), "a", (1, "N", 1))
-    draw(("raise", "tooth"), "tooth", "b", (1, "N", 0))
-    draw(("raise", "spine"), "tooth", "b", (1, "N", 0))
+    bld.draw("tooth", ("raise", "turn"), "A", (0, "N", 1))
+    bld.draw("tooth", ("raise", "down"), "A", (0, "N", 1))
+    bld.draw(("raise", "down"), ("raise", "turn"), "A", (1, "N", 1))
+    bld.draw(("raise", "down"), ("raise", "down"), "A", (1, "N", 1))
+    bld.draw(("raise", "turn"), ("raise", "spine"), "b", (1, "N", 1))
+    bld.draw(("raise", "turn"), ("raise", "cross"), "b", (1, "N", 1))
+    bld.draw(("raise", "cross"), ("raise", "up"), "a", (1, "N", 1))
+    bld.draw(("raise", "cross"), ("raise", "tooth"), "a", (1, "N", 1))
+    bld.draw(("raise", "up"), ("raise", "up"), "a", (1, "N", 1))
+    bld.draw(("raise", "up"), ("raise", "tooth"), "a", (1, "N", 1))
+    bld.draw(("raise", "tooth"), "tooth", "b", (1, "N", 0))
+    bld.draw(("raise", "spine"), "tooth", "b", (1, "N", 0))
     # the lower circuit mirrors it below the spine: a* (up the antitooth),
     # B (cross), A* (down), B (onto the lowered antitooth)
-    draw("antitooth", ("lower", "turn"), "a", (0, "S", 1))
-    draw("antitooth", ("lower", "up"), "a", (0, "S", 1))
-    draw(("lower", "up"), ("lower", "turn"), "a", (1, "S", 1))
-    draw(("lower", "up"), ("lower", "up"), "a", (1, "S", 1))
-    draw(("lower", "turn"), ("lower", "spine"), "B", (1, "S", 1))
-    draw(("lower", "turn"), ("lower", "cross"), "B", (1, "S", 1))
-    draw(("lower", "cross"), ("lower", "down"), "A", (1, "S", 1))
-    draw(("lower", "cross"), ("lower", "land"), "A", (1, "S", 1))
-    draw(("lower", "down"), ("lower", "down"), "A", (1, "S", 1))
-    draw(("lower", "down"), ("lower", "land"), "A", (1, "S", 1))
-    draw(("lower", "land"), "antitooth", "B", (1, "S", 0))
-    draw(("lower", "spine"), "antitooth", "B", (1, "S", 0))
+    bld.draw("antitooth", ("lower", "turn"), "a", (0, "S", 1))
+    bld.draw("antitooth", ("lower", "up"), "a", (0, "S", 1))
+    bld.draw(("lower", "up"), ("lower", "turn"), "a", (1, "S", 1))
+    bld.draw(("lower", "up"), ("lower", "up"), "a", (1, "S", 1))
+    bld.draw(("lower", "turn"), ("lower", "spine"), "B", (1, "S", 1))
+    bld.draw(("lower", "turn"), ("lower", "cross"), "B", (1, "S", 1))
+    bld.draw(("lower", "cross"), ("lower", "down"), "A", (1, "S", 1))
+    bld.draw(("lower", "cross"), ("lower", "land"), "A", (1, "S", 1))
+    bld.draw(("lower", "down"), ("lower", "down"), "A", (1, "S", 1))
+    bld.draw(("lower", "down"), ("lower", "land"), "A", (1, "S", 1))
+    bld.draw(("lower", "land"), "antitooth", "B", (1, "S", 0))
+    bld.draw(("lower", "spine"), "antitooth", "B", (1, "S", 0))
     return bld.build()
 
 
@@ -765,20 +767,16 @@ def sea_to_quadrant():
             def st(slot, p, inst=(q1, q2)):
                 return (fam, inst, slot, p)
 
-            def draw(t, h, gen, blab):
-                alab = (bld.avmap[t], gen, bld.avmap[h])
-                bld.edge((t, h, gen), t, h, alab, blab)
-
             for p in pairs:
-                draw(sea1, st("flip", p), x, (0, e, 1))
-                draw(st("flip", p), sea2, yi, (1, e, 0))
-                draw(sea1, st("carry", p), y, (0, e, 1))
-                draw(st("back", p), sea2, xi, (1, e, 0))
+                bld.draw(sea1, st("flip", p), x, (0, e, 1))
+                bld.draw(st("flip", p), sea2, yi, (1, e, 0))
+                bld.draw(sea1, st("carry", p), y, (0, e, 1))
+                bld.draw(st("back", p), sea2, xi, (1, e, 0))
                 for p2_ in pairs:
-                    draw(st("carry", p), st("carry", p2_), y, (1, e, 1))
-                    draw(st("carry", p), st("flip", p2_), x, (1, e, 1))
-                    draw(st("flip", p), st("back", p2_), yi, (1, e, 1))
-                    draw(st("back", p), st("back", p2_), xi, (1, e, 1))
+                    bld.draw(st("carry", p), st("carry", p2_), y, (1, e, 1))
+                    bld.draw(st("carry", p), st("flip", p2_), x, (1, e, 1))
+                    bld.draw(st("flip", p), st("back", p2_), yi, (1, e, 1))
+                    bld.draw(st("back", p), st("back", p2_), xi, (1, e, 1))
     return bld.build()
 
 

@@ -691,17 +691,29 @@ def test_homs_on_special_domains_and_targets():
                     assert h.reversal[d] == d
 
 
+def swap_reversals(h, d, x):
+    """Pair d with x and their old reversed twins with each other, so that
+    h.reversal stays an involution."""
+    r, y = h.reversal[d], h.reversal[x]
+    h.reversal.update({d: x, x: d, r: y, y: r})
+    return {d, x, r, y}
+
+
 def test_hom_results_are_checked_against_the_target():
-    # The second call reuses the edge index cached on h by the first, so
-    # its search still offers d under its old label; only the per-result
-    # check, which reads h.elabel, can reject it.
+    # The search picks edge images by their endpoints and labels in h, so
+    # only a partner image, read through h.reversal, can be wrong: pair the
+    # b-loop at a comb vertex with the A-loop there, endpoints right and
+    # label wrong.  The message is the one enumerate_homs gives when it
+    # builds every result through Morphism.
     g = ball(1).graph
     h = wang_to_dhs(comb_tileset()).graph
-    homs = enumerate_homs(g, h)
-    d = next(iter(homs[0].emap.values()))
-    h.elabel[d] = {"a": "b", "A": "B", "b": "a", "B": "A"}[h.elabel[d]]
-    with pytest.raises(ValueError, match="breaks edge label"):
+    v = ("t", "o", "t", "o")
+    swap_reversals(h, (v, "b", v), (v, "A", v))
+    with pytest.raises(ValueError) as err:
         enumerate_homs(g, h)
+    assert str(err.value) == ("morphism breaks edge label at "
+                              "(GroupPoint(marker=1, digits=(), p=2, q=2), "
+                              "'A')")
 
 
 def test_hom_results_are_checked_for_reversal():
@@ -716,25 +728,41 @@ def test_hom_results_are_checked_for_reversal():
 
 
 def test_hom_checks_catch_a_target_edge_first_used_late():
-    # d first appears as an edge image in result 10 of ball(1) -> comb, so
-    # its label check must run when that result is built, not only for the
-    # images the first results used.  The message and the first ten results
-    # are the ones enumerate_homs gave when it checked every result in full.
+    # The b-loops at two comb vertices swap their reversed twins, so each
+    # twin has the wrong endpoints; the loops first appear as edge images
+    # in result 10 of ball(1) -> comb, so the partner check must run when
+    # that result is built, not only for the images the first results
+    # used.  The message and the first ten results are the ones
+    # enumerate_homs gives when it builds every result through Morphism.
     g = ball(1).graph
     h = wang_to_dhs(comb_tileset()).graph
     first = enumerate_homs(g, h, limit=11)
-    d = (("s", "o", "s", "o"), "b", ("s", "o", "s", "o"))
-    assert [d in m.emap.values() for m in first] == [False] * 10 + [True]
-    h.elabel[d] = "a"
+    s, t = ("s", "o", "s", "o"), ("t", "o", "t", "o")
+    touched = swap_reversals(h, (s, "b", s), (t, "B", t))
+    assert ([bool(touched & set(m.emap.values())) for m in first]
+            == [False] * 10 + [True])
     with pytest.raises(ValueError) as err:
         enumerate_homs(g, h)
-    assert str(err.value) == ("morphism breaks edge label at "
-                              "(GroupPoint(marker=0, digits=(), p=2, q=2), "
-                              "'b')")
+    assert str(err.value) == ("morphism breaks endpoints at "
+                              "(GroupPoint(marker=1, digits=((0, 1),), p=2, "
+                              "q=2), 'B')")
     got = enumerate_homs(g, h, limit=10)
     assert ([(list(m.vmap.items()), list(m.emap.items())) for m in got]
             == [(list(m.vmap.items()), list(m.emap.items()))
                 for m in first[:10]])
+
+
+def test_homs_see_an_edge_added_to_the_target_after_a_call():
+    b = rose(["x"])
+    g = labelled(b, {0: 1}, {"e": (0, 0)}, {"e": "x"})
+    h = labelled(b, {1: 1}, {"x": (1, 1)}, {"x": "x"})
+    assert [m.emap for m in enumerate_homs(g, h)] == [{"e": "x"}]
+    h.edges["y"] = (1, 1)
+    h.elabel["y"] = "x"
+    fresh = labelled(b, h.vlabel, h.edges, h.elabel)
+    assert ([m.emap for m in enumerate_homs(g, h)]
+            == [m.emap for m in enumerate_homs(g, fresh)]
+            == [{"e": "x"}, {"e": "y"}])
 
 
 @pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),

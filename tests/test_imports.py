@@ -1,6 +1,7 @@
 """Gates on src/tilesim's module-level imports: each one is referenced,
 and each absolute one names a standard-library module, since the runtime
-has no dependencies; and on pyproject.toml, which declares none."""
+has no dependencies; on pyproject.toml, which declares none; and on
+object.__setattr__, which no module uses to hang state on an object."""
 
 import ast
 import pathlib
@@ -69,3 +70,27 @@ def test_project_is_tilesim_with_no_dependencies():
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert 'name = "tilesim"' in project.splitlines()
     assert "dependencies = []" in project.splitlines()
+
+
+def setattr_calls(source):
+    """Line numbers of object.__setattr__ calls."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"]
+
+
+def test_gate_finds_an_object_setattr_call():
+    source = ("class P:\n    def __hash__(self):\n"
+              "        object.__setattr__(self, '_h', 1)\n"
+              "        setattr(self, 'x', 2)\n"
+              "        return object.__setattr__\n")
+    assert setattr_calls(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_sets_no_attributes_through_object(path):
+    assert setattr_calls(path.read_text()) == []

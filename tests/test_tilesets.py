@@ -9,10 +9,11 @@ from tilesim.geometry import (
     cell_points, step)
 from tilesim.graphs import LabelGraph, alphabet, enumerate_homs
 from tilesim.tilesets import (
-    DhsTarget, TetraSystem, WangTileset, builtin_tileset, comb_configuration,
-    comb_tileset, decoration_symbols, dhs_to_sft, dl_ray_system, lamp_runs,
-    lr_configuration, lr_system, omega_configuration, on_comb_spine_region,
-    parse_tile_ref, product_tileset, random_tetra_system, random_wang_tileset,
+    BUILTIN_TILESETS, DhsTarget, TetraSystem, WangTileset, builtin_tileset,
+    comb_configuration, comb_tileset, decoration_symbols, dhs_to_sft,
+    dl_ray_system, lamp_runs, lr_configuration, lr_system,
+    omega_configuration, on_comb_spine_region, parse_tile_ref,
+    product_tileset, random_tetra_system, random_wang_tileset,
     ray_left_system, ray_right_system, sea_level_system, sea_system,
     sft_to_dhs, tetra_system, tetra_to_wang, tile_count, tile_label,
     tileset_from_text, tileset_to_text, tiling_ok, vertex_candidates,
@@ -402,9 +403,8 @@ def test_tileset_file_short_lines_name_the_line(line):
         tileset_from_text("kind dl\nalphabet 'x'\n" + line + "\n")
 
 
-@pytest.mark.parametrize("name", ["comb", "ray_left", "ray_right",
-                                  "omega_lr", "omega_sea", "omega_full",
-                                  "dl_ray:2:3"])
+@pytest.mark.parametrize("name", [n.replace(":p:q", ":2:3")
+                                  for n in BUILTIN_TILESETS])
 def test_builtin_tileset_file_round_trip_is_exact(name):
     ts = builtin_tileset(name)
     again = tileset_from_text(tileset_to_text(ts))
