@@ -1060,9 +1060,14 @@ def from_text(text, label_graph=None):
 
     def line(toks):
         if toks[0] == "vertex" and len(toks) == 3:
-            vlabel[_parse_token(toks[1])] = _parse_token(toks[2])
+            v = _parse_token(toks[1])
+            if v in vlabel:
+                raise ValueError("repeated vertex %r" % (v,))
+            vlabel[v] = _parse_token(toks[2])
         elif toks[0] == "edge" and len(toks) in (5, 7):
             e = _parse_token(toks[1])
+            if e in edges:
+                raise ValueError("repeated edge %r" % (e,))
             edges[e] = (_parse_token(toks[2]), _parse_token(toks[3]))
             elabel[e] = _parse_token(toks[4])
             if len(toks) == 7:

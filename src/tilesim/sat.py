@@ -19,6 +19,10 @@ share one clause pattern, built once and renumbered per scope.  The CNF goes
 out as DIMACS (export_dimacs, import_solution) and into the embedded
 clause-learning Solver, which keeps its state in flat lists indexed by
 literal or variable and is the reference the engine is tested against.
+Its watch lists hold ints: a two-literal clause (most clauses of every
+encoding) is entered as its other literal, which is also the reason it
+records when it implies, and a longer clause as nvars + 1 + its index in
+the clause list.
 exact_count() counts by variable elimination, independently of both.
 
 encode, the engine and exact_count share one numbered form of an instance
@@ -229,11 +233,19 @@ class Solver:
     ValueError.  State lives in flat lists.  vals and watches have
     2*nvars+1 slots indexed by the signed literal itself (Python's negative
     indexing puts -v at slot 2*nvars+1-v): vals[q] is True, False or None
-    (unassigned) and watches[q] lists the db indices of the clauses
-    watching q, which sit at positions 0 and 1 of the clause.  levels and
-    reason are indexed by variable and only meaningful while it is
-    assigned.  stats counts decisions (not assumptions), conflicts, learned
-    clauses (units included) and propagations (implied literals).
+    (unassigned) and watches[q] lists the clauses watching q, one int entry
+    each.  A two-literal clause (a, b) is entered as its other literal: b in
+    watches[a] and a in watches[b].  A longer clause is watched by the
+    literals at its positions 0 and 1 and entered as nvars + 1 + its db
+    index, so an entry w is a literal exactly when w <= nvars.  db holds
+    every attached clause in order; only the longer ones are read (and
+    reordered in place).  levels and reason are indexed by variable and
+    only meaningful while it is assigned.  The reason of an implied literal
+    is the false literal of its two-literal clause, or the longer clause
+    itself, with the implied literal at position 0; decisions, assumptions
+    and root units have None.  stats counts decisions (not assumptions),
+    conflicts, learned clauses (units included) and propagations (implied
+    literals).
     """
 
     def __init__(self, num_vars):
@@ -281,9 +293,9 @@ class Solver:
                 # the bulk of most instances: two free, distinct variables
                 a, b = lits
                 if vals[a] is None and vals[b] is None and a != b and a != -b:
-                    watches[a].append(len(db))
-                    watches[b].append(len(db))
-                    db.append([a, b])
+                    watches[a].append(b)
+                    watches[b].append(a)
+                    db.append(lits)
                     continue
             out = []
             for q in lits:
@@ -298,9 +310,7 @@ class Solver:
                     if out is None:
                         continue
                 if len(out) > 1:
-                    watches[out[0]].append(len(db))
-                    watches[out[1]].append(len(db))
-                    db.append(out)
+                    self._attach(out)
                     continue
                 if out:
                     self._enqueue(out[0], None)
@@ -310,11 +320,21 @@ class Solver:
                 return
 
     def _attach(self, lits):
-        ci = len(self.db)
-        self.db.append(lits)
-        self.watches[lits[0]].append(ci)
-        self.watches[lits[1]].append(ci)
-        return ci
+        """Watch lits, a clause of two or more literals over distinct
+        variables, at its positions 0 and 1, add it to db and return the
+        reason it gives lits[0]."""
+        a, b = lits[0], lits[1]
+        watches, db = self.watches, self.db
+        if len(lits) == 2:
+            watches[a].append(b)
+            watches[b].append(a)
+            db.append(lits)
+            return b
+        w = self.nvars + 1 + len(db)
+        watches[a].append(w)
+        watches[b].append(w)
+        db.append(lits)
+        return lits
 
     def _enqueue(self, lit, reason):
         val = self.vals[lit]
@@ -331,6 +351,8 @@ class Solver:
     def _propagate(self):
         vals, watches, db = self.vals, self.watches, self.db
         levels, reason, trail = self.levels, self.reason, self.trail
+        n = self.nvars
+        base = n + 1
         lvl = len(self.lim)
         start = len(trail)
         qhead = self.qhead
@@ -339,41 +361,55 @@ class Solver:
             neg = -trail[qhead]
             qhead += 1
             ws = watches[neg]
-            keep = watches[neg] = []
-            for i, ci in enumerate(ws):
-                cl = db[ci]
+            moved = None
+            for w in ws:
+                if w <= n:
+                    # the two-literal clause (w, neg)
+                    val = vals[w]
+                    if val is None:
+                        vals[w] = True
+                        vals[-w] = False
+                        v = w if w > 0 else -w
+                        levels[v] = lvl
+                        reason[v] = neg
+                        trail.append(w)
+                    elif val is False:
+                        confl = [w, neg]
+                        break
+                    continue
+                cl = db[w - base]
                 first = cl[0]
                 if first == neg:
                     first = cl[0] = cl[1]
                     cl[1] = neg
                 val = vals[first]
                 if val is True:
-                    keep.append(ci)
                     continue
-                if len(cl) > 2:
-                    for k in range(2, len(cl)):
-                        q = cl[k]
-                        if vals[q] is not False:
-                            # q takes over the watch
-                            cl[1] = q
-                            cl[k] = neg
-                            watches[q].append(ci)
-                            break
-                    else:
-                        k = 0  # nothing can: the clause is unit or false
-                    if k:
-                        continue
-                keep.append(ci)
-                if val is False:
-                    keep.extend(ws[i + 1:])
-                    confl = cl
-                    break
-                vals[first] = True
-                vals[-first] = False
-                v = first if first > 0 else -first
-                levels[v] = lvl
-                reason[v] = ci
-                trail.append(first)
+                for k in range(2, len(cl)):
+                    q = cl[k]
+                    if vals[q] is not False:
+                        # q takes over the watch; w leaves ws after the scan
+                        cl[1] = q
+                        cl[k] = neg
+                        watches[q].append(w)
+                        if moved is None:
+                            moved = {w}
+                        else:
+                            moved.add(w)
+                        break
+                else:
+                    # nothing can: the clause is unit or false
+                    if val is False:
+                        confl = cl
+                        break
+                    vals[first] = True
+                    vals[-first] = False
+                    v = first if first > 0 else -first
+                    levels[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
+            if moved is not None:
+                watches[neg] = [w for w in ws if w not in moved]
             if confl is not None:
                 qhead = len(trail)
                 self.stats["conflicts"] += 1
@@ -383,7 +419,7 @@ class Solver:
         return confl
 
     def _analyze(self, confl):
-        levels, trail = self.levels, self.trail
+        levels, trail, reason = self.levels, self.trail, self.reason
         learnt = []
         seen = set()
         pathc = 0
@@ -410,7 +446,10 @@ class Solver:
             pathc -= 1
             if pathc == 0:
                 break
-            clause = self.db[self.reason[abs(p)]]
+            clause = reason[abs(p)]
+            if isinstance(clause, int):
+                # a two-literal reason: its literal other than p
+                clause = (clause,)
         learnt.insert(0, -p)
         if len(learnt) == 1:
             return learnt, 0
@@ -875,10 +914,10 @@ def import_solution(cnf, text, window):
     """Decode an external solver's output into a tiling.
 
     Accepts "v"-prefixed model lines or bare literal lines; an explicit
-    UNSATISFIABLE status, a malformed model line or a literal beyond
-    cnf.num_vars is an error.
+    UNSATISFIABLE status, a malformed model line, a literal beyond
+    cnf.num_vars or a variable given both signs is an error.
     """
-    true_vars = set()
+    lits = {}
     saw_lits = False
     for raw in text.splitlines():
         line = raw.strip()
@@ -902,9 +941,10 @@ def import_solution(cnf, text, window):
                 raise ValueError("variable %d beyond %d in model line: %r"
                                  % (abs(lit), cnf.num_vars, raw))
             saw_lits = True
-            if lit > 0:
-                true_vars.add(lit)
+            if lit and lits.setdefault(abs(lit), lit) != lit:
+                raise ValueError("variable %d both true and false in model "
+                                 "line: %r" % (abs(lit), raw))
     if not saw_lits:
         raise ValueError("no model in solver output")
-    model = {v: (v in true_vars) for v in range(1, cnf.num_vars + 1)}
+    model = {v: lits.get(v, 0) > 0 for v in range(1, cnf.num_vars + 1)}
     return _decode(cnf, model, window)

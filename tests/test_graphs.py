@@ -878,6 +878,14 @@ def test_text_round_trip_with_hash_in_ids_and_labels():
                      label_graph=a).vlabel[7] == "d"
 
 
+def test_text_repeated_id_names_the_line():
+    a = rose(["x", "y"])
+    with pytest.raises(ValueError, match="'edge e 0 0 y': repeated edge 'e'"):
+        from_text("vertex 0 1\nedge e 0 0 x\nedge e 0 0 y\n", label_graph=a)
+    with pytest.raises(ValueError, match="'vertex 0 1': repeated vertex 0"):
+        from_text("vertex 0 1\nvertex 0 1\nedge e 0 0 x\n", label_graph=a)
+
+
 def test_operations_are_deterministic():
     rng1 = random.Random(13)
     rng2 = random.Random(13)

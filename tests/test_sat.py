@@ -200,13 +200,23 @@ def test_enumeration_order_is_pinned():
         (4, 5, 4, 5), (5, 2, 5, 2), (5, 3, 3, 2), (5, 4, 5, 4), (5, 5, 5, 5)]
 
 
+# Solver.stats after the first solve() below, by radius
+HALFPLANE_STATS = {
+    4: {"decisions": 121, "conflicts": 10, "learned": 10,
+        "propagations": 4351},
+    5: {"decisions": 546, "conflicts": 24, "learned": 24,
+        "propagations": 19249},
+}
+
+
 @pytest.mark.parametrize("radius, learned, true_vars", [
     (4, 0, "6861ae65c888df7f2ef691d8d7fd6de15b6f645e5f110c68917557d9b9126575"),
     (5, 2, "3587abe4ce5d6e338af9bd9a852e533a3525b1474be325b8b6e1fddb1f75e00a"),
 ])
 def test_halfplane_search_is_pinned(radius, learned, true_vars):
     # the alternating set of the half-plane reduction makes the solver
-    # search and learn; its first model and learned clauses are pinned
+    # search and learn; its first model, learned clauses and counters are
+    # pinned, so any change to the order of propagation shows here
     hp = HalfPlaneTileset(frozenset("cd"), (("c", "d", "c", "c"),
                                             ("c", "c", "c", "d")), 0)
     cnf = encode(ball(radius), reduce_halfplane(hp))
@@ -214,6 +224,7 @@ def test_halfplane_search_is_pinned(radius, learned, true_vars):
     loaded = len(s.db)
     model = s.solve()
     assert len(s.db) - loaded == learned
+    assert s.stats == HALFPLANE_STATS[radius]
     assert set(model) == set(range(1, cnf.num_vars + 1))
     true = sorted(v for v, b in model.items() if b)
     assert _sha256(" ".join(map(str, true))) == true_vars
@@ -401,6 +412,11 @@ def test_import_solution_errors():
     # a model that picks two tiles at one point is rejected
     with pytest.raises(ValueError):
         import_solution(cnf, "v 1 2 3 4 5 6 0\n", win)
+    # so is a model that gives one variable both signs, on one line or two
+    with pytest.raises(ValueError, match="variable 1 .*v 1 -1 -2"):
+        import_solution(cnf, "v 1 -1 -2 -3 -4 -5 -6 0\n", win)
+    with pytest.raises(ValueError, match="variable 2 .*v -2 0"):
+        import_solution(cnf, "v 1 2 -3 -4 -5 -6\nv -2 0\n", win)
 
 
 def test_assignment_dump_format():
