@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 import ast
 import itertools
+import operator
 import shlex
 
 
@@ -312,56 +313,101 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     """All label-preserving morphisms g -> h, in a deterministic order.
 
     The search runs over a form compiled once per call.  h's vertices are
-    numbered in h.vertices() order.  Position i of _vertex_order(g) (each
-    vertex after the first in its component touches an earlier one) keeps
-    its candidates, the numbers of h's vertices with its label, and the
-    edges of g whose later endpoint is i, checked as (label, tail number,
-    head number) against an index of h's edges.  The iterative backtrack
-    fills the positions in order; for each complete vertex map, edge images
-    are chosen per reversal orbit of g.edge_ids(), the last orbit varying
-    fastest, each orbit's images in skey order.
+    numbered in h.vertices() order and h's edges indexed by (label, tail
+    number, head number).  Position p of _vertex_order(g) (each vertex
+    after the first in its component touches an earlier one) has as
+    candidates the numbers of h's vertices with its label, and as earlier
+    neighbours the earlier positions that share an edge with it.  An edge
+    orbit, one reversal orbit of g.edge_ids(), closes at the later of its
+    end positions.
 
-    Results, and the entries of each vmap and emap, come in that order.
-    `limit` stops after the first `limit` results.  `budget` bounds the
-    explored assignments (one per vertex candidate tried, one per morphism
-    built) and raises CapacityError when exhausted.  The candidates and the
-    edge index are read from h.vlabel, h.edges and h.elabel on each call,
-    so vertex images keep their labels and edge images their endpoints and
-    labels by construction, and a later call sees h as it is then.  The
-    rest of what validate_morphism checks is checked once per call rather
-    than once per result: the domains up front, and each orbit's partner
-    and self-reversed images against h.reversal the first time the orbit
-    meets a pair of endpoint images.  A result that uses a failed check
-    goes through Morphism, so validate_morphism raises its error.
+    Each position has an option table.  Its key is the tuple of images of
+    the earlier neighbours; its value lists, in candidate order, every
+    candidate whose edges to them and to itself are in the index, as
+    (candidate index, candidate, h's vertex, images, passed, choices).
+    choices holds, per orbit closing at p, its images (d,) or (d, d') in
+    skey order of d, each with whether they pass validate_morphism's
+    checks against h; images is the flat tuple of the orbits' images and
+    passed their conjunction when every orbit has exactly one choice, and
+    images is None otherwise.  A table is built the first time its key
+    comes up in a call, and all of them start over once they hold
+    _HOM_TABLE_LIMIT options, so their memory stays bounded.
+
+    The iterative search takes each position's options in order.  Taking
+    one writes its images to the position's fixed slice of one buffer,
+    which holds every orbit's images in search order, so the search state
+    stays linear in the size of g.  A complete vertex map whose orbits
+    have one image each is one result, its emap read from the buffer by
+    one itemgetter in g.edge_ids() orbit order.  Otherwise its results run
+    over the product of the orbits' choices in orbit order, the last orbit
+    varying fastest.  Results, and the entries of each vmap and emap, come
+    in that order.  `limit` stops after the first `limit` results.
+
+    `budget` bounds the explored assignments and raises CapacityError when
+    exhausted.  A unit is charged per vertex candidate tried and per
+    morphism built: taking an option charges the candidates from the last
+    one taken at its position up to itself, and an exhausted table the
+    rest of its position's candidates.  The error gives budget + 1 as the
+    size, where a count one candidate at a time would have stopped.
+
+    The candidates and the edge index are read from h.vlabel, h.edges and
+    h.elabel on each call and the tables live for one call, so vertex
+    images keep their labels and edge images their endpoints and labels
+    by construction, and a later call sees h as it is then.  The rest of
+    what validate_morphism checks is checked once per call rather than
+    once per result: the domains up front, and each orbit's partner and
+    self-reversed images against h.reversal as its options are built.  A
+    result that uses a failed check goes through Morphism, so
+    validate_morphism raises its error.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
     if limit is not None and limit <= 0:
         return []
     order = _vertex_order(g)
+    n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     hverts = h.vertices()
     hid = {w: k for k, w in enumerate(hverts)}
     by_label = {}
     for k, w in enumerate(hverts):
         by_label.setdefault(h.vlabel[w], []).append(k)
+    rows = [by_label.get(g.vlabel[v], []) for v in order]
+    # An index entry is sorted into skey order, in place, the first time an
+    # orbit reads it, so a call does not format the ids of edges it never
+    # uses.
+    index = {}
+    for d, lab in h.elabel.items():
+        t, hd = h.edges[d]
+        index.setdefault((lab, hid.get(t), hid.get(hd)), []).append(d)
+    in_skey_order = set()
+    # Per position p: its earlier neighbours, its edges as (label, tail
+    # slot, head slot) checks, and its closing orbits as (label, tail slot,
+    # head slot, whether the image must be self-reversed, the partner's
+    # label or `missing` when there is none).  A slot indexes the key with
+    # p's own candidate appended, so slot -1 is p itself.
+    earlier = [set() for _ in order]
+    for t, hd in g.edges.values():
+        i, j = pos[t], pos[hd]
+        if i != j:
+            earlier[max(i, j)].add(min(i, j))
+    nbrs = [sorted(qs) for qs in earlier]
+    slots = [dict(zip(qs, range(len(qs)))) for qs in nbrs]
+    for p, sl in enumerate(slots):
+        sl[p] = -1
     checks = [[] for _ in order]
     for e, (t, hd) in g.edges.items():
-        i, j = pos[t], pos[hd]
-        checks[max(i, j)].append((g.elabel[e], i, j))
-    index = {}
-    for d in sorted(h.elabel, key=skey):
-        t, hd = h.edges[d]
-        index.setdefault((h.elabel[d], hid.get(t), hid.get(hd)), []).append(d)
-    # Per edge orbit: (representative, distinct partner or None), and its
-    # images so far, (tail number, head number) -> [(images, passed)], with
-    # its label, tail and head positions, whether its image must be
-    # self-reversed, and its partner's label (`missing` when it has none).
+        p = max(pos[t], pos[hd])
+        checks[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]]))
     missing = object()
     unoriented = g.reversal is not None and h.reversal is not None
     labelled = g.label_graph is not None
     orbit_ids = []
-    orbits = []
+    closing = [[] for _ in order]
+    # Per orbit: its closing position p, its index among p's closing orbits
+    # and where its images start among theirs; filled[p] counts p's images.
+    orbit_at = []
+    filled = [0] * n
     seen = set()
     for e in g.edge_ids():
         if e in seen:
@@ -369,10 +415,13 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         partner = g.reversal[e] if unoriented else e
         seen.update((e, partner))
         t, hd = g.edges[e]
+        p = max(pos[t], pos[hd])
         orbit_ids.append((e, None if partner == e else partner))
-        orbits.append(({}, g.elabel[e], pos[t], pos[hd],
-                       unoriented and partner == e,
-                       missing if partner == e else g.elabel[partner]))
+        orbit_at.append((p, len(closing[p]), filled[p]))
+        filled[p] += 1 if partner == e else 2
+        closing[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]],
+                           unoriented and partner == e,
+                           missing if partner == e else g.elabel[partner]))
     # vmap's keys are `order` and emap's are `flat` in every result, so the
     # domains are checked here, once, as is that each partner is its
     # representative's reversed twin, which orbit_images takes for granted.
@@ -382,23 +431,22 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                     and all(p is None or (g.reversal[p] == e
                                           and g.edges[p] == g.edges[e][::-1])
                             for e, p in orbit_ids))
+    # Position p's closing orbits write their images, in orbit order, to
+    # buf[lo[p]:lo[p + 1]], and `getter` reads buf in `flat` order.
+    lo = list(itertools.accumulate(filled, initial=0))
+    spans = [slice(lo[p], lo[p + 1]) for p in range(n)]
+    getter = _tuple_getter([lo[p] + start + x
+                            for (p, _i, start), (_e, partner)
+                            in zip(orbit_at, orbit_ids)
+                            for x in range(1 if partner is None else 2)])
+    keys = [_tuple_getter(qs) for qs in nbrs]
     he, hl, hr = h.edges, h.elabel, h.reversal
     spent = 0
 
     def overspent():
         return CapacityError("hom enumeration budget exceeded: more than %d "
                              "assignments" % budget, "hom assignments",
-                             spent, budget)
-
-    def fits(img, i):
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise overspent()
-        for lab, a, b in checks[i]:
-            if (lab, img[a], img[b]) not in index:
-                return False
-        return True
+                             budget + 1, budget)
 
     def orbit_images(lab, ti, hi, self_rev, plab):
         """[(images, passed)] for an orbit whose ends map to vertex numbers
@@ -407,8 +455,12 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         index read h.edges and h.elabel in this call, so d has the right
         endpoints and label, and the filter below makes a self-reversed
         image its own reversal; only a partner image needs checking."""
+        ds = index[(lab, ti, hi)]
+        if len(ds) > 1 and (lab, ti, hi) not in in_skey_order:
+            ds.sort(key=skey)
+            in_skey_order.add((lab, ti, hi))
         out = []
-        for d in index[(lab, ti, hi)]:
+        for d in ds:
             if self_rev and hr[d] != d:
                 continue
             if plab is missing:
@@ -420,31 +472,121 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                         and (not labelled or hl.get(r, missing) == plab)))
         return out
 
-    results = []
-    for img in backtrack([by_label.get(g.vlabel[v], []) for v in order],
-                         fits):
-        vmap = dict(zip(order, map(hverts.__getitem__, img)))
-        choices = []
-        for memo, lab, i, j, self_rev, plab in orbits:
-            ends = (img[i], img[j])
-            ch = memo.get(ends)
-            if ch is None:
-                ch = memo[ends] = orbit_images(lab, *ends, self_rev, plab)
-            choices.append(ch)
+    def options(p, key):
+        """Position p's option table for key, as the docstring above says."""
+        out = []
+        for k, c in enumerate(rows[p]):
+            ends = key + (c,)
+            for lab, a, b in checks[p]:
+                if (lab, ends[a], ends[b]) not in index:
+                    break
+            else:
+                images, passed, choices = [], True, []
+                for lab, a, b, self_rev, plab in closing[p]:
+                    ch = orbit_images(lab, ends[a], ends[b], self_rev, plab)
+                    choices.append(ch)
+                    if images is not None and len(ch) == 1:
+                        images += ch[0][0]
+                        passed = passed and ch[0][1]
+                    else:
+                        images = None
+                out.append((k, c, hverts[c],
+                            None if images is None else tuple(images),
+                            passed, choices))
+        return out
+
+    def product_of(choices):
         for combo in itertools.product(*choices):
-            spent += 1
+            images, passed = zip(*combo) if combo else ((), ())
+            yield itertools.chain.from_iterable(images), all(passed)
+
+    results = []
+    tables = [{} for _ in order]
+    stored = 0
+    # Per depth: the option list, the next option and the candidate index
+    # of the last one taken; the candidate number, h's vertex and choices
+    # taken; and whether the orbits closed before it all passed, None once
+    # one of them had other than one choice.
+    opts = [None] * n
+    nxt = [0] * n
+    last = [-1] * n
+    img = [0] * n
+    vimg = [None] * n
+    taken = [None] * n
+    ok = [True] * (n + 1)
+    buf = [None] * lo[n]
+    depth = 0
+    while depth >= 0:
+        if depth == n:
+            vmap = dict(zip(order, vimg))
+            if ok[n] is not None:
+                combos = ((getter(buf), ok[n]),)
+            else:
+                combos = product_of([taken[p][i] for p, i, _ in orbit_at])
+            for images, passed in combos:
+                spent += 1
+                if spent > budget:
+                    raise overspent()
+                emap = dict(zip(flat, images))
+                if same_domains and passed:
+                    results.append(Morphism._trusted(vmap, emap, g, h))
+                else:
+                    # validate_morphism raises its usual error.
+                    results.append(Morphism(vmap, emap, g, h))
+                if len(results) == limit:
+                    return results
+            depth -= 1
+            continue
+        o = opts[depth]
+        if o is None:
+            key = keys[depth](img)
+            o = tables[depth].get(key)
+            if o is None:
+                if stored >= _HOM_TABLE_LIMIT:
+                    for table in tables:
+                        table.clear()
+                    stored = 0
+                o = tables[depth][key] = options(depth, key)
+                stored += len(o) + 1
+            opts[depth] = o
+            nxt[depth] = 0
+            last[depth] = -1
+        a = nxt[depth]
+        if a == len(o):
+            spent += len(rows[depth]) - 1 - last[depth]
             if spent > budget:
                 raise overspent()
-            images, passed = zip(*combo) if combo else ((), ())
-            emap = dict(zip(flat, itertools.chain.from_iterable(images)))
-            if same_domains and all(passed):
-                results.append(Morphism._trusted(vmap, emap, g, h))
-            else:
-                # validate_morphism raises its usual error.
-                results.append(Morphism(vmap, emap, g, h))
-            if len(results) == limit:
-                return results
+            opts[depth] = None
+            depth -= 1
+            continue
+        k, img[depth], vimg[depth], images, passed, taken[depth] = o[a]
+        nxt[depth] = a + 1
+        spent += k - last[depth]
+        last[depth] = k
+        if spent > budget:
+            raise overspent()
+        if images is None or ok[depth] is None:
+            ok[depth + 1] = None
+        else:
+            buf[spans[depth]] = images
+            ok[depth + 1] = ok[depth] and passed
+        depth += 1
     return results
+
+
+# How many options, counting one more per table, the tables of one
+# enumerate_homs call hold before they start over.
+_HOM_TABLE_LIMIT = 1 << 16
+
+
+def _tuple_getter(idx):
+    """operator.itemgetter(*idx), but returning a tuple for any len(idx)."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    if idx:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
 
 
 def _vertex_order(g):

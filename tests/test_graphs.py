@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
+from tilesim import graphs
 from tilesim.geometry import ball, plane_label_graph, plane_window
 from tilesim.graphs import (
     _vertex_order,
@@ -37,7 +39,8 @@ from tilesim.graphs import (
     validate_morphism,
     vertex_blowup,
 )
-from tilesim.tilesets import comb_tileset, wang_to_dhs
+from tilesim.sat import exact_count
+from tilesim.tilesets import WangTileset, comb_tileset, wang_to_dhs
 
 
 def two_vertex_alphabet():
@@ -680,6 +683,44 @@ def test_homs_match_brute_force_in_order():
     assert nonempty >= 20
 
 
+def shuffled_comb(seed):
+    """The comb tileset with its tiles in a seeded random order."""
+    base = comb_tileset()
+    order = list(range(len(base.tiles)))
+    random.Random(seed).shuffle(order)
+    return WangTileset(base.colors, tuple(base.tiles[i] for i in order),
+                       names=tuple(base.names[i] for i in order))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_homs_into_a_shuffled_comb_match_brute_force(seed):
+    g, h = ball(1).graph, wang_to_dhs(shuffled_comb(seed)).graph
+    assert ([(list(m.vmap.items()), list(m.emap.items()))
+             for m in enumerate_homs(g, h)]
+            == [(list(vm.items()), list(em.items()))
+                for vm, em in brute_force_homs(g, h)])
+
+
+def test_homs_into_a_shuffled_comb_count_its_tilings():
+    comb, window = shuffled_comb(1), ball(2)
+    homs = enumerate_homs(window.graph, wang_to_dhs(comb).graph)
+    assert len(homs) == exact_count(window, comb) == 19060
+
+
+def test_homs_are_the_same_when_the_tables_start_over(monkeypatch):
+    # Tiny tables start over at almost every new key, while the search
+    # still holds the option lists it is taking.
+    def items(g, h):
+        return [(list(m.vmap.items()), list(m.emap.items()))
+                for m in enumerate_homs(g, h)]
+
+    cases = [(ball(1).graph, wang_to_dhs(comb_tileset()).graph),
+             (plane_window(0, 2, 0, 1), plane_torus(2))]
+    want = [items(g, h) for g, h in cases]
+    monkeypatch.setattr(graphs, "_HOM_TABLE_LIMIT", 2)
+    assert [items(g, h) for g, h in cases] == want
+
+
 def test_homs_on_special_domains_and_targets():
     for g, h, count in special_hom_instances():
         homs = enumerate_homs(g, h)
@@ -765,13 +806,27 @@ def test_homs_see_an_edge_added_to_the_target_after_a_call():
             == [{"e": "x"}, {"e": "y"}])
 
 
+def budget_instance(r):
+    """ball(r) -> comb for an int r; else a named instance whose homs go
+    through the product over parallel or self-reversed edge images."""
+    if r == "torus":
+        return plane_window(0, 2, 0, 1), plane_torus(2)
+    if r == "half_edge":
+        g, h, _count = list(special_hom_instances())[-1]
+        return g, h
+    return ball(r).graph, wang_to_dhs(comb_tileset()).graph
+
+
 @pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),
-                                                (2, 5, 132)])
+                                                (2, 5, 132),
+                                                ("torus", None, 134),
+                                                ("torus", 3, 9),
+                                                ("half_edge", None, 5),
+                                                ("half_edge", 2, 4)])
 def test_homs_budget_threshold(r, limit, first_ok):
     # One unit per vertex candidate tried and one per hom built: the
     # smallest budget that succeeds is fixed by the search order.
-    window = ball(r).graph
-    target = wang_to_dhs(comb_tileset()).graph
+    window, target = budget_instance(r)
     with pytest.raises(CapacityError):
         enumerate_homs(window, target, limit=limit, budget=first_ok - 1)
     assert enumerate_homs(window, target, limit=limit, budget=first_ok)
@@ -783,6 +838,22 @@ def test_homs_on_large_grid_need_no_recursion():
     (hom,) = enumerate_homs(window, plane_torus(1), limit=1)
     assert set(hom.vmap.values()) == {0}
     assert hom.emap[((0, 0), "E")] == ("E", 0)
+
+
+def test_hom_search_memory_grows_linearly_with_the_grid():
+    # The search state along one path must stay linear in its length: a
+    # per-depth copy of the images so far would make the 40x40 peak about
+    # ten times the 20x20 one rather than four.
+    def peak(n):
+        window = plane_window(0, n - 1, 0, n - 1)
+        tracemalloc.start()
+        try:
+            enumerate_homs(window, plane_torus(1), limit=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) < 6 * peak(20)
 
 
 # -- simplification -------------------------------------------------------------

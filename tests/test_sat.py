@@ -15,9 +15,9 @@ from tilesim.sat import (
     enumerate_tilings, exact_count, export_dimacs, forced_values,
     import_solution, solve_tiling, solver_for, _decode, _point_str)
 from tilesim.tilesets import (
-    DhsTarget, comb_configuration, comb_tileset, dl_ray_system, lr_system,
-    random_tetra_system, random_wang_tileset, ray_left_system,
-    sea_level_system, tetra_to_wang, tile_count, tiling_ok,
+    DhsTarget, TetraSystem, comb_configuration, comb_tileset, dl_ray_system,
+    lr_system, omega_configuration, random_tetra_system, random_wang_tileset,
+    ray_left_system, sea_level_system, tetra_to_wang, tile_count, tiling_ok,
     vertex_candidates, wang_to_dhs, wang_to_tetra, window_scopes)
 
 
@@ -596,6 +596,23 @@ def test_forced_values_match_assumption_probes(win, ts):
     assert forced == reference_forced(win, ts, d=1)
     assert list(forced) == sorted(interior_vertices(win, 1), key=skey)
     assert any(len(v) > 1 for v in forced.values())
+
+
+@pytest.mark.parametrize("h", [2, 3])
+def test_sea_level_system_in_dl_mode_matches_cayley_mode(h):
+    # The lamplighter is DL(2,2) and its cells are the DL(2,2) cells, so
+    # the same allowed cells read as a DL system need no port: same
+    # points, equal scopes and equal forced values with the omega seed.
+    # The scopes are compared with ==, since their frozensets may print
+    # in different orders.
+    ts = sea_level_system()
+    dl = TetraSystem(ts.alphabet, ts.allowed, mode="dl", p=2, q=2)
+    cayley_win, dl_win = tetrahedron(-h, h), dl_window(2, 2, -h, h)
+    assert set(dl_win.points()) == set(cayley_win.points())
+    assert window_scopes(dl, dl_win) == window_scopes(ts, cayley_win)
+    seeds = ((identity(), ts.alphabet.index(omega_configuration(identity()))),)
+    forced = forced_values(dl_win, dl, seeds)
+    assert forced and forced == forced_values(cayley_win, ts, seeds)
 
 
 def two_label_target():
