@@ -39,9 +39,6 @@ class GroupPoint(NamedTuple):
                 return val
         return 0
 
-    def support(self):
-        return tuple(pos for pos, _ in self.digits)
-
     def is_identity(self):
         return self.marker == 0 and not self.digits
 
@@ -146,10 +143,6 @@ def canonical(x):
     return "(%d;%s)" % (x.marker, " " + ", ".join(parts) if parts else "")
 
 
-def height(x):
-    return x.marker
-
-
 GENERATORS = ("a", "b", "A", "B")
 GEN_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
@@ -201,8 +194,6 @@ class Window:
     vertex ids."""
 
     graph: LabelGraph
-    kind: str
-    params: tuple
     mode: str  # "cayley" or "dl"
     p: int = 2
     q: int = 2
@@ -271,7 +262,7 @@ def ball(r, budget=500000):
                                 "ball vertices", len(seen), budget)
         frontier = nxt
     g = _cayley_window(seen, budget)
-    return Window(g, "ball", (r,), "cayley")
+    return Window(g, "cayley")
 
 
 def tetrahedron(lo, hi, budget=500000):
@@ -289,7 +280,7 @@ def tetrahedron(lo, hi, budget=500000):
             for supp in itertools.combinations(positions, size):
                 points.append(GroupPoint(n, tuple((k, 1) for k in supp)))
     g = _cayley_window(points, budget)
-    return Window(g, "tetra", (lo, hi), "cayley")
+    return Window(g, "cayley")
 
 
 def dl_window(p, q, lo, hi, budget=500000):
@@ -320,7 +311,7 @@ def dl_window(p, q, lo, hi, budget=500000):
                 for j in range(q)]
 
     g = _induced_graph(points, dl_label_graph(p, q), up_edges)
-    return Window(g, "dl", (lo, hi), "dl", p, q)
+    return Window(g, "dl", p, q)
 
 
 def boundary_vertices(window):

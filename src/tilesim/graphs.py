@@ -79,9 +79,6 @@ class LabelGraph:
     def head(self, e):
         return self.edges[e][1]
 
-    def is_unoriented(self):
-        return self.reversal is not None
-
     def num_vertices(self):
         return len(self.vlabel)
 
@@ -236,11 +233,6 @@ class Morphism:
         m = cls.__new__(cls)
         m.vmap, m.emap, m.domain, m.codomain = vmap, emap, domain, codomain
         return m
-
-    def key(self):
-        """Hashable canonical form of the underlying maps."""
-        return (tuple(sorted(self.vmap.items(), key=lambda kv: skey(kv[0]))),
-                tuple(sorted(self.emap.items(), key=lambda kv: skey(kv[0]))))
 
 
 def validate_morphism(m):
@@ -666,6 +658,10 @@ def alpha_pullback(g1, g2, alpha):
     return LabelGraph(vlabel, edges, elabel, rev, g2.label_graph)
 
 
+# The fibre-cell sides that reversal swaps.
+_OTHER_SIDE = {"T": "H", "H": "T", "F": "R", "R": "F"}
+
+
 def _generic_fiber(g2, alpha, a, is_edge):
     """The fiber of alpha over the abstract closure of the alphabet cell a,
     as a graph labelled like g2.
@@ -706,8 +702,7 @@ def _generic_fiber(g2, alpha, a, is_edge):
                 elabel[("R", e2)] = g2.elabel[e2]
         rev = {}
         for (side, e2) in edges:
-            other = "R" if side == "F" else "F"
-            rev[(side, e2)] = (other, g2.reversal[e2])
+            rev[(side, e2)] = (_OTHER_SIDE[side], g2.reversal[e2])
     return LabelGraph(vlabel, edges, elabel, rev, g2.label_graph)
 
 
@@ -721,6 +716,13 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     into g1.  Tail and head of (f, a) restrict f to the tail and head side
     of the fiber; reversal swaps the sides.  Raises CapacityError when more
     than max_cells cells would be produced.
+
+    The cell id is (key, a).  key is (vertex items, edge items): f's
+    (fibre cell, image) pairs, each part sorted by skey of the fibre cell,
+    with the fibre cells of _generic_fiber.  A vertex cell's key has only
+    ('T', u2) items.  An edge cell's tail key keeps its ('T', u2) items
+    and its head key its ('H', u2) items renamed ('T', u2); its reversal's
+    key swaps T with H and F with R.  _local_key alone builds keys.
     """
     if alpha is None:
         alpha = labelling_morphism(g2)
@@ -733,7 +735,7 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     for a in av.vertices():
         fiber = _generic_fiber(g2, alpha, a, False)
         for f in enumerate_homs(fiber, g1, budget=budget):
-            vlabel[(f.key(), a)] = a
+            vlabel[(_local_key(f.vmap.items(), f.emap.items()), a)] = a
         if len(vlabel) > max_cells:
             raise CapacityError("exponential exceeds %d cells" % max_cells,
                                 "exponential vertices", len(vlabel),
@@ -743,7 +745,7 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     for c in av.edge_ids():
         fiber = _generic_fiber(g2, alpha, c, True)
         for f in enumerate_homs(fiber, g1, budget=budget):
-            k = f.key()
+            k = _local_key(f.vmap.items(), f.emap.items())
             edges[(k, c)] = ((_side_key(k, "T"), av.tail(c)),
                              (_side_key(k, "H"), av.head(c)))
             elabel[(k, c)] = c
@@ -752,61 +754,46 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
                                 "exponential edges", len(edges), max_cells)
     rev = None
     if av.reversal is not None and g1.reversal is not None and g2.reversal is not None:
-        rev = {(k, c): (_swap_key(k, g1), av.reversal[c]) for (k, c) in edges}
+        rev = {(k, c): (_swap_key(k), av.reversal[c]) for (k, c) in edges}
     return LabelGraph(vlabel, edges, elabel, rev, av)
 
 
+def _local_key(vitems, eitems=()):
+    """The key of the local map with these (fibre cell, image) items."""
+    return tuple(tuple(sorted(items, key=lambda kv: skey(kv[0])))
+                 for items in (vitems, eitems))
+
+
 def _side_key(key, side):
-    vitems, _ = key
-    kept = tuple((("T", u2), img) for ((s, u2), img) in vitems if s == side)
-    return (tuple(sorted(kept, key=lambda kv: skey(kv[0]))), ())
+    return _local_key((("T", u2), img) for (s, u2), img in key[0] if s == side)
 
 
-def _swap_key(key, g1):
+def _swap_key(key):
     vitems, eitems = key
-    sv = tuple(sorted(((("H" if s == "T" else "T", u2), img)
-                       for ((s, u2), img) in vitems),
-                      key=lambda kv: skey(kv[0])))
-    se = tuple(sorted(((("R" if s == "F" else "F", e2), img)
-                       for ((s, e2), img) in eitems),
-                      key=lambda kv: skey(kv[0])))
-    return (sv, se)
+    return _local_key((((_OTHER_SIDE[s], x), img) for (s, x), img in vitems),
+                      (((_OTHER_SIDE[s], x), img) for (s, x), img in eitems))
 
 
 def curry(lam, g1, g2, alpha, expg):
-    """Turn lam: alpha_pullback(g1, g2, alpha) -> g3 into g1 -> g3^{g2}."""
-    av = alpha.codomain
-    vmap = {}
-    for u1 in g1.vertices():
-        a = g1.vlabel[u1]
-        vitems = tuple(sorted(((("T", u2), lam.vmap[(u1, u2)])
-                               for u2 in g2.vlabel
-                               if alpha.vmap[u2] == a),
-                              key=lambda kv: skey(kv[0])))
-        vmap[u1] = ((vitems, ()), a)
-    emap = {}
-    for e1 in g1.edge_ids():
-        c = g1.elabel[e1]
-        ta, ha = av.edges[c]
-        vitems = []
-        for u2 in g2.vlabel:
-            if alpha.vmap[u2] == ta:
-                vitems.append((("T", u2), lam.vmap[(g1.tail(e1), u2)]))
-            if alpha.vmap[u2] == ha:
-                vitems.append((("H", u2), lam.vmap[(g1.head(e1), u2)]))
-        eitems = []
-        for e2 in g2.edges:
-            if alpha.emap[e2] == c:
-                eitems.append((("F", e2), lam.emap[(e1, e2)]))
-        if av.reversal is not None and g1.reversal is not None:
-            cp = av.reversal[c]
-            e1p = g1.reversal[e1]
-            for e2 in g2.edges:
-                if alpha.emap[e2] == cp:
-                    eitems.append((("R", e2), lam.emap[(e1p, e2)]))
-        key = (tuple(sorted(vitems, key=lambda kv: skey(kv[0]))),
-               tuple(sorted(eitems, key=lambda kv: skey(kv[0]))))
-        emap[e1] = (key, c)
+    """Turn lam: alpha_pullback(g1, g2, alpha) -> g3 into g1 -> g3^{g2}:
+    a cell of g1 goes to lam's local map on its fibre."""
+    if (g1.reversal is None) != (g2.reversal is None):
+        raise ValueError("curry needs matching orientedness")
+
+    def local_map(c, is_edge, ends):
+        # ends[side] is the g1 cell that fibre cells (side, x) pair with.
+        fiber = _generic_fiber(g2, alpha, c, is_edge)
+        return (_local_key(
+            (((s, x), lam.vmap[(ends[s], x)]) for s, x in fiber.vlabel),
+            (((s, x), lam.emap[(ends[s], x)]) for s, x in fiber.edges)), c)
+
+    rev1 = g1.reversal or {}
+    vmap = {u1: local_map(g1.vlabel[u1], False, {"T": u1})
+            for u1 in g1.vertices()}
+    emap = {e1: local_map(g1.elabel[e1], True,
+                          {"T": g1.tail(e1), "H": g1.head(e1), "F": e1,
+                           "R": rev1.get(e1)})
+            for e1 in g1.edge_ids()}
     return Morphism(vmap, emap, g1, expg)
 
 
@@ -971,18 +958,17 @@ def _coherent_heads(g, u, c, by_label_tail):
     return heads, seen
 
 
-def sharp(g, b=None):
-    """Right adjoint-ish companion of flat: subdivide g and add, per
-    alphabet edge c, a pair of sink vertices absorbing unfinished coherent
-    paths.  The result is labelled over the subdivision of the alphabet.
+def sharp(g):
+    """Right adjoint-ish companion of flat: subdivide g and add, per edge c
+    of its alphabet b, a pair of sink vertices absorbing unfinished coherent
+    paths.  The result is labelled over the subdivision of b.
 
     Per edge e of g with label c the new edges are: one (0,c,1) edge from
     the tail of e into the minus sink of c, one (1,c,0) edge from the plus
     sink of c onto the head of e, and five (1,c,1) edges: plus->plus,
     plus->minus, plus->midpoint(e), midpoint(e)->minus, minus->minus.
     """
-    if b is None:
-        b = g.label_graph
+    b = g.label_graph
     if b is None:
         raise ValueError("sharp needs a labelled graph")
     gs = path_subdivision(g)

@@ -71,10 +71,22 @@ def halfplane_to_text(hp):
 
 def halfplane_from_text(text):
     """Read halfplane_to_text's format; '#' starts a comment.  Raises
-    ValueError naming the line on a malformed line."""
+    ValueError naming the line on a malformed or repeated line, a tile with
+    an undeclared colour or a seed tile out of range."""
     colors = None
-    tiles = []
+    tiles = {}  # tile -> None, in line order
     seed = None
+
+    # Tile colours and the seed index are checked once every line is read,
+    # since the colours and the tiles may come later.
+    def check_tile(tile):
+        for c in tile:
+            if colors is not None and c not in colors:
+                raise ValueError("tile colour %r not declared" % (c,))
+
+    def check_seed():
+        if tiles and not 0 <= seed < len(tiles):
+            raise ValueError("seed tile out of range")
 
     def line(toks):
         nonlocal colors, seed
@@ -83,15 +95,24 @@ def halfplane_from_text(text):
             if rest != ["halfplane"]:
                 raise ValueError("not a half-plane tileset")
         elif key == "colors":
+            if colors is not None:
+                raise ValueError("repeated colors line")
             colors = frozenset(_parse_token(t) for t in rest)
         elif key == "tile":
             if len(rest) != 4:
                 raise ValueError("tile lines carry four colours")
-            tiles.append(tuple(_parse_token(t) for t in rest))
+            tile = tuple(_parse_token(t) for t in rest)
+            if tile in tiles:
+                raise ValueError("repeated tile")
+            tiles[tile] = None
+            return lambda: check_tile(tile)
         elif key == "seedtile":
             if len(rest) != 1:
                 raise ValueError("seedtile takes one index")
+            if seed is not None:
+                raise ValueError("repeated seedtile line")
             seed = int(rest[0])
+            return check_seed
         else:
             raise ValueError("unknown line %r" % (key,))
 

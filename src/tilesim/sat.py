@@ -35,10 +35,9 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 import itertools
-import operator
 
 from .geometry import GroupPoint, canonical, interior_vertices
-from .graphs import skey, CapacityError
+from .graphs import skey, CapacityError, _tuple_getter
 from .tilesets import tile_label, vertex_candidates, window_scopes
 
 
@@ -196,7 +195,7 @@ def _scope_pattern(cand_lists, allowed):
         for combo in itertools.product(*cand_lists):
             if combo not in allowed_set:
                 out.append(tuple(-m[t] for m, t in zip(local, combo)))
-        return 0, [_picker(c) for c in out]
+        return 0, [_tuple_getter(c) for c in out]
     # one selector per allowed tuple; the exactly-one groups make the true
     # selector unique, so models stay one-to-one with tilings
     sels = range(nxt + 1, nxt + 1 + len(usable))
@@ -211,13 +210,7 @@ def _scope_pattern(cand_lists, allowed):
             support[combo[i]].append(s)
         for t in cs:
             out.append((-m[t], *support[t]))
-    return len(usable), [_picker(c) for c in out]
-
-
-def _picker(clause):
-    if len(clause) >= 2:
-        return operator.itemgetter(*clause)
-    return lambda lits: tuple(lits[q] for q in clause)
+    return len(usable), [_tuple_getter(c) for c in out]
 
 
 # -- the solver -------------------------------------------------------------------
@@ -730,11 +723,8 @@ def _revise(rows, doms):
 def solve_tiling(window, ts, seeds=()):
     """The first tiling of the window, or None.  It is the least tiling in
     the order enumerate_tilings gives."""
-    eng = _Domains(window, ts, seeds)
-    model = next(eng.search(), None)
-    if model is None:
-        return None
-    return TilingAssignment(dict(zip(eng.points, model)))
+    sols, _ = enumerate_tilings(window, ts, seeds, limit=1)
+    return sols[0] if sols else None
 
 
 def enumerate_tilings(window, ts, seeds=(), limit=None):

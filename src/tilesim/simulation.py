@@ -30,7 +30,6 @@ from .graphs import (
     alpha_pullback,
     base_of_subdivision,
     flat,
-    labelling_morphism,
     path_subdivision,
     read_lines,
     simplify,
@@ -62,12 +61,10 @@ class Simulator:
 
     graph: labelled over path_subdivision(B) for the target alphabet B.
     alpha: a second labelling of the same graph, into the source alphabet A.
-    names: optional display tags per state (used only by the DOT export).
     """
 
     graph: LabelGraph
     alpha: Morphism
-    names: dict | None = None
 
     def __post_init__(self):
         if self.alpha.domain != self.graph:
@@ -77,11 +74,6 @@ class Simulator:
             raise ValueError("simulator graph carries no target labelling")
         if bstar != path_subdivision(base_of_subdivision(bstar)):
             raise ValueError("target labelling is not over a subdivision")
-
-    @property
-    def beta(self):
-        """The structural labelling into the subdivided target alphabet."""
-        return labelling_morphism(self.graph)
 
     def source_alphabet(self):
         return self.alpha.codomain
@@ -298,15 +290,16 @@ def _run(graph, by_tail, machine, trans, live, u, boundary):
     return out, touched
 
 
-def run_gwa(graph, machine, u, boundary=()):
+def run_gwa(graph, machine, u, boundary=None):
     """Successor vertices of u under one automaton: every v reachable by a
     walk from u spelling an accepted word.  Also reports whether the search
     touched the boundary mid-run, in which case the set may be incomplete.
 
-    graph may be a Window (boundary then defaults to its boundary vertices)
-    or a bare LabelGraph with an explicit boundary.
+    graph may be a Window or a bare LabelGraph.  A boundary of None means
+    the window's boundary vertices, or none for a bare graph; any other
+    boundary, the empty one included, is used as given.
     """
-    graph, boundary = _window_graph(graph, boundary or None)
+    graph, boundary = _window_graph(graph, boundary)
     trans, live = _compile_machine(machine)
     return _run(graph, _tail_index(graph), machine, trans, live, u, boundary)
 
@@ -623,11 +616,10 @@ class _SimBuilder:
         self.edge((t, h, gen), t, h, (self.avmap[t], gen, self.avmap[h]),
                   blab)
 
-    def build(self, names=None):
+    def build(self):
         g = LabelGraph(self.vlabel, self.edges, self.elabel, self.rev,
                        self.bstar)
-        return Simulator(g, Morphism(self.avmap, self.aemap, g, self.a),
-                         names)
+        return Simulator(g, Morphism(self.avmap, self.aemap, g, self.a))
 
 
 def quadrant_to_plane():
@@ -963,6 +955,8 @@ def simulator_from_text(text):
                 raise ValueError("expected a simulator header")
             saw_header = True
         elif toks[0] in ("alpha", "beta"):
+            if toks[0] in bases:
+                raise ValueError("repeated %s line" % toks[0])
             bases[toks[0]] = _base_alphabet(toks[1:])
             current = toks[0]
         elif toks[0] == "symbol" and len(toks) == 2:
@@ -971,10 +965,14 @@ def simulator_from_text(text):
             symbols[current].append(_parse_token(toks[1]))
         elif toks[0] == "vertex" and len(toks) == 4:
             v = _parse_token(toks[1])
+            if v in vlabel:
+                raise ValueError("repeated vertex %r" % (v,))
             avmap[v] = _parse_token(toks[2])
             vlabel[v] = _parse_token(toks[3])
         elif toks[0] == "edge" and len(toks) in (6, 8):
             e = _parse_token(toks[1])
+            if e in edges:
+                raise ValueError("repeated edge %r" % (e,))
             edges[e] = (_parse_token(toks[2]), _parse_token(toks[3]))
             aemap[e] = _parse_token(toks[4])
             elabel[e] = _parse_token(toks[5])
@@ -998,8 +996,6 @@ def simulator_to_dot(s, name="simulator"):
     """GraphViz export; node labels show state, source label and target
     label, edges show both labels."""
     g = s.graph
-    names = s.names or {}
     return _dot(g, name,
-                lambda v: "%s : %s : %s" % (names.get(v, v), s.alpha.vmap[v],
-                                            g.vlabel[v]),
+                lambda v: "%s : %s : %s" % (v, s.alpha.vmap[v], g.vlabel[v]),
                 lambda e: "%s : %s" % (s.alpha.emap[e], g.elabel[e]))

@@ -130,18 +130,6 @@ def _check_seeds(seeds, ntiles):
             raise ValueError("seed tile %r out of range" % (idx,))
 
 
-def tetra_system(alphabet_, allowed, seeds=(), strict=False, mode="cayley",
-                 p=2, q=2, names=None):
-    """Build a TetraSystem; with strict=True an input that is not already
-    swap-closed is rejected instead of being closed."""
-    if strict and mode == "cayley":
-        allowed = frozenset(tuple(t) for t in allowed)
-        if any(_swap(t) not in allowed for t in allowed):
-            raise ValueError("cell constraints not swap-closed")
-    return TetraSystem(tuple(alphabet_), frozenset(allowed), tuple(seeds),
-                       mode, p, q, names)
-
-
 def tile_count(ts):
     return len(decoration_symbols(ts))
 
@@ -332,21 +320,13 @@ def ray_right_system():
 
 def product_tileset(t1, t2, joint=None):
     """Componentwise product of two cell systems, filtered by an optional
-    joint constraint; the joint is applied in both cell readings so the
-    result is swap-closed whenever the factors are.
-
-    joint may be a callable on a pair of component cells, or an explicit
-    set of allowed (cell1, cell2) pairs.
+    joint constraint: a callable on a pair of component cells that says
+    whether they may sit together.  The joint is applied in both cell
+    readings, so the result is swap-closed whenever the factors are.
     """
     if t1.mode != "cayley" or t2.mode != "cayley":
         raise ValueError("products are for lamplighter cell systems")
-    if joint is None:
-        ok = lambda c1, c2: True
-    elif callable(joint):
-        ok = joint
-    else:
-        table = set(joint)
-        ok = lambda c1, c2: (c1, c2) in table
+    ok = joint if joint is not None else lambda c1, c2: True
     symbols = tuple((x, y) for x in t1.alphabet for y in t2.alphabet)
     allowed = set()
     for c1 in t1.allowed:

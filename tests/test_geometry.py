@@ -7,7 +7,7 @@ import pytest
 from tilesim.geometry import (
     GroupPoint, alphabet_label_graph, ball, boundary_vertices, canonical,
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
-    dl_step, dl_window, evaluate_word, height, identity,
+    dl_step, dl_window, evaluate_word, identity,
     interior_vertices, inverse, multiply, plane_window, point_neighbors,
     quadrant_window, step, tetrahedron, window_cells, GENERATORS, Window)
 from tilesim.graphs import CapacityError, induced_subgraph, validate
@@ -139,7 +139,7 @@ def test_window_edges_are_exactly_cayley_edges():
 def test_height_changes_by_one():
     g = ball(2).graph
     for e in g.edges:
-        d = height(g.head(e)) - height(g.tail(e))
+        d = g.head(e).marker - g.tail(e).marker
         assert d == (1 if g.elabel[e] in ("a", "b") else -1)
 
 
@@ -217,8 +217,8 @@ def test_boundary_matches_neighbour_definition():
     for w in windows[3:]:
         pts = w.points()
         keep = set(pts) - {pts[len(pts) // 2]}
-        windows.append(Window(induced_subgraph(w.graph, keep), w.kind,
-                              w.params, w.mode, w.p, w.q))
+        windows.append(Window(induced_subgraph(w.graph, keep), w.mode,
+                              w.p, w.q))
     for w in windows:
         assert boundary_vertices(w) == neighbour_boundary(w)
 

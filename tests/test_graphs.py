@@ -292,6 +292,17 @@ def test_adjunction_on_loop_alphabet():
     assert len(lhs) == len(rhs) == 4
 
 
+def test_curry_rejects_mixed_orientedness():
+    # An oriented g1 has no reversed edge for the R half of an edge fibre.
+    a = rose(["c", "C"], {"c": "C", "C": "c"})
+    g1 = labelled(a, {"x": 1}, {"e": ("x", "x")}, {"e": "c"})
+    g2 = g3 = identity_over(a)
+    alpha = labelling_morphism(g2)
+    (lam,) = enumerate_homs(alpha_pullback(g1, g2, alpha), g3)
+    with pytest.raises(ValueError, match="orientedness"):
+        curry(lam, g1, g2, alpha, exponential(g3, g2))
+
+
 def test_adjunction_random_triples_with_roundtrip():
     rng = random.Random(11)
     done = 0

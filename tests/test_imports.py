@@ -1,7 +1,8 @@
 """Gates on src/tilesim's module-level imports: each one is referenced,
 and each absolute one names a standard-library module, since the runtime
-has no dependencies; on pyproject.toml, which declares none; and on
-object.__setattr__, which no module uses to hang state on an object."""
+has no dependencies; on pyproject.toml, which declares none; on
+object.__setattr__, which no module uses to hang state on an object; and
+on its definitions, each of which src, tests or perfbench references."""
 
 import ast
 import pathlib
@@ -94,3 +95,63 @@ def test_gate_finds_an_object_setattr_call():
                          ids=lambda p: p.name)
 def test_module_sets_no_attributes_through_object(path):
     assert setattr_calls(path.read_text()) == []
+
+
+def definitions(source):
+    """Module-level defs and classes, and the methods and properties of
+    those classes as Class.name, leaving out dunder methods, which Python
+    calls by protocol."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += ["%s.%s" % (node.name, m.name) for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__")
+                             and m.name.endswith("__"))]
+    return out
+
+
+def referenced_names(sources):
+    """Every name a Name node reads, an attribute access names or an
+    import brings in, across the sources."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def unreferenced(source, sources):
+    """The definitions of source whose names no source references."""
+    names = referenced_names(sources)
+    return [d for d in definitions(source)
+            if d.rsplit(".", 1)[-1] not in names]
+
+
+def test_gate_finds_an_unreferenced_definition():
+    source = ("class P:\n    def __init__(self):\n        self.x = f()\n"
+              "    def used(self):\n        pass\n"
+              "    @property\n    def unused(self):\n        pass\n"
+              "def f():\n    pass\ndef g():\n    pass\n"
+              "class Q:\n    pass\n")
+    caller = "from m import Q\nP().used()\n"
+    assert unreferenced(source, [source, caller]) == ["P.unused", "g"]
+
+
+REPO = SRC.parent.parent
+CALLER_FILES = sorted(p for d in (SRC, REPO / "tests", REPO / "perfbench")
+                      for p in d.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_defines_nothing_unreferenced(path):
+    sources = [p.read_text() for p in CALLER_FILES]
+    assert unreferenced(path.read_text(), sources) == []

@@ -230,6 +230,23 @@ def test_halfplane_text_comments_and_bad_lines():
             halfplane_from_text("colors c\ntile c c c c\n" + bad)
 
 
+@pytest.mark.parametrize("text, bad", [
+    ("colors c\ntile c c c c\ntile c c c c\nseedtile 0", "tile c c c c"),
+    ("colors c\ntile c c c x\nseedtile 0", "tile c c c x"),
+    ("tile c c c x\ncolors c\nseedtile 0", "tile c c c x"),
+    ("colors c\ntile c c c c\nseedtile 1", "seedtile 1"),
+    ("seedtile -1\ncolors c\ntile c c c c", "seedtile -1"),
+    ("colors c\ncolors c d\ntile c c c c\nseedtile 0", "colors c d"),
+    ("colors c\ntile c c c c\nseedtile 0\nseedtile 0", "seedtile 0")],
+    ids=["duplicate-tile", "undeclared-colour", "colour-declared-later",
+         "seed-out-of-range", "negative-seed", "repeated-colors",
+         "repeated-seedtile"])
+def test_halfplane_text_errors_name_the_line(text, bad):
+    with pytest.raises(ValueError, match="^bad half-plane line "
+                       + re.escape(repr(bad))):
+        halfplane_from_text(text)
+
+
 def test_grid_wang_tilings_on_a_large_window():
     pts = halfplane_points(45)
     assert len(pts) > 2000

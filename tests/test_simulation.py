@@ -277,6 +277,15 @@ def test_run_gwa_flags_boundary_starts():
     assert touched is True
 
 
+def test_run_gwa_takes_an_empty_boundary_as_given():
+    # Two a-steps leave ball(1), so only the window boundary is touched.
+    m = GwaAutomaton({0, 1, 2}, {0}, {2}, {(0, "a", 1), (1, "a", 2)})
+    w = ball(1)
+    assert run_gwa(w, m, identity()) == (set(), True)
+    assert run_gwa(w, m, identity(), set()) == (set(), False)
+    assert run_gwa(w.graph, m, identity()) == (set(), False)
+
+
 def test_comb_east_automaton_at_the_identity():
     dec, fr = comb_window(4)
     s = comb_to_plane()
@@ -538,6 +547,20 @@ def test_simulator_round_trips_with_hash_in_symbols():
 def test_simulator_text_short_alphabet_lines_name_the_line(line):
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         simulator_from_text("simulator\n" + line + "\nbeta plane\n")
+
+
+@pytest.mark.parametrize("extra", [
+    "vertex '(0, 0)' NE \"('v', 1)\"", "vertex '(0, 0)' NESW \"('v', 1)\"",
+    "edge", "alpha quadrant", "alpha plane", "beta plane"],
+    ids=["vertex", "conflicting-vertex", "edge", "alpha", "other-alpha",
+         "beta"])
+def test_simulator_text_repeated_lines_name_the_line(extra):
+    text = simulator_to_text(quadrant_to_plane())
+    if extra == "edge":
+        extra = next(x for x in text.splitlines() if x.startswith("edge "))
+    with pytest.raises(ValueError, match="^bad simulator line "
+                       + re.escape(repr(extra))):
+        simulator_from_text(text + extra + "\n")
 
 
 def test_simulator_text_rejects_garbage():

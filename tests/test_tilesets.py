@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import warnings
 
 import pytest
 
@@ -15,7 +16,7 @@ from tilesim.tilesets import (
     omega_configuration, on_comb_spine_region, parse_tile_ref,
     product_tileset, random_tetra_system, random_wang_tileset,
     ray_left_system, ray_right_system, sea_level_system, sea_system,
-    sft_to_dhs, tetra_system, tetra_to_wang, tile_count, tile_label,
+    sft_to_dhs, tetra_to_wang, tile_count, tile_label,
     tileset_from_text, tileset_to_text, tiling_ok, vertex_candidates,
     wang_to_dhs, wang_to_tetra, window_scopes, _point_word)
 
@@ -215,10 +216,10 @@ def test_tetra_swap_closure_warns_and_drops():
     with pytest.warns(UserWarning):
         ts = TetraSystem((0, 1), frozenset({(0, 1, 0, 0)}))
     assert ts.allowed == frozenset()
-    with pytest.raises(ValueError):
-        tetra_system((0, 1), {(0, 1, 0, 0)}, strict=True)
     # already closed: silent
-    tetra_system((0, 1), {(0, 1, 0, 0), (1, 0, 0, 0)}, strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        TetraSystem((0, 1), frozenset({(0, 1, 0, 0), (1, 0, 0, 0)}))
 
 
 def test_wang_to_tetra_matches_direct_enumeration():
@@ -248,8 +249,8 @@ def test_tetra_to_wang_ray_left():
 
 
 def test_tetra_to_wang_rejects_seeds_and_dl():
-    seeded = tetra_system((F, T), LEFT_CELLS,
-                          seeds=((identity(), 1),))
+    seeded = TetraSystem((F, T), frozenset(LEFT_CELLS),
+                         seeds=((identity(), 1),))
     with pytest.raises(ValueError):
         tetra_to_wang(seeded)
     with pytest.raises(ValueError):
@@ -319,7 +320,8 @@ def test_product_tileset_trivial_joints():
     assert none.allowed == frozenset()
     table = {(c1, c2) for c1 in LEFT_CELLS for c2 in RIGHT_CELLS}
     assert product_tileset(ray_left_system(), ray_right_system(),
-                           joint=table).allowed == full.allowed
+                           joint=lambda c1, c2: (c1, c2) in table
+                           ).allowed == full.allowed
 
 
 def test_builtin_names():
@@ -526,7 +528,7 @@ def test_wang_to_dhs_structure():
     target = wang_to_dhs(w)
     g = target.graph
     assert g.num_vertices() == 6
-    assert g.is_unoriented()
+    assert g.reversal is not None
     for e in g.edge_ids():
         lab = g.elabel[e]
         u, v = g.edges[e]
