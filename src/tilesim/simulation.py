@@ -6,7 +6,9 @@ over a B-vertex, a "settled" state, or over an edge midpoint, an "in
 transit" state) and one over A.  Applying a simulator to a window labelled
 over A pulls the window back along the A-labelling and flattens the result:
 coherent chains of transit states collapse into single B-edges between
-settled pairs.
+settled pairs.  That composite, flat(alpha_pullback(...)) from graphs, is
+the definition and the tests' reference; apply_simulator computes it as one
+walk over numbered (point, state) pairs and never builds the pullback.
 
 The same data can be repackaged as a graph-walking automaton: one
 relabelling of the A-vertices plus, per B-edge, a finite word acceptor whose
@@ -29,7 +31,6 @@ from .graphs import (
     add_edge_pair,
     alpha_pullback,
     base_of_subdivision,
-    flat,
     path_subdivision,
     read_lines,
     simplify,
@@ -132,13 +133,86 @@ def apply_simulator(window, s, frontier=None):
     output vertices that may be missing edges because a coherent chain ran
     into the frontier.  The frontier defaults to the window boundary for a
     Window and to the empty set for a bare graph.
+
+    The result is flat(alpha_pullback(graph, s.graph, s.alpha)) with the
+    pullback's frontier pairs those over frontier points, computed without
+    building the pullback: states, points and target edges are numbered,
+    pair number point * states + state stands for a pullback vertex, and
+    from every settled pair one walk per target edge c follows the
+    coherent paths (0,c,0) and (0,c,1)(1,c,1)*(1,c,0) through the pairs.
+    A pair is incomplete when it sits over a frontier point or one of its
+    walks passes a midpoint over one.  Vertices come in skey order, as
+    flat keeps them, and edge ids are (tail pair, c, head pair).
     """
     graph, frontier = _window_graph(window, frontier)
     if graph.label_graph != s.alpha.codomain:
         raise ValueError("window labels do not match the simulator source")
-    pb = alpha_pullback(graph, s.graph, s.alpha)
-    pb_frontier = {uv for uv in pb.vlabel if uv[0] in frontier}
-    return flat(pb, frontier=pb_frontier)
+    sg, amap = s.graph, s.alpha
+    b = base_of_subdivision(sg.label_graph)
+    bedges = b.edge_ids()
+    nc = len(bedges)
+    cnum = {c: k for k, c in enumerate(bedges)}
+    qnum = {q: i for i, q in enumerate(sg.vlabel)}
+    n = len(qnum)
+    lnum = {lab: i for i, lab in enumerate(amap.codomain.edges)}
+    nl = len(lnum)
+    # state * nc + c -> (source label, head state, head in transit) of each
+    # simulator edge out of state over a piece of c, all as numbers
+    moves = {}
+    starts = {}  # settled state -> the c it has moves for
+    for e, (t, h) in sg.edges.items():
+        i, c, j = sg.elabel[e]
+        moves.setdefault(qnum[t] * nc + cnum[c], []).append(
+            (lnum[amap.emap[e]], qnum[h], j))
+        if i == 0:
+            starts.setdefault(qnum[t], set()).add(cnum[c])
+    pnum = {p: i for i, p in enumerate(graph.vlabel)}
+    out = {}  # point * nl + source label -> heads of the window edges
+    for e, (t, h) in graph.edges.items():
+        out.setdefault(pnum[t] * nl + lnum[graph.elabel[e]], []).append(
+            pnum[h])
+    front = {pnum[p] for p in frontier if p in pnum}
+    settled = {}  # source vertex -> the settled states over it
+    for q, lab in sg.vlabel.items():
+        if lab[0] == "v":
+            settled.setdefault(amap.vmap[q], []).append(q)
+    keep = sorted(((p, q) for p, lab in graph.vlabel.items()
+                   for q in settled.get(lab, ())), key=skey)
+    pair = {pnum[p] * n + qnum[q]: (p, q) for (p, q) in keep}
+
+    vlabel = {}
+    edges = {}
+    elabel = {}
+    incomplete = set()
+    for x, u in pair.items():
+        vlabel[u] = sg.vlabel[u[1]][1]
+        touched = x // n in front
+        for k in sorted(starts.get(x % n, ())):
+            heads = set()
+            mids = set()
+            todo = [x]
+            for y in todo:
+                p, q = divmod(y, n)
+                for li, q2, transit in moves.get(q * nc + k, ()):
+                    for p2 in out.get(p * nl + li, ()):
+                        z = p2 * n + q2
+                        if not transit:
+                            heads.add(z)
+                        elif z not in mids:
+                            mids.add(z)
+                            todo.append(z)
+                            touched = touched or p2 in front
+            c = bedges[k]
+            for z in heads:
+                v = pair[z]
+                edges[(u, c, v)] = (u, v)
+                elabel[(u, c, v)] = c
+        if touched:
+            incomplete.add(u)
+    rev = None
+    if graph.reversal is not None and sg.reversal is not None:
+        rev = {(u, c, v): (v, b.reversal[c], u) for (u, c, v) in edges}
+    return LabelGraph(vlabel, edges, elabel, rev, b), frozenset(incomplete)
 
 
 # -- composition --------------------------------------------------------------
@@ -494,28 +568,6 @@ def gwa_to_simulator(gwa):
     graph = LabelGraph(vlabel, edges, elabel, None, bstar)
     alpha = Morphism(avmap, aemap, graph, a)
     return Simulator(graph, alpha)
-
-
-def apply_simulator_gwa(window, s, frontier=None):
-    """Apply a simulator by the walker route: blow up the window, run the
-    unrolled walker, and rename blown copies back to (point, state) pairs.
-    Output matches apply_simulator up to parallel-edge bookkeeping.
-    """
-    graph, frontier = _window_graph(window, frontier)
-    if graph.label_graph != s.alpha.codomain:
-        raise ValueError("window labels do not match the simulator source")
-    gwa, k = simulator_to_gwa(s)
-    blown = vertex_blowup(graph, k)
-    boundary = {(w, i) for (w, i) in blown.vlabel if w in frontier}
-    sim, incomplete = gwa_simulated_graph(blown, gwa, boundary)
-    copies = _state_copies(s)
-
-    def rename(wi):
-        w, i = wi
-        return (w, copies[graph.vlabel[w]][i])
-
-    return (rename_vertices(sim, rename),
-            frozenset(rename(x) for x in incomplete))
 
 
 # -- decorated windows ---------------------------------------------------------

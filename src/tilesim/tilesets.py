@@ -691,6 +691,7 @@ def tileset_from_text(text):
     tiles = {}  # tile or cell tuple -> None, in line order
     names = None
     placed = []
+    declared = set()  # the once-only lines read so far
 
     # Tile and seed lines are checked once every line is read, since the
     # colours, alphabet, params and tile count may come later.
@@ -724,6 +725,10 @@ def tileset_from_text(text):
         arity = {"kind": 1, "params": 2, "seed": 2}.get(key)
         if arity is not None and len(rest) != arity:
             raise ValueError("%s takes %d values" % (key, arity))
+        if key in ("kind", "params", "colors", "alphabet", "names"):
+            if key in declared:
+                raise ValueError("repeated %s line" % key)
+            declared.add(key)
         if key == "kind":
             kind = rest[0]
             if kind not in ("wang", "tetra", "dl"):

@@ -9,15 +9,17 @@ from tilesim.geometry import (
     plane_label_graph, plane_window, quadrant_label_graph, quadrant_window,
     tetrahedron)
 from tilesim.graphs import (
-    LabelGraph, Morphism, induced_subgraph, vertex_blowup)
+    LabelGraph, Morphism, add_edge_pair, alpha_pullback, flat,
+    induced_subgraph, vertex_blowup)
 from tilesim.simulation import (
-    Gwa, GwaAutomaton, apply_simulator, apply_simulator_gwa,
+    Gwa, GwaAutomaton, apply_simulator,
     blowup_simulator, builtin_simulator, comb_to_plane, compose_simulators,
     decorate_window, edge_triples, gwa_simulated_graph, gwa_to_simulator,
     identity_simulator, patch_frontier, quadrant_patch,
     quadrant_to_plane, random_simulator, rectangle_compress, relabel_graph,
     rename_vertices, run_gwa, sea_to_quadrant, simulator_from_text,
-    simulator_to_dot, simulator_to_gwa, simulator_to_text, _state_copies)
+    simulator_to_dot, simulator_to_gwa, simulator_to_text, _state_copies,
+    _window_graph)
 from tilesim.sat import forced_values, solve_tiling
 from tilesim.tilesets import (
     comb_configuration, comb_tileset, lamp_runs, omega_configuration,
@@ -93,6 +95,112 @@ def test_apply_simulator_checks_the_source_alphabet():
     s = builtin_simulator("quadrant_to_plane")
     with pytest.raises(ValueError):
         apply_simulator(ball(1), s)
+    with pytest.raises(ValueError):
+        pullback_then_flat(ball(1), s)
+
+
+# -- the compiled walk against its definition
+
+
+def pullback_then_flat(window, s, frontier=None):
+    # apply_simulator's definition: the pullback along alpha, flattened,
+    # with the pullback vertices over frontier points as its frontier
+    graph, frontier = _window_graph(window, frontier)
+    pb = alpha_pullback(graph, s.graph, s.alpha)
+    return flat(pb, frontier={uv for uv in pb.vlabel if uv[0] in frontier})
+
+
+def assert_walk_matches_definition(window, s, frontier=None):
+    g, inc = apply_simulator(window, s, frontier)
+    ref, ref_inc = pullback_then_flat(window, s, frontier)
+    assert list(g.vlabel.items()) == list(ref.vlabel.items())
+    assert g.edges == ref.edges
+    assert g.elabel == ref.elabel
+    assert g.reversal == ref.reversal
+    assert g.label_graph == ref.label_graph
+    assert inc == ref_inc
+    return g, inc
+
+
+def seeded_sea_window(h):
+    w, ts, seeds = seeded_omega(h)
+    model = solve_tiling(w, ts, seeds).values
+    return decorate_window(w, ts, model), boundary_vertices(w)
+
+
+def test_walk_matches_pullback_then_flat_on_the_builtin_windows():
+    w = quadrant_window(5, 5)
+    assert_walk_matches_definition(w, quadrant_to_plane(), patch_frontier(w))
+    assert_walk_matches_definition(w, quadrant_to_plane())
+    for r in (3, 5):
+        dec, fr = comb_window(r)
+        assert_walk_matches_definition(dec, comb_to_plane(), fr)
+    for dec, fr in (sea_window(2), sea_window(3), seeded_sea_window(4)):
+        g, inc = assert_walk_matches_definition(dec, sea_to_quadrant(), fr)
+        assert g.edges and inc and len(inc) < len(g.vlabel)
+    w = plane_window(0, 7, 0, 7)
+    dec = relabel_graph(
+        w, lambda p: "good" if p[0] % 3 == 0 and p[1] % 2 == 0 else "bad",
+        ("bad", "good"))
+    assert_walk_matches_definition(dec, rectangle_compress(),
+                                   patch_frontier(w))
+    # an oriented simulator, through the walker form and back
+    dec, fr = comb_window(4)
+    gwa, k = simulator_to_gwa(comb_to_plane())
+    blown = vertex_blowup(dec, k)
+    g, _ = assert_walk_matches_definition(
+        blown, gwa_to_simulator(gwa),
+        {(p, i) for (p, i) in blown.vlabel if p in fr})
+    assert g.edges and g.reversal is None
+
+
+def random_graph_over(rng, a, n, m):
+    # n vertices over the one-vertex alphabet a and m random edge pairs,
+    # loops and parallel edges included
+    (av,) = a.vlabel
+    edges, elabel, rev = {}, {}, {}
+    for i in range(m):
+        lab = rng.choice(sorted(a.edges))
+        add_edge_pair(edges, elabel, rev, ("e", i), ("r", i),
+                      rng.randrange(n), rng.randrange(n), lab,
+                      a.reversal[lab])
+    return LabelGraph({v: av for v in range(n)}, edges, elabel, rev, a)
+
+
+def test_walk_matches_pullback_then_flat_on_random_simulators():
+    rng = random.Random(2024)
+    # each one-vertex alphabet with a window over it
+    sources = ((cayley_label_graph(), ball(2).graph),
+               (plane_label_graph(), plane_window(0, 4, 0, 3)))
+    kinds = set()
+    for case in range(100):
+        a, w = rng.choice(sources)
+        s = random_simulator(rng, a, rng.choice(sources)[0])
+        if case % 3 == 0:
+            g = random_graph_over(rng, a, rng.randrange(1, 12),
+                                  rng.randrange(0, 30))
+        else:
+            g = induced_subgraph(w, rng.sample(sorted(w.vlabel, key=repr),
+                                               rng.randrange(1, 16)))
+        frontier = rng.choice((set(), set(g.vlabel),
+                               {v for v in g.vlabel if rng.random() < 0.3}))
+        if case % 10 == 9:
+            gwa, k = simulator_to_gwa(s)
+            g = vertex_blowup(g, k)
+            s = gwa_to_simulator(gwa)
+            frontier = {(v, i) for (v, i) in g.vlabel if v in frontier}
+        out, inc = assert_walk_matches_definition(g, s, frontier)
+        kinds.add((bool(out.edges), bool(inc), inc == set(out.vlabel)))
+    assert len(kinds) >= 3
+
+
+def test_walk_on_ten_thousand_points_simulates_the_quadrant():
+    # seeded omega_full on 11264 points, solved, decorated and walked:
+    # no recursion, and the trusted part is a quarter-plane patch
+    dec, fr = seeded_sea_window(5)
+    assert len(dec.vlabel) > 10 ** 4
+    g, inc = apply_simulator(dec, sea_to_quadrant(), frontier=fr)
+    assert_simulates_the_quadrant(g, inc)
 
 
 def test_builtin_simulator_rejects_unknown_names():
@@ -225,6 +333,10 @@ def test_seeded_omega_full_is_rigid_and_simulates_the_quadrant(h):
     assert forced_values(w, ts, seeds) == omega
     g, inc = apply_simulator(decorate_window(w, ts, model), sea_to_quadrant(),
                              frontier=boundary_vertices(w))
+    assert_simulates_the_quadrant(g, inc)
+
+
+def assert_simulates_the_quadrant(g, inc):
     trusted = [v for v in g.vlabel if v not in inc]
     coords = {v: decode_sea(v[0]) for v in trusted}
     points = set(coords.values())
@@ -308,6 +420,24 @@ def test_sea_east_automaton_at_the_identity():
                             (identity(), 0), boundary)
     assert succ == {(evaluate_word("aB"), 0)}
     assert touched is False
+
+
+def apply_simulator_gwa(window, s, frontier):
+    # the walker route: blow up the window, run the unrolled walker, and
+    # rename blown copies back to (point, state) pairs
+    graph, frontier = _window_graph(window, frontier)
+    gwa, k = simulator_to_gwa(s)
+    blown = vertex_blowup(graph, k)
+    boundary = {(w, i) for (w, i) in blown.vlabel if w in frontier}
+    sim, incomplete = gwa_simulated_graph(blown, gwa, boundary)
+    copies = _state_copies(s)
+
+    def rename(wi):
+        w, i = wi
+        return (w, copies[graph.vlabel[w]][i])
+
+    return (rename_vertices(sim, rename),
+            frozenset(rename(x) for x in incomplete))
 
 
 def gwa_route_matches(dec, fr, s):

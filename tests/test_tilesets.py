@@ -435,9 +435,17 @@ def test_tileset_file_names_line():
     ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\n", "tetra 0 0 0 0"),
     ("kind dl\nparams 2 3\nalphabet 0\ntetra 0 0 0 0 0\n",
      "tetra 0 0 0 0 0"),
+    # a second declaration used to replace the first one silently
+    ("kind wang\ncolors x\ntile x x x x\n", "kind tetra"),
+    ("kind wang\ncolors x\ntile x x x x\n", "kind wang"),
+    ("kind dl\nparams 2 3\nalphabet 0\ntetra 0 0 0 0 0\n", "params 3 2"),
+    ("kind wang\ncolors x\ntile y y y y\n", "colors y"),
+    ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\n", "alphabet 1 0"),
+    ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\nnames p q\n", "names r s"),
 ])
 def test_tileset_file_repeated_tile_names_the_line(text, line):
-    with pytest.raises(ValueError, match=re.escape(repr(line))):
+    with pytest.raises(ValueError, match=re.escape(repr(line))
+                       + ": repeated " + line.split()[0]):
         tileset_from_text(text + line + "\n")
 
 
