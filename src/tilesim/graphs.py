@@ -17,6 +17,7 @@ composition; nothing below ever depends on ids being integers.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 import ast
@@ -217,10 +218,12 @@ def induced_subgraph(g, keep_vertices):
 class Morphism:
     """A graph morphism: vertex map + edge map commuting with tail, head and
     (when both sides are unoriented) reversal.  When domain and codomain are
-    labelled over the same alphabet the maps must preserve labels."""
+    labelled over the same alphabet the maps must preserve labels.  The maps
+    are any Mapping: a plain dict, or the read-only rows enumerate_homs
+    returns."""
 
-    vmap: dict
-    emap: dict
+    vmap: Mapping
+    emap: Mapping
     domain: LabelGraph
     codomain: LabelGraph
 
@@ -335,6 +338,12 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     varying fastest.  Results, and the entries of each vmap and emap, come
     in that order.  `limit` stops after the first `limit` results.
 
+    Each result's vmap and emap is a read-only Mapping, a row over one key
+    index per call: every vmap has the keys of _vertex_order(g) and every
+    emap those of g.edge_ids() in orbit order, each orbit's representative
+    before its partner, so a row holds only its tuple of images.  Rows
+    compare equal to the dicts with the same items, in the same order.
+
     `budget` bounds the explored assignments and raises CapacityError when
     exhausted.  A unit is charged per vertex candidate tried and per
     morphism built: taking an option charges the candidates from the last
@@ -414,10 +423,15 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         closing[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]],
                            unoriented and partner == e,
                            missing if partner == e else g.elabel[partner]))
-    # vmap's keys are `order` and emap's are `flat` in every result, so the
-    # domains are checked here, once, as is that each partner is its
-    # representative's reversed twin, which orbit_images takes for granted.
+    # vmap's keys are `order`, indexed by pos, and emap's are `flat`, indexed
+    # by eindex, in every result, so the domains are checked here, once, as
+    # is that each partner is its representative's reversed twin, which
+    # orbit_images takes for granted.  An edge in flat twice means
+    # g.reversal is no longer an involution, and validate raises its error.
     flat = [x for pair in orbit_ids for x in pair if x is not None]
+    eindex = {e: i for i, e in enumerate(flat)}
+    if len(eindex) < len(flat):
+        validate(g)
     same_domains = (pos.keys() == g.vlabel.keys()
                     and set(flat) == g.edges.keys()
                     and all(p is None or (g.reversal[p] == e
@@ -490,7 +504,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     def product_of(choices):
         for combo in itertools.product(*choices):
             images, passed = zip(*combo) if combo else ((), ())
-            yield itertools.chain.from_iterable(images), all(passed)
+            yield tuple(itertools.chain.from_iterable(images)), all(passed)
 
     results = []
     tables = [{} for _ in order]
@@ -510,7 +524,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     depth = 0
     while depth >= 0:
         if depth == n:
-            vmap = dict(zip(order, vimg))
+            vmap = _Row(pos, tuple(vimg))
             if ok[n] is not None:
                 combos = ((getter(buf), ok[n]),)
             else:
@@ -519,7 +533,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 spent += 1
                 if spent > budget:
                     raise overspent()
-                emap = dict(zip(flat, images))
+                emap = _Row(eindex, images)
                 if same_domains and passed:
                     results.append(Morphism._trusted(vmap, emap, g, h))
                 else:
@@ -569,6 +583,47 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
 # How many options, counting one more per table, the tables of one
 # enumerate_homs call hold before they start over.
 _HOM_TABLE_LIMIT = 1 << 16
+
+
+class _Row(Mapping):
+    """A read-only map over `index`, a dict that numbers its keys 0, 1, ...
+    in its order: the value at key k is images[index[k]].  Every result of
+    one enumerate_homs call shares its two indexes, so a result stores only
+    its images."""
+
+    __slots__ = ("_index", "_images")
+
+    def __init__(self, index, images):
+        self._index = index
+        self._images = images
+
+    def __getitem__(self, key):
+        return self._images[self._index[key]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+    def items(self):
+        return _RowItems(self)
+
+    def values(self):
+        return self._images
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _RowItems(ItemsView):
+    """A _Row's items view, iterated in C by zip rather than by a lookup
+    per key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._index, self._mapping._images)
 
 
 def _tuple_getter(idx):
@@ -722,7 +777,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     with the fibre cells of _generic_fiber.  A vertex cell's key has only
     ('T', u2) items.  An edge cell's tail key keeps its ('T', u2) items
     and its head key its ('H', u2) items renamed ('T', u2); its reversal's
-    key swaps T with H and F with R.  _local_key alone builds keys.
+    key swaps T with H and F with R.  _local_key builds keys, and
+    _local_keys the same keys for all of one fibre's homs at once.
     """
     if alpha is None:
         alpha = labelling_morphism(g2)
@@ -734,8 +790,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     vlabel = {}
     for a in av.vertices():
         fiber = _generic_fiber(g2, alpha, a, False)
-        for f in enumerate_homs(fiber, g1, budget=budget):
-            vlabel[(_local_key(f.vmap.items(), f.emap.items()), a)] = a
+        for k in _local_keys(enumerate_homs(fiber, g1, budget=budget)):
+            vlabel[(k, a)] = a
         if len(vlabel) > max_cells:
             raise CapacityError("exponential exceeds %d cells" % max_cells,
                                 "exponential vertices", len(vlabel),
@@ -744,8 +800,7 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     elabel = {}
     for c in av.edge_ids():
         fiber = _generic_fiber(g2, alpha, c, True)
-        for f in enumerate_homs(fiber, g1, budget=budget):
-            k = _local_key(f.vmap.items(), f.emap.items())
+        for k in _local_keys(enumerate_homs(fiber, g1, budget=budget)):
             edges[(k, c)] = ((_side_key(k, "T"), av.tail(c)),
                              (_side_key(k, "H"), av.head(c)))
             elabel[(k, c)] = c
@@ -762,6 +817,24 @@ def _local_key(vitems, eitems=()):
     """The key of the local map with these (fibre cell, image) items."""
     return tuple(tuple(sorted(items, key=lambda kv: skey(kv[0])))
                  for items in (vitems, eitems))
+
+
+def _local_keys(homs):
+    """_local_key of each hom's maps, for homs whose maps all have the same
+    keys in the same order, as one enumerate_homs call's results do.  The
+    keys are distinct, so the stable skey sort is one permutation of the
+    positions, found once and applied to each hom's values."""
+    if not homs:
+        return
+    sorts = []
+    for m in (homs[0].vmap, homs[0].emap):
+        keys = list(m)
+        perm = sorted(range(len(keys)), key=lambda i: skey(keys[i]))
+        sorts.append(([keys[i] for i in perm], _tuple_getter(perm)))
+    (vkeys, vperm), (ekeys, eperm) = sorts
+    for f in homs:
+        yield (tuple(zip(vkeys, vperm(tuple(f.vmap.values())))),
+               tuple(zip(ekeys, eperm(tuple(f.emap.values())))))
 
 
 def _side_key(key, side):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import sys
 import tracemalloc
@@ -815,6 +817,86 @@ def test_homs_see_an_edge_added_to_the_target_after_a_call():
     assert ([m.emap for m in enumerate_homs(g, h)]
             == [m.emap for m in enumerate_homs(g, fresh)]
             == [{"e": "x"}, {"e": "y"}])
+
+
+def orbit_order(g, h):
+    """g's edge ids in enumerate_homs' emap order: g.edge_ids() orbit by
+    orbit, each representative followed by its partner."""
+    unoriented = g.reversal is not None and h.reversal is not None
+    out = []
+    for e in g.edge_ids():
+        if e not in out:
+            out.append(e)
+            if unoriented and g.reversal[e] not in out:
+                out.append(g.reversal[e])
+    return out
+
+
+@pytest.mark.parametrize("case", ["one_image", "product"])
+def test_hom_results_are_read_only_dicts(case):
+    # ball(2) -> comb takes one image per orbit; the torus's parallel loops
+    # give each orbit two, so its results come from the product path.
+    if case == "one_image":
+        g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    else:
+        g, h = plane_window(0, 2, 0, 1), plane_torus(2)
+    homs = enumerate_homs(g, h)
+    assert len(homs) == (19060 if case == "one_image" else 128)
+    vkeys, ekeys = _vertex_order(g), orbit_order(g, h)
+    for m in homs[:20] + homs[-20:]:
+        for mp, keys in ((m.vmap, vkeys), (m.emap, ekeys)):
+            d = dict(mp)
+            assert mp == d and d == mp
+            assert list(mp) == list(mp.keys()) == list(d) == keys
+            assert list(mp.values()) == [d[k] for k in keys]
+            assert list(mp.items()) == list(d.items())
+            assert len(mp) == len(mp.items()) == len(mp.values()) == len(d)
+            assert keys[-1] in mp and keys[0] in mp.keys()
+            assert (keys[0], d[keys[0]]) in mp.items()
+            assert "absent" not in mp
+            assert mp.get(keys[0]) == d[keys[0]] and mp.get("absent") is None
+            with pytest.raises(KeyError):
+                mp["absent"]
+            with pytest.raises(TypeError):
+                mp[keys[0]] = d[keys[0]]
+            with pytest.raises(TypeError):
+                del mp[keys[0]]
+        plain = Morphism(dict(m.vmap), dict(m.emap), g, h)
+        assert repr(m) == repr(plain)
+        assert m == plain and plain == m
+        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert back == m
+            assert list(back.vmap.items()) == list(m.vmap.items())
+            assert list(back.emap.items()) == list(m.emap.items())
+    assert homs[0] != homs[1] and homs[0].emap != dict(homs[1].emap)
+
+
+def test_hom_results_take_under_a_kilobyte_each():
+    # Results share their key indexes, so each keeps only its image tuples;
+    # a dict per map would keep about 1.9 kB per result.
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    tracemalloc.start()
+    try:
+        homs = enumerate_homs(g, h)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(homs) == 19060
+    assert kept / len(homs) < 1024
+
+
+def test_homs_reject_a_domain_whose_reversal_was_broken():
+    # Edge "b" would be the partner of two orbits once "c" reverses to it.
+    a = alphabet([1], {"s": (1, 1), "s'": (1, 1)}, {"s": "s'", "s'": "s"})
+    g = labelled(a, {0: 1}, {e: (0, 0) for e in "abcd"},
+                 {"a": "s", "b": "s'", "c": "s", "d": "s'"},
+                 {"a": "b", "b": "a", "c": "d", "d": "c"})
+    h = labelled(a, {0: 1}, {"x": (0, 0), "y": (0, 0)},
+                 {"x": "s", "y": "s'"}, {"x": "y", "y": "x"})
+    assert len(enumerate_homs(g, h)) == 1
+    g.reversal["c"] = "b"
+    with pytest.raises(ValueError, match="not an involution at 'c'"):
+        enumerate_homs(g, h)
 
 
 def budget_instance(r):
