@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import itertools
 from typing import NamedTuple
 
-from .graphs import CapacityError, LabelGraph, add_edge_pair, alphabet
+from .graphs import CapacityError, LabelGraph, add_edge_pair, alphabet, skey
 
 
 class GroupPoint(NamedTuple):
@@ -191,7 +191,12 @@ def alphabet_label_graph(symbols, base):
 @dataclass(eq=False)
 class Window:
     """A finite induced piece of a Cayley or DL graph, with group points as
-    vertex ids."""
+    vertex ids.
+
+    Induced: every edge of the Cayley or DL graph between two window
+    points is a window edge.  Each edge t -> h labelled lab has the id
+    (t, lab), and its reversed twin the id (h, reversed lab); cells and
+    scopes are read off these ids (_complete_cells, window_scopes)."""
 
     graph: LabelGraph
     mode: str  # "cayley" or "dl"
@@ -222,14 +227,18 @@ def point_neighbors(pt, mode):
 def _induced_graph(points, label_graph, forward):
     """The graph induced on points over label_graph.  forward(pt) lists
     (label, reversed label, neighbour) triples, one per edge pair; each
-    neighbour inside gets the edge and its reversed twin."""
-    vlabel = {pt: 1 for pt in points}
+    neighbour inside gets the edge (pt, label) and its reversed twin
+    (neighbour, reversed label).  Endpoints are the points' own objects, so
+    later lookups of an endpoint compare by identity."""
+    own = {pt: pt for pt in points}
+    vlabel = dict.fromkeys(own, 1)
     edges = {}
     elabel = {}
     rev = {}
     for pt in points:
         for lab, rlab, im in forward(pt):
-            if im in vlabel:
+            im = own.get(im)
+            if im is not None:
                 add_edge_pair(edges, elabel, rev, (pt, lab), (im, rlab),
                               pt, im, lab, rlab)
     return LabelGraph(vlabel, edges, elabel, rev, label_graph)
@@ -375,22 +384,36 @@ def dl_cell_points(g):
 def window_cells(window):
     """Base points of the complete cells inside the window, sorted by repr.
     A base is a point with digit 0 at its marker position, and its cell is
-    dl_cell_points(base), in Cayley and DL windows alike."""
+    dl_cell_points(base), in Cayley and DL windows alike.  The cells are
+    read off the window's (tail, label) edge ids (_complete_cells), not
+    rebuilt point by point."""
     return [base for base, _, _ in _complete_cells(window)]
 
 
 def _complete_cells(window):
-    """(base, lower, upper) for each window_cells base, in its order, with
-    dl_cell_points(base) computed once."""
-    vlabel = window.graph.vlabel
+    """(base, lower, upper) for each window_cells base, in its order, read
+    off the window's (tail, label) edge ids: upper[j] is the head of
+    (base, up(0,j)) and lower[i] the head of (upper[0], dn(i,0)), with the
+    labels read as a/b and A/B on a Cayley window.  The window is induced,
+    so the cell is complete when all these edges are there."""
+    ups = [("up", 0, j) for j in range(window.q)]
+    downs = [("dn", i, 0) for i in range(window.p)]
+    if window.mode == "cayley":
+        ups = [dl_collapse_label(lab) for lab in ups]
+        downs = [dl_collapse_label(lab) for lab in downs]
+    get = window.graph.edges.get
     out = []
-    for pt in vlabel:
-        if pt.digit(pt.marker) != 0:
+    for g in sorted((g for g in window.graph.vlabel if not g.digit(g.marker)),
+                    key=skey):
+        upper = [get((g, lab)) for lab in ups]
+        if None in upper:
             continue
-        lower, upper = dl_cell_points(pt)
-        if all(x in vlabel for x in lower + upper):
-            out.append((pt, lower, upper))
-    return sorted(out, key=lambda cell: repr(cell[0]))
+        lower = [get((upper[0][1], lab)) for lab in downs]
+        if None in lower:
+            continue
+        out.append((g, tuple(h for _, h in lower),
+                    tuple(h for _, h in upper)))
+    return out
 
 
 # -- grid windows ---------------------------------------------------------------

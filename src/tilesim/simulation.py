@@ -37,6 +37,7 @@ from .graphs import (
     skey,
     vertex_blowup,
     _dot,
+    _edge_labels,
     _fmt,
     _parse_token,
 )
@@ -168,9 +169,8 @@ def apply_simulator(window, s, frontier=None):
             starts.setdefault(qnum[t], set()).add(cnum[c])
     pnum = {p: i for i, p in enumerate(graph.vlabel)}
     out = {}  # point * nl + source label -> heads of the window edges
-    for e, (t, h) in graph.edges.items():
-        out.setdefault(pnum[t] * nl + lnum[graph.elabel[e]], []).append(
-            pnum[h])
+    for (t, h), lab in zip(graph.edges.values(), _edge_labels(graph)):
+        out.setdefault(pnum[t] * nl + lnum[lab], []).append(pnum[h])
     front = {pnum[p] for p in frontier if p in pnum}
     settled = {}  # source vertex -> the settled states over it
     for q, lab in sg.vlabel.items():
@@ -579,8 +579,8 @@ def relabel_graph(g, symbol_of, symbols):
     alphabet."""
     a = alphabet_label_graph(tuple(symbols), g.label_graph)
     vlabel = {v: symbol_of(v) for v in g.vlabel}
-    elabel = {e: (vlabel[t], g.elabel[e], vlabel[h])
-              for e, (t, h) in g.edges.items()}
+    elabel = {e: (vlabel[t], lab, vlabel[h])
+              for (e, (t, h)), lab in zip(g.edges.items(), _edge_labels(g))}
     rev = dict(g.reversal) if g.reversal is not None else None
     return LabelGraph(vlabel, dict(g.edges), elabel, rev, a)
 

@@ -516,26 +516,22 @@ _WANG_INV = {"a": 2, "b": 3, "A": 0, "B": 1}
 def window_scopes(ts, window):
     """Fully-contained constraint scopes of a tileset over a window, as
     (vertex tuple, set of allowed tile-id tuples) pairs, deterministically
-    ordered.  Edge scopes are emitted once per reversal orbit; cell scopes
-    once per cell, as dl_cell_points of its base (window_cells), lower
+    ordered.  Edge scopes are emitted once per reversal orbit, in
+    edge_ids() order, read off the window's (tail, label) edge ids as
+    points() order times labels in skey order; cell scopes once per cell,
+    as dl_cell_points of its base (window_cells, read off the edges), lower
     points first, which on the lamplighter is the DL(2,2) cell."""
     if isinstance(ts, WangTileset):
         if window.mode != "cayley":
             raise ValueError("Wang tiles live on the lamplighter graph")
-        out = []
-        pair_cache = {}
-        for e in window.graph.edge_ids():
-            lab = window.graph.elabel[e]
-            if lab not in ("a", "b"):
-                continue
-            if lab not in pair_cache:
-                i, j = _WANG_DIR[lab], _WANG_INV[lab]
-                pair_cache[lab] = frozenset(
-                    (s, t) for s in range(len(ts.tiles))
-                    for t in range(len(ts.tiles))
-                    if ts.tiles[s][i] == ts.tiles[t][j])
-            out.append((window.graph.edges[e], pair_cache[lab]))
-        return out
+        pairs = {}
+        for lab in ("a", "b"):
+            i, j = _WANG_DIR[lab], _WANG_INV[lab]
+            pairs[lab] = frozenset(
+                (s, t) for s in range(len(ts.tiles))
+                for t in range(len(ts.tiles))
+                if ts.tiles[s][i] == ts.tiles[t][j])
+        return [(th, pairs[lab]) for lab, th in _window_edges(window, pairs)]
     if isinstance(ts, TetraSystem):
         index = {x: i for i, x in enumerate(ts.alphabet)}
         allowed = frozenset(tuple(index[x] for x in t) for t in ts.allowed)
@@ -550,6 +546,21 @@ def window_scopes(ts, window):
     return _dhs_scopes(ts, window)
 
 
+def _window_edges(window, labels):
+    """(label, (tail, head)) of each window edge with a label in labels, in
+    points() order and then labels in skey order.  Window edge ids are
+    (tail, label), so this is edge_ids() order without sorting the ids."""
+    get = window.graph.edges.get
+    labels = sorted(labels, key=skey)
+    out = []
+    for pt in window.points():
+        for lab in labels:
+            th = get((pt, lab))
+            if th is not None:
+                out.append((lab, th))
+    return out
+
+
 def _dhs_scopes(ts, window):
     g = ts.graph
     order = {v: i for i, v in enumerate(g.vertices())}
@@ -560,13 +571,13 @@ def _dhs_scopes(ts, window):
     w = window.graph
     out = []
     done = set()
-    for e in w.edge_ids():
+    for lab, th in _window_edges(window, w.label_graph.edges):
+        e = (th[0], lab)
         if e in done:
             continue
         if w.reversal is not None:
             done.add(w.reversal[e])
-        pairs = by_label.get(w.elabel[e], set())
-        out.append((w.edges[e], frozenset(pairs)))
+        out.append((th, frozenset(by_label.get(lab, ()))))
     return out
 
 

@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+from tilesim import geometry
 from tilesim.geometry import (
     GroupPoint, alphabet_label_graph, ball, boundary_vertices, canonical,
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
-    dl_step, dl_window, evaluate_word, identity,
+    dl_label_graph, dl_step, dl_window, evaluate_word, identity,
     interior_vertices, inverse, multiply, plane_window, point_neighbors,
     quadrant_window, step, tetrahedron, window_cells, GENERATORS, Window)
-from tilesim.graphs import CapacityError, induced_subgraph, validate
-from tilesim.tilesets import _swap
+from tilesim.graphs import (CapacityError, LabelGraph, add_edge_pair,
+                            induced_subgraph, skey, validate)
+from tilesim.tilesets import (DhsTarget, _swap, comb_tileset,
+                              random_wang_tileset, wang_to_dhs,
+                              window_scopes)
 
 
 def word_oracle(word):
@@ -397,3 +401,122 @@ def test_window_capacity_errors_carry_numbers(build, message, what, size,
     assert str(err.value) == message
     assert (err.value.what, err.value.size, err.value.budget) == (
         what, size, budget)
+
+
+# -- reading windows off their (tail, label) edge ids -----------------------
+
+
+def reference_complete_cells(window):
+    """_complete_cells as it read before it walked the window's edges:
+    dl_cell_points of every base, kept when all its points are inside."""
+    vlabel = window.graph.vlabel
+    out = []
+    for pt in vlabel:
+        if pt.digit(pt.marker) != 0:
+            continue
+        lower, upper = dl_cell_points(pt)
+        if all(x in vlabel for x in lower + upper):
+            out.append((pt, lower, upper))
+    return sorted(out, key=lambda cell: repr(cell[0]))
+
+
+def reference_wang_scopes(ts, window):
+    """Wang edge scopes as they were read before, from edge_ids(), which
+    sorts every edge id by repr."""
+    out = []
+    pair_cache = {}
+    for e in sorted(window.graph.edges, key=skey):
+        lab = window.graph.elabel[e]
+        if lab not in ("a", "b"):
+            continue
+        if lab not in pair_cache:
+            i, j = {"a": (0, 2), "b": (1, 3)}[lab]
+            pair_cache[lab] = frozenset(
+                (s, t) for s in range(len(ts.tiles))
+                for t in range(len(ts.tiles))
+                if ts.tiles[s][i] == ts.tiles[t][j])
+        out.append((window.graph.edges[e], pair_cache[lab]))
+    return out
+
+
+def reference_dhs_scopes(ts, window):
+    """Hom-shift edge scopes as they were read before, from edge_ids()."""
+    g = ts.graph
+    order = {v: i for i, v in enumerate(g.vertices())}
+    by_label = {}
+    for e in g.edge_ids():
+        by_label.setdefault(g.elabel[e], set()).add(
+            (order[g.tail(e)], order[g.head(e)]))
+    w = window.graph
+    out = []
+    done = set()
+    for e in sorted(w.edges, key=skey):
+        if e in done:
+            continue
+        if w.reversal is not None:
+            done.add(w.reversal[e])
+        pairs = by_label.get(w.elabel[e], set())
+        out.append((w.edges[e], frozenset(pairs)))
+    return out
+
+
+def random_dl_target(rng, p, q):
+    """A random three-vertex hom-shift target over DL(p,q)'s alphabet."""
+    edges, elabel, rev = {}, {}, {}
+    for i in range(p):
+        for j in range(q):
+            for k in range(rng.randrange(1, 5)):
+                s, t = rng.randrange(3), rng.randrange(3)
+                if ((i, j), "up", s, t) not in edges:
+                    add_edge_pair(edges, elabel, rev, ((i, j), "up", s, t),
+                                  ((i, j), "dn", t, s), s, t, ("up", i, j),
+                                  ("dn", i, j))
+    graph = LabelGraph({v: 1 for v in range(3)}, edges, elabel, rev,
+                       dl_label_graph(p, q))
+    return DhsTarget(graph)
+
+
+def edge_id_windows():
+    rng = random.Random(15)
+    windows = [ball(0), ball(3), tetrahedron(0, 0), tetrahedron(-2, 2),
+               tetrahedron(0, 3)]
+    windows += [dl_window(p, q, lo, hi) for p, q in
+                ((2, 2), (2, 3), (3, 2), (3, 3)) for lo, hi in
+                ((0, 1), (-1, 2))]
+    for w in windows[:]:
+        pts = w.points()
+        for _ in range(2):
+            keep = rng.sample(pts, rng.randrange(len(pts) + 1))
+            windows.append(Window(induced_subgraph(w.graph, keep), w.mode,
+                                  w.p, w.q))
+    return windows
+
+
+def test_window_edge_ids_are_tail_and_label():
+    for w in edge_id_windows():
+        g = w.graph
+        for e, (t, h) in g.edges.items():
+            lab = g.elabel[e]
+            assert e == (t, lab)
+            assert g.edges[(t, lab)] == (t, h)
+            assert g.reversal[e] == (h, g.label_graph.reversal[lab])
+
+
+def test_cells_and_scopes_read_off_edge_ids_match_the_references():
+    rng = random.Random(16)
+    comb = comb_tileset()
+    for w in edge_id_windows():
+        cells = geometry._complete_cells(w)
+        assert cells == reference_complete_cells(w)
+        assert window_cells(w) == [base for base, _, _ in cells]
+        if w.mode == "cayley":
+            for ts in (comb, random_wang_tileset(rng, 2, 5)):
+                assert (window_scopes(ts, w) ==
+                        reference_wang_scopes(ts, w))
+            target = wang_to_dhs(comb)
+        else:
+            target = random_dl_target(rng, w.p, w.q)
+        assert window_scopes(target, w) == reference_dhs_scopes(target, w)
+    # the readings see complete cells and edges, not only empty lists
+    assert len(geometry._complete_cells(tetrahedron(-2, 2))) == 4 * 2 ** 3
+    assert len(geometry._complete_cells(dl_window(3, 3, -1, 2))) == 27

@@ -139,6 +139,327 @@ def test_validate_rejects_label_mismatch():
         labelled(a, {0: "p", 1: "p"}, {0: (0, 1)}, {0: "c"})
 
 
+def reference_validate(g):
+    """validate as it read before it became one positional pass, kept
+    verbatim: the reference for what the pass accepts and raises."""
+    for e, (t, h) in g.edges.items():
+        if t not in g.vlabel or h not in g.vlabel:
+            raise ValueError("edge %r has a dangling endpoint" % (e,))
+        if e not in g.elabel:
+            raise ValueError("edge %r has no label" % (e,))
+    if set(g.elabel) != set(g.edges):
+        raise ValueError("elabel keys differ from edge ids")
+    if g.reversal is not None:
+        for e, f in g.reversal.items():
+            if e not in g.edges or f not in g.edges:
+                raise ValueError("reversal mentions unknown edge")
+            if g.reversal.get(f) != e:
+                raise ValueError("reversal is not an involution at %r" % (e,))
+            if g.edges[f] != (g.edges[e][1], g.edges[e][0]):
+                raise ValueError("reversal of %r does not swap endpoints" % (e,))
+        if set(g.reversal) != set(g.edges):
+            raise ValueError("reversal is not total on edges")
+    b = g.label_graph
+    if b is None:
+        # Alphabet graph: cells are labelled by their own ids.
+        for v, lab in g.vlabel.items():
+            if lab != v:
+                raise ValueError("alphabet vertex %r not self-labelled" % (v,))
+        for e, lab in g.elabel.items():
+            if lab != e:
+                raise ValueError("alphabet edge %r not self-labelled" % (e,))
+        return
+    for v, lab in g.vlabel.items():
+        if lab not in b.vlabel:
+            raise ValueError("vertex %r labelled by unknown %r" % (v, lab))
+    for e, (t, h) in g.edges.items():
+        lab = g.elabel[e]
+        if lab not in b.edges:
+            raise ValueError("edge %r labelled by unknown %r" % (e, lab))
+        bt, bh = b.edges[lab]
+        if g.vlabel[t] != bt or g.vlabel[h] != bh:
+            raise ValueError("labelling of edge %r is not a morphism" % (e,))
+    if g.reversal is not None:
+        if b.reversal is None:
+            raise ValueError("unoriented graph over an oriented alphabet")
+        for e, f in g.reversal.items():
+            if g.elabel[f] != b.reversal[g.elabel[e]]:
+                raise ValueError("labelling of %r ignores reversal" % (e,))
+
+
+VALIDATE_MESSAGES = (
+    "has a dangling endpoint", "has no label",
+    "elabel keys differ from edge ids", "reversal mentions unknown edge",
+    "reversal is not an involution", "does not swap endpoints",
+    "reversal is not total on edges", "not self-labelled (vertex)",
+    "not self-labelled (edge)", "vertex labelled by unknown",
+    "edge labelled by unknown", "is not a morphism",
+    "unoriented graph over an oriented alphabet", "ignores reversal")
+
+
+def message_kind(msg):
+    if msg.startswith("alphabet vertex"):
+        return "not self-labelled (vertex)"
+    if msg.startswith("alphabet edge"):
+        return "not self-labelled (edge)"
+    if msg.startswith("vertex ") and "labelled by unknown" in msg:
+        return "vertex labelled by unknown"
+    if msg.startswith("edge ") and "labelled by unknown" in msg:
+        return "edge labelled by unknown"
+    (kind,) = [k for k in VALIDATE_MESSAGES if k in msg]
+    return kind
+
+
+def validate_outcome(check, g):
+    try:
+        check(g)
+    except Exception as exc:  # the reference may raise more than ValueError
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def graph_copy(g, **dicts):
+    """A copy of g with fresh dicts (or the given ones), not validated."""
+    h = copy.copy(g)
+    h.vlabel = dict(g.vlabel)
+    h.edges = dict(g.edges)
+    h.elabel = dict(g.elabel)
+    h.reversal = dict(g.reversal) if g.reversal is not None else None
+    for name, d in dicts.items():
+        setattr(h, name, d)
+    return h
+
+
+GHOST = ("ghost",)
+
+
+def _pick(rng, keys):
+    keys = list(keys)
+    return keys[rng.randrange(len(keys))] if keys else None
+
+
+def _dangling(h, rng):
+    e = _pick(rng, h.edges)
+    if e is None:
+        return False
+    t, _ = h.edges[e]
+    h.edges[e] = (t, GHOST)
+    return True
+
+
+def _unlabelled(h, rng):
+    e = _pick(rng, h.elabel)
+    if e is None:
+        return False
+    del h.elabel[e]
+    return True
+
+
+def _stray_label(h, rng):
+    e = _pick(rng, h.elabel)
+    if e is None:
+        return False
+    h.elabel[GHOST] = h.elabel[e]
+    return True
+
+
+def _unknown_twin(h, rng):
+    e = _pick(rng, h.reversal or ())
+    if e is None:
+        return False
+    if rng.random() < 0.5:
+        h.reversal[e] = GHOST
+    else:
+        h.reversal[GHOST] = e
+    return True
+
+
+def _not_involution(h, rng):
+    rev = h.reversal or {}
+    e, f = _pick(rng, rev), _pick(rng, rev)
+    if e is None or rev[e] == f:
+        return False
+    rev[e] = f
+    return True
+
+
+def _no_swap(h, rng):
+    rev = h.reversal or {}
+    moved = [e for e, (t, hd) in h.edges.items()
+             if e in rev and t != hd and rev[e] != e]
+    e = _pick(rng, moved)
+    if e is None:
+        return False
+    h.edges[rev[e]] = h.edges[e]
+    return True
+
+
+def _not_total(h, rng):
+    rev = h.reversal or {}
+    e = _pick(rng, rev)
+    if e is None:
+        return False
+    f = rev.pop(e)
+    rev.pop(f, None)
+    return True
+
+
+def _foreign_vertex_label(h, rng):
+    v = _pick(rng, h.vlabel)
+    if v is None:
+        return False
+    h.vlabel[v] = GHOST
+    return True
+
+
+def _foreign_edge_label(h, rng):
+    e = _pick(rng, h.elabel)
+    if e is None:
+        return False
+    h.elabel[e] = GHOST
+    return True
+
+
+def _relabel(h, rng, same_ends):
+    # give an edge another label of the alphabet, with the same ends as
+    # its own or with other ones
+    b = h.label_graph
+    e = _pick(rng, [e for e in h.elabel if e in h.edges])
+    if b is None or e is None:
+        return False
+    lab = h.elabel[e]
+    options = [c for c, ends in b.edges.items() if c != lab
+               and (ends == b.edges.get(lab)) == same_ends]
+    if not options:
+        return False
+    h.elabel[e] = options[rng.randrange(len(options))]
+    return True
+
+
+def _broken_morphism(h, rng):
+    return _relabel(h, rng, False)
+
+
+def _oriented_alphabet(h, rng):
+    b = h.label_graph
+    if b is None or b.reversal is None or h.reversal is None:
+        return False
+    h.label_graph = alphabet(list(b.vlabel), b.edges)
+    return True
+
+
+def _reversal_ignored(h, rng):
+    b = h.label_graph
+    if b is None or b.reversal is None or h.reversal is None:
+        return False
+    return _relabel(h, rng, True)
+
+
+def _reorder(h, rng):
+    # elabel and reversal in another key order than edges, same items
+    for name in ("elabel", "reversal"):
+        d = getattr(h, name)
+        if d is not None and rng.random() < 0.7:
+            items = list(d.items())
+            rng.shuffle(items)
+            setattr(h, name, dict(items))
+    return True
+
+
+def _equal_keys(h, rng):
+    # equal keys that are other objects than the edge ids
+    h.elabel = copy.deepcopy(h.elabel)
+    if h.reversal is not None and rng.random() < 0.5:
+        h.reversal = copy.deepcopy(h.reversal)
+    return True
+
+
+FAULTS = (_dangling, _unlabelled, _stray_label, _unknown_twin,
+          _not_involution, _no_swap, _not_total, _foreign_vertex_label,
+          _foreign_edge_label, _broken_morphism, _oriented_alphabet,
+          _reversal_ignored)
+
+
+def validate_corpus():
+    """Valid graphs from every builder, plus hand-made ones with
+    self-reversed loops and keys in other orders than the edges."""
+    from tilesim.geometry import (cayley_label_graph, dl_label_graph,
+                                  dl_window, quadrant_window, tetrahedron,
+                                  Window)
+    from tilesim.graphs import add_edge_pair, induced_subgraph
+    from tilesim.simulation import decorate_window, random_simulator
+    from tilesim.tilesets import omega_configuration, sea_level_system
+    graphs_ = []
+    windows = [ball(2), tetrahedron(-1, 2), dl_window(2, 3, 0, 2),
+               dl_window(3, 2, -1, 1)]
+    for w in windows[:]:
+        pts = w.points()
+        windows.append(Window(induced_subgraph(w.graph, pts[::3]), w.mode,
+                              w.p, w.q))
+    graphs_ += [w.graph for w in windows]
+    ts = sea_level_system()
+    tet = tetrahedron(-1, 1)
+    decorated = decorate_window(tet, ts, {
+        pt: ts.alphabet.index(omega_configuration(pt)) for pt in tet.points()})
+    comb = comb_tileset()
+    small = ball(1)
+    decorated_comb = decorate_window(small, comb, {
+        pt: i % len(comb.tiles) for i, pt in enumerate(small.points())})
+    graphs_ += [decorated, decorated.label_graph, decorated_comb,
+                decorated_comb.label_graph]
+    rng = random.Random(15)
+    for a, b in ((cayley_label_graph(), plane_label_graph()),
+                 (plane_label_graph(), cayley_label_graph())):
+        s = random_simulator(rng, a, b)
+        graphs_ += [s.graph, s.graph.label_graph]
+    graphs_ += [plane_window(0, 2, 0, 1), quadrant_window(3, 2),
+                cayley_label_graph(), dl_label_graph(2, 3),
+                wang_to_dhs(comb).graph]
+    for unoriented in (True, False, True, True):
+        a = random_alphabet(rng, unoriented)
+        graphs_ += [a, random_labelled(rng, a, 5, 6)]
+    # self-reversed loops between twins written by add_edge_pair
+    half = alphabet([1], {"h": (1, 1), "s": (1, 1), "t": (1, 1)},
+                    {"h": "h", "s": "t", "t": "s"})
+    edges, elabel, rev = {}, {}, {}
+    for i in range(4):
+        edges[("h", i)] = (i, i)
+        elabel[("h", i)] = "h"
+        rev[("h", i)] = ("h", i)
+        add_edge_pair(edges, elabel, rev, ("s", i), ("t", i), i,
+                      (i + 1) % 4, "s", "t")
+    graphs_ += [half, labelled(half, {i: 1 for i in range(4)}, edges, elabel,
+                               rev)]
+    return graphs_
+
+
+def test_validate_raises_what_the_reference_raises():
+    rng = random.Random(1515)
+    seen = set()
+    for g in validate_corpus():
+        cases = [graph_copy(g)]
+        for fault in FAULTS + (_reorder, _equal_keys):
+            for _ in range(2):
+                h = graph_copy(g)
+                if fault(h, rng):
+                    cases.append(h)
+        for _ in range(12):
+            # two faults, or a fault in reordered dicts, to pin the order
+            # in which faults are raised
+            h = graph_copy(g)
+            for fault in rng.sample(FAULTS + (_reorder, _equal_keys), 2):
+                fault(h, rng)
+            cases.append(h)
+        for h in cases:
+            want = validate_outcome(reference_validate, h)
+            assert validate_outcome(graphs.validate, h) == want
+            if want is not None:
+                assert want[0] == "ValueError"
+                seen.add(message_kind(want[1]))
+        assert validate_outcome(graphs.validate, g) is None
+    assert seen == set(VALIDATE_MESSAGES)
+
+
 # -- pullback ----------------------------------------------------------------
 
 
