@@ -172,7 +172,9 @@ def dl_collapse_label(label):
 
 def alphabet_label_graph(symbols, base):
     """Alphabet for graphs decorated by a symbol per vertex: one vertex per
-    symbol, one (s, g, t)-edge per symbol pair and base-alphabet edge g."""
+    symbol, one (s, g, t)-edge per symbol pair and base-alphabet edge g.
+    Unchecked: it is an alphabet for any symbols, as base's reversal g -> g'
+    is an involution, and so is (s, g, t) -> (t, g', s)."""
     spec = {}
     rev = {} if base.reversal is not None else None
     symbols = sorted(symbols, key=repr)
@@ -182,7 +184,8 @@ def alphabet_label_graph(symbols, base):
                 spec[(s, g, t)] = (s, t)
                 if rev is not None:
                     rev[(s, g, t)] = (t, base.reversal[g], s)
-    return alphabet(symbols, spec, rev)
+    return LabelGraph._trusted({s: s for s in symbols}, spec,
+                               {e: e for e in spec}, rev, None)
 
 
 # -- windows -----------------------------------------------------------------
@@ -229,7 +232,9 @@ def _induced_graph(points, label_graph, forward):
     (label, reversed label, neighbour) triples, one per edge pair; each
     neighbour inside gets the edge (pt, label) and its reversed twin
     (neighbour, reversed label).  Endpoints are the points' own objects, so
-    later lookups of an endpoint compare by identity."""
+    later lookups of an endpoint compare by identity.  Unchecked: every
+    caller's forward steps by a generator, injectively, with an edge pair of
+    label_graph over its one vertex 1, so ids are distinct and twins swap."""
     own = {pt: pt for pt in points}
     vlabel = dict.fromkeys(own, 1)
     edges = {}
@@ -241,7 +246,7 @@ def _induced_graph(points, label_graph, forward):
             if im is not None:
                 add_edge_pair(edges, elabel, rev, (pt, lab), (im, rlab),
                               pt, im, lab, rlab)
-    return LabelGraph(vlabel, edges, elabel, rev, label_graph)
+    return LabelGraph._trusted(vlabel, edges, elabel, rev, label_graph)
 
 
 def _cayley_window(points, budget):

@@ -66,6 +66,15 @@ class LabelGraph:
     def __post_init__(self):
         validate(self)
 
+    @classmethod
+    def _trusted(cls, vlabel, edges, elabel, reversal, label_graph):
+        """A LabelGraph from a builder whose output meets the axioms for
+        every input it accepts; nothing is checked."""
+        g = cls.__new__(cls)
+        g.vlabel, g.edges, g.elabel = vlabel, edges, elabel
+        g.reversal, g.label_graph = reversal, label_graph
+        return g
+
     # -- small conveniences ------------------------------------------------
 
     def vertices(self):
@@ -93,131 +102,62 @@ class LabelGraph:
         return min(e, self.reversal[e], key=skey)
 
 
-_MISSING = object()
-
-
-def _same_keys(d, edges):
-    """Whether dict d holds the very keys of edges, in the same order."""
-    return len(d) == len(edges) and all(map(operator.is_, d, edges))
-
-
 def _edge_labels(g):
-    """g.elabel's labels in g.edges order, _MISSING for an unlabelled edge.
-    Every builder writes the two dicts with the same keys in the same
-    order, and then this is elabel.values() itself, read by position."""
-    if _same_keys(g.elabel, g.edges):
-        return g.elabel.values()
-    return map(g.elabel.get, g.edges, itertools.repeat(_MISSING))
+    """g.elabel's labels in g.edges order.  Every builder writes the two
+    dicts with the same keys in the same order, and then this is
+    elabel.values() itself, read by position."""
+    elabel, edges = g.elabel, g.edges
+    if len(elabel) == len(edges) and all(map(operator.is_, elabel, edges)):
+        return elabel.values()
+    return map(elabel.__getitem__, edges)
 
 
 def validate(g):
-    """Check the graph axioms; raise ValueError on violation.
-
-    One ordered pass over g.edges reads each edge's label by position
-    (_edge_labels) and each endpoint's vertex label once, and checks a
-    reversed twin by position when it is the next item of both g.edges and
-    g.reversal, as add_edge_pair writes them; any other label or twin is
-    looked up.  A fault found in the pass is kept and raised where the
-    checks, run one after another, first meet it: dangling endpoints and
-    missing labels in edge order, labels of unknown edges, reversal faults
-    in reversal order, then (over an alphabet) unknown vertex labels, edge
-    labels and the morphism in edge order, and labels that ignore reversal
-    in reversal order."""
-    edges, elabel, rev, b = g.edges, g.elabel, g.reversal, g.label_graph
-    vget = g.vlabel.get
-    bget = b.edges.get if b is not None else None
-    brev = b.reversal if b is not None and rev is not None else None
-    by_position = rev is not None and _same_keys(rev, edges)
-    twins = rev.values() if by_position else itertools.repeat(None)
-    label_fault = rev_fault = ignored = None
-    pending = None  # the previous edge, its twin not yet checked
-    for (e, th), lab, f in zip(edges.items(), _edge_labels(g), twins):
-        t, h = th
-        lt = vget(t, _MISSING)
-        lh = vget(h, _MISSING)
-        if lt is _MISSING or lh is _MISSING:
+    """Check the graph axioms one after another; raise ValueError at the
+    first violation."""
+    for e, (t, h) in g.edges.items():
+        if t not in g.vlabel or h not in g.vlabel:
             raise ValueError("edge %r has a dangling endpoint" % (e,))
-        if lab is _MISSING:
+        if e not in g.elabel:
             raise ValueError("edge %r has no label" % (e,))
-        if bget is not None and label_fault is None:
-            ends = bget(lab, _MISSING)
-            if ends is _MISSING:
-                label_fault = "edge %r labelled by unknown %r" % (e, lab)
-            else:
-                bt, bh = ends
-                if lt != bt or lh != bh:
-                    label_fault = ("labelling of edge %r is not a morphism"
-                                   % (e,))
-        if not by_position or rev_fault is not None:
-            continue
-        if pending is not None:
-            pe, pth, plab, pf = pending
-            pending = None
-            if pf is e and f is pe:
-                if th != (pth[1], pth[0]):
-                    rev_fault = ("reversal of %r does not swap endpoints"
-                                 % (pe,))
-                elif (brev is not None and ignored is None
-                      and lab != brev.get(plab, _MISSING)):
-                    # b's reversal is an involution, so e's labels follow
-                    # it when pe's do
-                    ignored = pe
-                continue
-            rev_fault, ignored = _twin_faults(g, brev, pe, pf, ignored)
-        pending = (e, th, lab, f)
-    if pending is not None and rev_fault is None:
-        rev_fault, ignored = _twin_faults(g, brev, pending[0], pending[3],
-                                          ignored)
-    if not _same_keys(elabel, edges) and set(elabel) != set(edges):
+    if set(g.elabel) != set(g.edges):
         raise ValueError("elabel keys differ from edge ids")
-    if rev is not None:
-        if rev_fault is not None:
-            raise ValueError(rev_fault)
-        if not by_position:
-            for e, f in rev.items():
-                rev_fault, ignored = _twin_faults(g, brev, e, f, ignored)
-                if rev_fault is not None:
-                    raise ValueError(rev_fault)
-            if set(rev) != set(edges):
-                raise ValueError("reversal is not total on edges")
+    if g.reversal is not None:
+        for e, f in g.reversal.items():
+            if e not in g.edges or f not in g.edges:
+                raise ValueError("reversal mentions unknown edge")
+            if g.reversal.get(f) != e:
+                raise ValueError("reversal is not an involution at %r" % (e,))
+            if g.edges[f] != (g.edges[e][1], g.edges[e][0]):
+                raise ValueError("reversal of %r does not swap endpoints" % (e,))
+        if set(g.reversal) != set(g.edges):
+            raise ValueError("reversal is not total on edges")
+    b = g.label_graph
     if b is None:
         # Alphabet graph: cells are labelled by their own ids.
         for v, lab in g.vlabel.items():
             if lab != v:
                 raise ValueError("alphabet vertex %r not self-labelled" % (v,))
-        for e, lab in elabel.items():
+        for e, lab in g.elabel.items():
             if lab != e:
                 raise ValueError("alphabet edge %r not self-labelled" % (e,))
         return
     for v, lab in g.vlabel.items():
         if lab not in b.vlabel:
             raise ValueError("vertex %r labelled by unknown %r" % (v, lab))
-    if label_fault is not None:
-        raise ValueError(label_fault)
-    if rev is not None:
+    for e, (t, h) in g.edges.items():
+        lab = g.elabel[e]
+        if lab not in b.edges:
+            raise ValueError("edge %r labelled by unknown %r" % (e, lab))
+        bt, bh = b.edges[lab]
+        if g.vlabel[t] != bt or g.vlabel[h] != bh:
+            raise ValueError("labelling of edge %r is not a morphism" % (e,))
+    if g.reversal is not None:
         if b.reversal is None:
             raise ValueError("unoriented graph over an oriented alphabet")
-        if ignored is not None:
-            raise ValueError("labelling of %r ignores reversal" % (ignored,))
-
-
-def _twin_faults(g, brev, e, f, ignored):
-    """validate's checks of the reversal entry e -> f, by lookup: its
-    reversal fault or None, and ignored, or e when ignored is None and the
-    labels of e and f do not follow the alphabet's reversal brev (None when
-    not checked).  A label still missing here is a fault the pass raises
-    first."""
-    edges = g.edges
-    if e not in edges or f not in edges:
-        return "reversal mentions unknown edge", ignored
-    if g.reversal.get(f) != e:
-        return "reversal is not an involution at %r" % (e,), ignored
-    if edges[f] != (edges[e][1], edges[e][0]):
-        return "reversal of %r does not swap endpoints" % (e,), ignored
-    if (ignored is None and brev is not None and g.elabel.get(f, _MISSING)
-            != brev.get(g.elabel.get(e), _MISSING)):
-        ignored = e
-    return None, ignored
+        for e, f in g.reversal.items():
+            if g.elabel[f] != b.reversal[g.elabel[e]]:
+                raise ValueError("labelling of %r ignores reversal" % (e,))
 
 
 def alphabet(vertex_names, edge_spec, reversal=None):
@@ -917,14 +857,21 @@ def _local_keys(homs):
                tuple(zip(ekeys, eperm(tuple(f.emap.values())))))
 
 
+# A key's items are in skey order of their fibre cells (side, x): by side
+# letter, F < H < R < T, then by x.  Renaming a side keeps its block's
+# order, so side and swap keys need no sort; a swap trades the two blocks.
+
+
 def _side_key(key, side):
-    return _local_key((("T", u2), img) for (s, u2), img in key[0] if s == side)
+    return tuple((("T", u2), img) for (s, u2), img in key[0] if s == side), ()
 
 
 def _swap_key(key):
-    vitems, eitems = key
-    return _local_key((((_OTHER_SIDE[s], x), img) for (s, x), img in vitems),
-                      (((_OTHER_SIDE[s], x), img) for (s, x), img in eitems))
+    return tuple(
+        tuple(((_OTHER_SIDE[s], x), img) for (s, x), img in items if s in "TR")
+        + tuple(((_OTHER_SIDE[s], x), img) for (s, x), img in items
+                if s in "HF")
+        for items in key)
 
 
 def curry(lam, g1, g2, alpha, expg):

@@ -576,13 +576,17 @@ def gwa_to_simulator(gwa):
 def relabel_graph(g, symbol_of, symbols):
     """Redecorate a labelled graph by a symbol per vertex; edge labels
     become (tail symbol, old label, head symbol) over the matching decorated
-    alphabet."""
+    alphabet.  Unchecked once each symbol is found in symbols: g meets the
+    axioms, so every new label is an alphabet cell and follows reversal."""
     a = alphabet_label_graph(tuple(symbols), g.label_graph)
     vlabel = {v: symbol_of(v) for v in g.vlabel}
+    for v, sym in vlabel.items():
+        if sym not in a.vlabel:
+            raise ValueError("vertex %r labelled by unknown %r" % (v, sym))
     elabel = {e: (vlabel[t], lab, vlabel[h])
               for (e, (t, h)), lab in zip(g.edges.items(), _edge_labels(g))}
     rev = dict(g.reversal) if g.reversal is not None else None
-    return LabelGraph(vlabel, dict(g.edges), elabel, rev, a)
+    return LabelGraph._trusted(vlabel, dict(g.edges), elabel, rev, a)
 
 
 def decorate_window(window, ts, assignment):

@@ -9,13 +9,16 @@ from tilesim.geometry import (
     GroupPoint, alphabet_label_graph, ball, boundary_vertices, canonical,
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
     dl_label_graph, dl_step, dl_window, evaluate_word, identity,
-    interior_vertices, inverse, multiply, plane_window, point_neighbors,
-    quadrant_window, step, tetrahedron, window_cells, GENERATORS, Window)
+    interior_vertices, inverse, multiply, plane_label_graph, plane_window,
+    point_neighbors, quadrant_label_graph, quadrant_window, step,
+    tetrahedron, window_cells, GENERATORS, Window)
 from tilesim.graphs import (CapacityError, LabelGraph, add_edge_pair,
                             induced_subgraph, skey, validate)
+from tilesim.simulation import decorate_window, relabel_graph
 from tilesim.tilesets import (DhsTarget, _swap, comb_tileset,
-                              random_wang_tileset, wang_to_dhs,
-                              window_scopes)
+                              decoration_symbols, dl_ray_system,
+                              random_wang_tileset, sea_level_system,
+                              wang_to_dhs, window_scopes)
 
 
 def word_oracle(word):
@@ -520,3 +523,76 @@ def test_cells_and_scopes_read_off_edge_ids_match_the_references():
     # the readings see complete cells and edges, not only empty lists
     assert len(geometry._complete_cells(tetrahedron(-2, 2))) == 4 * 2 ** 3
     assert len(geometry._complete_cells(dl_window(3, 3, -1, 2))) == 27
+
+
+# -- builders that skip validate ------------------------------------------------
+
+
+def test_trusted_builders_meet_the_axioms():
+    # _induced_graph (ball, tetrahedron, dl_window), alphabet_label_graph
+    # and relabel_graph (decorate_window) build without validate; what they
+    # build must pass it on every window kind and base alphabet, decorated
+    # by Wang, cell, DL and hom-shift systems.
+    rng = random.Random(16)
+    comb = comb_tileset()
+    cayley = [ball(2), tetrahedron(-2, 2)]
+    dl = [dl_window(p, q, -1, 1)
+          for p, q in ((2, 2), (2, 3), (3, 2), (3, 3))]
+    systems = [(w, ts) for w in cayley
+               for ts in (comb, sea_level_system(), wang_to_dhs(comb))]
+    systems += [(w, ts) for w in dl
+                for ts in (dl_ray_system(w.p, w.q),
+                           random_dl_target(rng, w.p, w.q))]
+    decorated = []
+    for w, ts in systems:
+        n = len(decoration_symbols(ts))
+        decorated.append(decorate_window(
+            w, ts, {pt: rng.randrange(n) for pt in w.points()}))
+    symbols = ("x", 0, (1, "y"))
+    grids = [plane_window(0, 2, 0, 2), quadrant_window(3, 2)]
+    for g in grids:
+        decorated.append(relabel_graph(g, lambda v: rng.choice(symbols),
+                                       symbols))
+    bases = [w.graph.label_graph for w in cayley + dl]
+    bases += [g.label_graph for g in grids]
+    assert bases[:2] == [cayley_label_graph()] * 2
+    assert bases[2:] == [dl_label_graph(w.p, w.q) for w in dl] + [
+        plane_label_graph(), quadrant_label_graph()]
+    for w in cayley + dl:
+        validate(w.graph)
+    for g in decorated:
+        validate(g)
+        validate(g.label_graph)
+
+
+def test_relabel_graph_names_the_first_vertex_with_an_unknown_symbol():
+    g = ball(1).graph
+    bad = set(list(g.vlabel)[1::2])
+    first = next(v for v in g.vlabel if v in bad)
+    with pytest.raises(ValueError) as err:
+        relabel_graph(g, lambda v: "z" if v in bad else "x", ("x", "y"))
+    assert str(err.value) == "vertex %r labelled by unknown %r" % (first, "z")
+
+
+def test_scopes_of_an_induced_subwindow_are_scopes_of_the_window():
+    # An induced subwindow keeps only scopes of the window, so a subwindow
+    # with no tiling shows that the window has none.
+    rng = random.Random(17)
+    comb = comb_tileset()
+    cases = [(w, ts) for w in (ball(2), tetrahedron(-2, 2))
+             for ts in (comb, sea_level_system(), wang_to_dhs(comb))]
+    cases += [(w, ts) for p, q in ((2, 2), (2, 3), (3, 2), (3, 3))
+              for w in [dl_window(p, q, -1, 1)]
+              for ts in (dl_ray_system(p, q), random_dl_target(rng, p, q))]
+    for w, ts in cases:
+        scopes = set(window_scopes(ts, w))
+        pts = w.points()
+        kept = 0
+        for _ in range(8):
+            share = rng.choice((0.5, 0.8, 0.95))
+            keep = [pt for pt in pts if rng.random() < share]
+            sub = Window(induced_subgraph(w.graph, keep), w.mode, w.p, w.q)
+            sub_scopes = window_scopes(ts, sub)
+            assert set(sub_scopes) <= scopes
+            kept += len(sub_scopes)
+        assert kept

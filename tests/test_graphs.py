@@ -9,12 +9,14 @@ import tracemalloc
 import pytest
 
 from tilesim import graphs
-from tilesim.geometry import ball, plane_label_graph, plane_window
+from tilesim.geometry import (PLANE_INVERSE, ball, plane_label_graph,
+                              plane_window)
 from tilesim.graphs import (
     _vertex_order,
     CapacityError,
     LabelGraph,
     Morphism,
+    add_edge_pair,
     alpha_pullback,
     alphabet,
     base_of_subdivision,
@@ -41,8 +43,10 @@ from tilesim.graphs import (
     validate_morphism,
     vertex_blowup,
 )
+from tilesim.reduction import tileset_exponential
 from tilesim.sat import exact_count
-from tilesim.tilesets import WangTileset, comb_tileset, wang_to_dhs
+from tilesim.simulation import builtin_simulator
+from tilesim.tilesets import DhsTarget, WangTileset, comb_tileset, wang_to_dhs
 
 
 def two_vertex_alphabet():
@@ -689,6 +693,143 @@ def test_adjunction_random_triples_with_roundtrip():
             assert back.vmap == rho.vmap and back.emap == rho.emap
         done += 1
     assert done >= 20
+
+
+def random_alpha(rng, a, g2b):
+    """A random labelling of g2b into the alphabet a that commutes with
+    reversal, or None when some edge of g2b has no candidate image."""
+    unor = g2b.reversal is not None
+    avmap = {v: rng.choice(a.vertices()) for v in g2b.vlabel}
+    aemap = {}
+    for e in g2b.edge_ids():
+        if e in aemap:
+            continue
+        t, h = g2b.edges[e]
+        cands = [c for c in a.edge_ids()
+                 if a.edges[c] == (avmap[t], avmap[h])]
+        if unor and g2b.reversal[e] == e:
+            cands = [c for c in cands if a.reversal[c] == c]
+        if not cands:
+            return None
+        c = rng.choice(cands)
+        aemap[e] = c
+        if unor:
+            aemap[g2b.reversal[e]] = a.reversal[c]
+    return Morphism(avmap, aemap, g2b, a)
+
+
+def test_adjunction_round_trips_through_pullback_edges():
+    # curry and uncurry on triples whose pullback has edges, so that the
+    # edge images of both directions are built and compared too
+    rng = random.Random(2)
+    with_edges = with_homs = 0
+    for _attempt in range(2000):
+        if with_homs >= 12:
+            break
+        unor = rng.random() < 0.5
+        a = random_alphabet(rng, unor)
+        b = random_alphabet(rng, unor)
+        g1 = random_labelled(rng, a, max_v=3, max_e=3)
+        g2b = random_labelled(rng, b, max_v=3, max_e=3)
+        g3 = random_labelled(rng, b, max_v=3, max_e=4)
+        alpha = random_alpha(rng, a, g2b)
+        if alpha is None:
+            continue
+        prod = alpha_pullback(g1, g2b, alpha)
+        if not prod.edges:
+            continue
+        try:
+            expg = exponential(g3, g2b, alpha, max_cells=3000)
+        except CapacityError:
+            continue
+        with_edges += 1
+        lhs = enumerate_homs(prod, g3)
+        rhs = enumerate_homs(g1, expg)
+        assert len(lhs) == len(rhs)
+        with_homs += bool(lhs)
+        for lam in lhs:
+            rho = curry(lam, g1, g2b, alpha, expg)
+            back = uncurry(rho, g1, g2b, alpha, g3)
+            assert back.emap and back.emap == lam.emap
+            assert back.vmap == lam.vmap
+        for rho in rhs:
+            lam = uncurry(rho, g1, g2b, alpha, g3)
+            back = curry(lam, g1, g2b, alpha, expg)
+            assert back.vmap == rho.vmap and back.emap == rho.emap
+    assert with_homs >= 12 and with_edges > with_homs
+
+
+def sorted_side_key(key, side):
+    """_side_key by its definition: the side's vertex items renamed T, then
+    sorted."""
+    return graphs._local_key((("T", u2), img) for (s, u2), img in key[0]
+                             if s == side)
+
+
+def sorted_swap_key(key):
+    """_swap_key by its definition: T and H, F and R renamed, then sorted."""
+    other = {"T": "H", "H": "T", "F": "R", "R": "F"}
+    return graphs._local_key(
+        *[[((other[s], x), img) for (s, x), img in items] for items in key])
+
+
+def assert_edge_keys_match_sorting(e):
+    """Each edge cell's side and swap keys equal the sorted definitions;
+    returns how many edge cells were compared."""
+    for k, _c in e.edges:
+        assert graphs._side_key(k, "T") == sorted_side_key(k, "T")
+        assert graphs._side_key(k, "H") == sorted_side_key(k, "H")
+        if e.reversal is not None:
+            assert graphs._swap_key(k) == sorted_swap_key(k)
+    return len(e.edges)
+
+
+def plane_target(edges):
+    """A two-vertex target over the plane alphabet: each (t, d, h) and its
+    reversed twin, as the reduction tests build them."""
+    es, el, rev = {}, {}, {}
+    for t, d, h in edges:
+        di = PLANE_INVERSE[d]
+        add_edge_pair(es, el, rev, (t, d, h), (h, di, t), t, h, d, di)
+    return DhsTarget(LabelGraph({0: 1, 1: 1}, es, el, rev,
+                                plane_label_graph()))
+
+
+def test_side_and_swap_keys_match_their_sorting_definition():
+    # every exponential the tests build: the graph exponentials above and
+    # the tileset exponentials of the reduction tests
+    s = builtin_simulator("quadrant_to_plane")
+    rng = random.Random(20260814)
+    pool = [(t, d, h) for d in ("E", "N") for t in range(2)
+            for h in range(2)]
+    targets = [plane_target(rng.sample(pool, rng.randrange(1, len(pool) + 1)))
+               for _ in range(12)]
+    targets += [plane_target([(0, "E", 0), (0, "N", 0)]),
+                plane_target([(0, "E", 0)])]
+    cells = sum(assert_edge_keys_match_sorting(tileset_exponential(f, s).graph)
+                for f in targets)
+    assert cells > 500
+    a = rose(["c"])
+    b = alphabet(["b0"], {})
+    g2 = LabelGraph({0: "b0"}, {}, {}, None, b)
+    loop = exponential(labelled(b, {"p": "b0", "q": "b0"}, {}, {}), g2,
+                       Morphism({0: 1}, {}, g2, a))
+    exps = [exponential(plane_window(0, 1, 0, 1), plane_window(0, 1, 0, 0)),
+            loop]
+    rng = random.Random(2)
+    while len(exps) < 30:
+        unor = rng.random() < 0.5
+        a = random_alphabet(rng, unor)
+        b = random_alphabet(rng, unor)
+        g2b = random_labelled(rng, b, max_v=3, max_e=3)
+        g3 = random_labelled(rng, b, max_v=3, max_e=4)
+        alpha = random_alpha(rng, a, g2b)
+        if alpha is not None:
+            try:
+                exps.append(exponential(g3, g2b, alpha, max_cells=3000))
+            except CapacityError:
+                pass
+    assert sum(map(assert_edge_keys_match_sorting, exps)) > 1000
 
 
 # -- path subdivision, flat, sharp --------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from tilesim.geometry import (
     alphabet_label_graph, ball, boundary_vertices, cayley_label_graph,
-    evaluate_word, grid_patch, identity, interior_vertices,
+    dl_label_graph, evaluate_word, grid_patch, identity, interior_vertices,
     plane_label_graph, plane_window, quadrant_label_graph, quadrant_window,
     tetrahedron)
 from tilesim.graphs import (
@@ -671,6 +671,18 @@ def test_simulator_round_trips_with_hash_in_symbols():
                                                 cayley_label_graph()))
     s2 = simulator_from_text(simulator_to_text(s))
     assert s2.graph == s.graph and s2.alpha == s.alpha
+
+
+def test_dl_simulators_round_trip_through_text():
+    # the dl p q alphabet lines, bare and with decoration symbols
+    for a, line in ((dl_label_graph(2, 3), "alpha dl 2 3"),
+                    (alphabet_label_graph((0, "x#"), dl_label_graph(3, 2)),
+                     "alpha dl 3 2")):
+        s = identity_simulator(a)
+        text = simulator_to_text(s)
+        assert line in text.splitlines()
+        s2 = simulator_from_text(text)
+        assert s2.graph == s.graph and s2.alpha == s.alpha
 
 
 @pytest.mark.parametrize("line", ["alpha", "alpha dl 2"])
