@@ -198,16 +198,54 @@ class Window:
 
     Induced: every edge of the Cayley or DL graph between two window
     points is a window edge.  Each edge t -> h labelled lab has the id
-    (t, lab), and its reversed twin the id (h, reversed lab); cells and
-    scopes are read off these ids (_complete_cells, window_scopes)."""
+    (t, lab), and its reversed twin the id (h, reversed lab).
+
+    The window is numbered once, when it is made, and every layer above
+    reads that form instead of sorting or hashing the points again:
+    _points, the points in skey order (points()); _index, point ->
+    number; _heads, label -> int row whose i-th entry is the head number
+    of the edge (point i, label), or -1; and _cells, each complete
+    height-1 cell as a tuple of point numbers, dl_cell_points of its base
+    (lower points first, the base itself first), bases in point order.
+    So a window's graph must not be changed after the window is made."""
 
     graph: LabelGraph
     mode: str  # "cayley" or "dl"
     p: int = 2
     q: int = 2
 
+    def __post_init__(self):
+        g = self.graph
+        self._points = pts = tuple(sorted(g.vlabel, key=skey))
+        self._index = index = {pt: i for i, pt in enumerate(pts)}
+        self._heads = heads = {lab: [-1] * len(pts) for lab in
+                               sorted(g.label_graph.edges, key=skey)}
+        for (t, lab), (_, h) in g.edges.items():
+            heads[lab][index[t]] = index[h]
+        # a cell's upper points are the heads of up(0,j) out of its base,
+        # its lower points those of dn(i,0) out of the first upper point;
+        # on a Cayley window these labels read as a/b and A/B
+        ups = [("up", 0, j) for j in range(self.q)]
+        downs = [("dn", i, 0) for i in range(self.p)]
+        if self.mode == "cayley":
+            ups = [dl_collapse_label(lab) for lab in ups]
+            downs = [dl_collapse_label(lab) for lab in downs]
+        ups = [heads[lab] for lab in ups]
+        downs = [heads[lab] for lab in downs]
+        cells = []
+        for b, pt in enumerate(pts):
+            if pt.digit(pt.marker):
+                continue
+            upper = [row[b] for row in ups]
+            if min(upper) < 0:
+                continue
+            lower = [row[upper[0]] for row in downs]
+            if min(lower) >= 0:
+                cells.append(tuple(lower + upper))
+        self._cells = cells
+
     def points(self):
-        return self.graph.vertices()
+        return self._points
 
     def __contains__(self, pt):
         return pt in self.graph.vlabel
@@ -328,32 +366,36 @@ def dl_window(p, q, lo, hi, budget=500000):
     return Window(g, "dl", p, q)
 
 
-def boundary_vertices(window):
-    """Window vertices with at least one graph neighbour outside: those with
-    fewer edges out in the window than the full degree, 4 on a Cayley
-    window and p + q on a DL window."""
+def _inside(window, d):
+    """Per point number, whether all its walks of length <= d stay inside
+    the window: the first round drops the boundary, the points with fewer
+    edges out in the window than the full degree (4 on a Cayley window,
+    p + q on a DL window), and each later one the points with a window
+    neighbour (an edge's head) dropped before."""
+    nbrs = [[] for _ in window._points]
+    for row in window._heads.values():
+        for i, h in enumerate(row):
+            if h >= 0:
+                nbrs[i].append(h)
+    if d <= 0:
+        return [True] * len(nbrs)
     degree = 4 if window.mode == "cayley" else window.p + window.q
-    out_edges = dict.fromkeys(window.graph.vlabel, 0)
-    for t, _ in window.graph.edges.values():
-        out_edges[t] += 1
-    return {pt for pt, n in out_edges.items() if n < degree}
+    inside = [len(hs) >= degree for hs in nbrs]
+    for _ in range(d - 1):
+        inside = [ok and all([inside[h] for h in hs])
+                  for ok, hs in zip(inside, nbrs)]
+    return inside
+
+
+def boundary_vertices(window):
+    """Window vertices with at least one graph neighbour outside."""
+    return {pt for pt, ok in zip(window._points, _inside(window, 1))
+            if not ok}
 
 
 def interior_vertices(window, d):
-    """Vertices all of whose walks of length <= d stay inside the window:
-    the first round drops the boundary, and each later one the points with
-    a window neighbour (an edge's head) dropped before."""
-    vlabel = window.graph.vlabel
-    if d <= 0:
-        return set(vlabel)
-    adj = {pt: [] for pt in vlabel}
-    for t, h in window.graph.edges.values():
-        adj[t].append(h)
-    current = set(vlabel) - boundary_vertices(window)
-    for _ in range(d - 1):
-        current = {pt for pt in current
-                   if all(im in current for im in adj[pt])}
-    return current
+    """Vertices all of whose walks of length <= d stay inside the window."""
+    return {pt for pt, ok in zip(window._points, _inside(window, d)) if ok}
 
 
 # -- height-1 cells -----------------------------------------------------------
@@ -389,36 +431,10 @@ def dl_cell_points(g):
 def window_cells(window):
     """Base points of the complete cells inside the window, sorted by repr.
     A base is a point with digit 0 at its marker position, and its cell is
-    dl_cell_points(base), in Cayley and DL windows alike.  The cells are
-    read off the window's (tail, label) edge ids (_complete_cells), not
-    rebuilt point by point."""
-    return [base for base, _, _ in _complete_cells(window)]
-
-
-def _complete_cells(window):
-    """(base, lower, upper) for each window_cells base, in its order, read
-    off the window's (tail, label) edge ids: upper[j] is the head of
-    (base, up(0,j)) and lower[i] the head of (upper[0], dn(i,0)), with the
-    labels read as a/b and A/B on a Cayley window.  The window is induced,
-    so the cell is complete when all these edges are there."""
-    ups = [("up", 0, j) for j in range(window.q)]
-    downs = [("dn", i, 0) for i in range(window.p)]
-    if window.mode == "cayley":
-        ups = [dl_collapse_label(lab) for lab in ups]
-        downs = [dl_collapse_label(lab) for lab in downs]
-    get = window.graph.edges.get
-    out = []
-    for g in sorted((g for g in window.graph.vlabel if not g.digit(g.marker)),
-                    key=skey):
-        upper = [get((g, lab)) for lab in ups]
-        if None in upper:
-            continue
-        lower = [get((upper[0][1], lab)) for lab in downs]
-        if None in lower:
-            continue
-        out.append((g, tuple(h for _, h in lower),
-                    tuple(h for _, h in upper)))
-    return out
+    dl_cell_points(base), in Cayley and DL windows alike; the cells are
+    read off the window's edges once, when the window is made."""
+    pts = window._points
+    return [pts[cell[0]] for cell in window._cells]
 
 
 # -- grid windows ---------------------------------------------------------------

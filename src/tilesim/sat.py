@@ -26,8 +26,10 @@ the clause list.
 exact_count() counts by variable elimination, independently of both.
 
 encode, the engine and exact_count share one numbered form of an instance
-(_instance), so points, candidates, scopes and seeds are numbered and the
-seeds checked in one place.
+(_instance), so candidates, scopes and seeds are numbered and the seeds
+checked in one place.  _instance reads the window's own numbered form (see
+Window), made once with the window: its points, point numbers, edge rows
+and cells are not sorted or hashed again per call.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import collections
 from dataclasses import dataclass, field
 import itertools
 
-from .geometry import GroupPoint, canonical, interior_vertices
-from .graphs import skey, CapacityError, _tuple_getter
-from .tilesets import tile_label, vertex_candidates, window_scopes
+from .geometry import GroupPoint, canonical, _inside
+from .graphs import CapacityError, _tuple_getter
+from .tilesets import tile_label, _candidates, _scopes
 
 
 @dataclass
@@ -79,12 +81,12 @@ def _point_str(pt):
 
 
 def _instance(window, ts, seeds):
-    """(points, index, cands, scopes, pins): window.points() (so numbers
-    follow skey order), point -> number, each point's candidate tuple,
-    window_scopes over point numbers, and the tileset's then the extra
-    seeds as (number, tile).  A seed outside the window is a ValueError."""
-    pts = window.points()
-    index = {pt: i for i, pt in enumerate(pts)}
+    """(points, index, cands, scopes, pins), read off the window's numbered
+    form: window.points() (so numbers follow skey order), point -> number,
+    each point's candidate tuple, window_scopes over point numbers, and the
+    tileset's then the extra seeds as (number, tile).  A seed outside the
+    window is a ValueError."""
+    index = window._index
     pins = []
     for pt, t in tuple(ts.seeds) + tuple(seeds):
         i = index.get(pt)
@@ -92,10 +94,8 @@ def _instance(window, ts, seeds):
             raise ValueError("seed %s lies outside the window"
                              % _point_str(pt))
         pins.append((i, t))
-    cands = [tuple(vertex_candidates(ts, window, pt)) for pt in pts]
-    scopes = [(tuple([index[v] for v in scope]), allowed)
-              for scope, allowed in window_scopes(ts, window)]
-    return pts, index, cands, scopes, pins
+    return (window.points(), index, _candidates(ts, window),
+            _scopes(ts, window), pins)
 
 
 _PAIRWISE_LIMIT = 8
@@ -546,14 +546,15 @@ def solver_for(cnf):
 
 
 def _decode(cnf, model, window):
-    values = {}
-    for pt in window.points():
-        values[pt] = None
-    for var, (pt, t) in cnf.meaning.items():
-        if model.get(var):
-            if values.get(pt) is not None:
-                raise ValueError("two tiles at %s" % _point_str(pt))
-            values[pt] = t
+    """The tiling a model sets, read in variable order: the first point
+    given a second tile is an error, then the first point with none."""
+    values = dict.fromkeys(window.points())
+    meaning = cnf.meaning
+    for pt, t in itertools.compress(meaning.values(),
+                                    map(model.get, meaning)):
+        if values.get(pt) is not None:
+            raise ValueError("two tiles at %s" % _point_str(pt))
+        values[pt] = t
     missing = [pt for pt, t in values.items() if t is None]
     if missing:
         raise ValueError("no tile at %s" % _point_str(missing[0]))
@@ -768,23 +769,22 @@ def forced_values(window, ts, seeds=(), d=2):
     point the empty tuple.
     """
     eng = _Domains(window, ts, seeds)
-    inner = sorted(interior_vertices(window, d), key=skey)
-    at = [(pt, eng.index[pt]) for pt in inner]
-    feasible = dict.fromkeys(inner, 0)
+    inner = [i for i, ok in enumerate(_inside(window, d)) if ok]
+    feasible = [0] * len(eng.dom)
 
     def harvest(model):
-        for pt, i in at:
-            feasible[pt] |= 1 << model[i]
+        for i in inner:
+            feasible[i] |= 1 << model[i]
 
     root = len(eng.trail)
     model = next(eng.search(), None)
     eng.undo(root)
     if model is not None:
         harvest(model)
-        for pt, i in at:
-            # a probe's model puts its own tile at pt, so models found in
-            # this loop settle no other pending tile of pt
-            pending = eng.dom[i] & ~feasible[pt]
+        for i in inner:
+            # a probe's model puts its own tile at point i, so models found
+            # in this loop settle no other pending tile of i
+            pending = eng.dom[i] & ~feasible[i]
             while pending:
                 bit = pending & -pending
                 pending ^= bit
@@ -793,8 +793,9 @@ def forced_values(window, ts, seeds=(), d=2):
                     if model is not None:
                         harvest(model)
                 eng.undo(root)
-    return {pt: tuple(t for t in range(m.bit_length()) if m >> t & 1)
-            for pt, m in feasible.items()}
+    pts = eng.points
+    return {pts[i]: tuple(t for t in range(feasible[i].bit_length())
+                          if feasible[i] >> t & 1) for i in inner}
 
 
 # -- exact counting ---------------------------------------------------------------

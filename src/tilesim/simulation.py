@@ -63,6 +63,14 @@ class Simulator:
 
     graph: labelled over path_subdivision(B) for the target alphabet B.
     alpha: a second labelling of the same graph, into the source alphabet A.
+
+    apply_simulator's walk tables are compiled once, when the simulator is
+    made, so graph and alpha must not be changed afterwards.  States,
+    target edges c (edge_ids() order) and source labels are numbered;
+    _moves[state * len(_bedges) + c] holds (source label, head state, head
+    in transit) per simulator edge out of the state over a piece of c,
+    _starts[state] the c it starts walks along, ascending, and _settled
+    the settled states over each source vertex.
     """
 
     graph: LabelGraph
@@ -74,8 +82,32 @@ class Simulator:
         bstar = self.graph.label_graph
         if bstar is None:
             raise ValueError("simulator graph carries no target labelling")
-        if bstar != path_subdivision(base_of_subdivision(bstar)):
+        b = base_of_subdivision(bstar)
+        if bstar != path_subdivision(b):
             raise ValueError("target labelling is not over a subdivision")
+        sg, amap = self.graph, self.alpha
+        self._b, self._bedges = b, b.edge_ids()
+        nc = len(self._bedges)
+        cnum = {c: k for k, c in enumerate(self._bedges)}
+        self._states = states = list(sg.vlabel)
+        qnum = {q: i for i, q in enumerate(states)}
+        self._lnum = lnum = {lab: i
+                             for i, lab in enumerate(amap.codomain.edges)}
+        self._moves = moves = [()] * (len(states) * nc)
+        starts = [set() for _ in states]
+        for e, (t, h) in sg.edges.items():
+            i, c, j = sg.elabel[e]
+            x = qnum[t] * nc + cnum[c]
+            moves[x] += ((lnum[amap.emap[e]], qnum[h], j),)
+            if i == 0:
+                starts[qnum[t]].add(cnum[c])
+        self._starts = [sorted(ks) for ks in starts]
+        self._settled = {}
+        for q, lab in sg.vlabel.items():
+            if lab[0] == "v":
+                self._settled.setdefault(amap.vmap[q], []).append(qnum[q])
+        # the end of the skey of a (point, state) pair, see apply_simulator
+        self._keys = [repr(q) + ")" for q in states]
 
     def source_alphabet(self):
         return self.alpha.codomain
@@ -137,7 +169,8 @@ def apply_simulator(window, s, frontier=None):
 
     The result is flat(alpha_pullback(graph, s.graph, s.alpha)) with the
     pullback's frontier pairs those over frontier points, computed without
-    building the pullback: states, points and target edges are numbered,
+    building the pullback: the simulator numbers its states and target
+    edges when it is made (see Simulator), each call numbers the points,
     pair number point * states + state stands for a pullback vertex, and
     from every settled pair one walk per target edge c follows the
     coherent paths (0,c,0) and (0,c,1)(1,c,1)*(1,c,0) through the pairs.
@@ -148,52 +181,41 @@ def apply_simulator(window, s, frontier=None):
     graph, frontier = _window_graph(window, frontier)
     if graph.label_graph != s.alpha.codomain:
         raise ValueError("window labels do not match the simulator source")
-    sg, amap = s.graph, s.alpha
-    b = base_of_subdivision(sg.label_graph)
-    bedges = b.edge_ids()
-    nc = len(bedges)
-    cnum = {c: k for k, c in enumerate(bedges)}
-    qnum = {q: i for i, q in enumerate(sg.vlabel)}
-    n = len(qnum)
-    lnum = {lab: i for i, lab in enumerate(amap.codomain.edges)}
-    nl = len(lnum)
-    # state * nc + c -> (source label, head state, head in transit) of each
-    # simulator edge out of state over a piece of c, all as numbers
-    moves = {}
-    starts = {}  # settled state -> the c it has moves for
-    for e, (t, h) in sg.edges.items():
-        i, c, j = sg.elabel[e]
-        moves.setdefault(qnum[t] * nc + cnum[c], []).append(
-            (lnum[amap.emap[e]], qnum[h], j))
-        if i == 0:
-            starts.setdefault(qnum[t], set()).add(cnum[c])
-    pnum = {p: i for i, p in enumerate(graph.vlabel)}
+    sg, b, bedges, moves, starts = (s.graph, s._b, s._bedges, s._moves,
+                                    s._starts)
+    states, lnum = s._states, s._lnum
+    n, nc, nl = len(states), len(bedges), len(lnum)
+    pts = list(graph.vlabel)
+    pnum = {p: i for i, p in enumerate(pts)}
     out = {}  # point * nl + source label -> heads of the window edges
     for (t, h), lab in zip(graph.edges.values(), _edge_labels(graph)):
         out.setdefault(pnum[t] * nl + lnum[lab], []).append(pnum[h])
     front = {pnum[p] for p in frontier if p in pnum}
-    settled = {}  # source vertex -> the settled states over it
-    for q, lab in sg.vlabel.items():
-        if lab[0] == "v":
-            settled.setdefault(amap.vmap[q], []).append(q)
-    keep = sorted(((p, q) for p, lab in graph.vlabel.items()
-                   for q in settled.get(lab, ())), key=skey)
-    pair = {pnum[p] * n + qnum[q]: (p, q) for (p, q) in keep}
+    # skey of (p, q) is "(" + repr(p) + ", " + repr(q) + ")": one repr per
+    # point and one per state, joined, instead of one per pair
+    keyed = []
+    for i, (p, lab) in enumerate(graph.vlabel.items()):
+        qs = s._settled.get(lab)
+        if qs:
+            head = "(%r, " % (p,)
+            keyed.extend((head + s._keys[q], i * n + q) for q in qs)
+    keyed.sort()
 
     vlabel = {}
     edges = {}
     elabel = {}
     incomplete = set()
+    pair = {x: (pts[x // n], states[x % n]) for _, x in keyed}
     for x, u in pair.items():
         vlabel[u] = sg.vlabel[u[1]][1]
         touched = x // n in front
-        for k in sorted(starts.get(x % n, ())):
+        for k in starts[x % n]:
             heads = set()
             mids = set()
             todo = [x]
             for y in todo:
                 p, q = divmod(y, n)
-                for li, q2, transit in moves.get(q * nc + k, ()):
+                for li, q2, transit in moves[q * nc + k]:
                     for p2 in out.get(p * nl + li, ()):
                         z = p2 * n + q2
                         if not transit:

@@ -25,7 +25,7 @@ import warnings
 from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
                      _fmt, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
-                       cayley_label_graph, _complete_cells)
+                       cayley_label_graph)
 
 
 def _swap(t):
@@ -517,10 +517,17 @@ def window_scopes(ts, window):
     """Fully-contained constraint scopes of a tileset over a window, as
     (vertex tuple, set of allowed tile-id tuples) pairs, deterministically
     ordered.  Edge scopes are emitted once per reversal orbit, in
-    edge_ids() order, read off the window's (tail, label) edge ids as
-    points() order times labels in skey order; cell scopes once per cell,
-    as dl_cell_points of its base (window_cells, read off the edges), lower
-    points first, which on the lamplighter is the DL(2,2) cell."""
+    edge_ids() order, read off the window's numbered form as points()
+    order times labels in skey order; cell scopes once per cell, as
+    dl_cell_points of its base (window_cells), lower points first, which
+    on the lamplighter is the DL(2,2) cell."""
+    pts = window.points()
+    return [(tuple([pts[i] for i in scope]), allowed)
+            for scope, allowed in _scopes(ts, window)]
+
+
+def _scopes(ts, window):
+    """window_scopes with each point given by its number in the window."""
     if isinstance(ts, WangTileset):
         if window.mode != "cayley":
             raise ValueError("Wang tiles live on the lamplighter graph")
@@ -541,44 +548,27 @@ def window_scopes(ts, window):
         elif window.mode != "dl" or (window.p, window.q) != (ts.p, ts.q):
             raise ValueError("DL system needs a DL(%d,%d) window"
                              % (ts.p, ts.q))
-        return [(lower + upper, allowed)
-                for _, lower, upper in _complete_cells(window)]
-    return _dhs_scopes(ts, window)
-
-
-def _window_edges(window, labels):
-    """(label, (tail, head)) of each window edge with a label in labels, in
-    points() order and then labels in skey order.  Window edge ids are
-    (tail, label), so this is edge_ids() order without sorting the ids."""
-    get = window.graph.edges.get
-    labels = sorted(labels, key=skey)
-    out = []
-    for pt in window.points():
-        for lab in labels:
-            th = get((pt, lab))
-            if th is not None:
-                out.append((lab, th))
-    return out
-
-
-def _dhs_scopes(ts, window):
+        return [(cell, allowed) for cell in window._cells]
     g = ts.graph
     order = {v: i for i, v in enumerate(g.vertices())}
     by_label = {}
     for e in g.edge_ids():
         by_label.setdefault(g.elabel[e], set()).add(
             (order[g.tail(e)], order[g.head(e)]))
-    w = window.graph
-    out = []
-    done = set()
-    for lab, th in _window_edges(window, w.label_graph.edges):
-        e = (th[0], lab)
-        if e in done:
-            continue
-        if w.reversal is not None:
-            done.add(w.reversal[e])
-        out.append((th, frozenset(by_label.get(lab, ()))))
-    return out
+    # each reversal orbit is one edge and its twin back, and the first of
+    # the two in edge_ids() order is the one whose tail comes first
+    return [(th, frozenset(by_label.get(lab, ())))
+            for lab, th in _window_edges(window, window._heads)
+            if th[0] < th[1]]
+
+
+def _window_edges(window, labels):
+    """(label, (tail, head)) of each window edge with a label in labels,
+    as point numbers, in points() order and then labels in skey order.
+    Window edge ids are (tail, label), so this is edge_ids() order."""
+    rows = [(lab, window._heads[lab]) for lab in sorted(labels, key=skey)]
+    return [(lab, (i, row[i])) for i in range(len(window._points))
+            for lab, row in rows if row[i] >= 0]
 
 
 def vertex_candidates(ts, window, pt):
@@ -591,16 +581,33 @@ def vertex_candidates(ts, window, pt):
     return list(range(tile_count(ts)))
 
 
+def _candidates(ts, window):
+    """vertex_candidates of each point as a tuple, in points() order;
+    computed once per vertex label, which is all they depend on."""
+    vlabel = window.graph.vlabel
+    by_label = {}
+    out = []
+    for pt in window.points():
+        cs = by_label.get(vlabel[pt])
+        if cs is None:
+            cs = by_label[vlabel[pt]] = tuple(vertex_candidates(ts, window,
+                                                                pt))
+        out.append(cs)
+    return out
+
+
 def tiling_ok(window, ts, assignment, extra_seeds=()):
     """Re-validate an assignment against the raw window constraints."""
     pts = window.points()
-    if set(assignment) != set(pts):
+    if len(assignment) != len(pts):
         return False
-    for pt in pts:
-        if assignment[pt] not in vertex_candidates(ts, window, pt):
+    # a point missing from the assignment reads None, no candidate
+    tiles = [assignment.get(pt) for pt in pts]
+    for t, cs in zip(tiles, _candidates(ts, window)):
+        if t not in cs:
             return False
-    for scope, allowed in window_scopes(ts, window):
-        if tuple(assignment[v] for v in scope) not in allowed:
+    for scope, allowed in _scopes(ts, window):
+        if tuple([tiles[i] for i in scope]) not in allowed:
             return False
     for pt, idx in tuple(ts.seeds) + tuple(extra_seeds):
         if pt not in window.graph.vlabel or assignment[pt] != idx:

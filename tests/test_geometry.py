@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tilesim import geometry
+from tilesim import tilesets
 from tilesim.geometry import (
     GroupPoint, alphabet_label_graph, ball, boundary_vertices, canonical,
     cayley_label_graph, cell_points, dl_cell_points, dl_collapse_label,
@@ -423,6 +423,15 @@ def reference_complete_cells(window):
     return sorted(out, key=lambda cell: repr(cell[0]))
 
 
+def form_cells(window):
+    """The cells of the window's numbered form read back as points, as
+    (base, lower, upper)."""
+    pts = window.points()
+    return [(pts[cell[0]], tuple([pts[i] for i in cell[:window.p]]),
+             tuple([pts[i] for i in cell[window.p:]]))
+            for cell in window._cells]
+
+
 def reference_wang_scopes(ts, window):
     """Wang edge scopes as they were read before, from edge_ids(), which
     sorts every edge id by repr."""
@@ -509,7 +518,7 @@ def test_cells_and_scopes_read_off_edge_ids_match_the_references():
     rng = random.Random(16)
     comb = comb_tileset()
     for w in edge_id_windows():
-        cells = geometry._complete_cells(w)
+        cells = form_cells(w)
         assert cells == reference_complete_cells(w)
         assert window_cells(w) == [base for base, _, _ in cells]
         if w.mode == "cayley":
@@ -521,8 +530,33 @@ def test_cells_and_scopes_read_off_edge_ids_match_the_references():
             target = random_dl_target(rng, w.p, w.q)
         assert window_scopes(target, w) == reference_dhs_scopes(target, w)
     # the readings see complete cells and edges, not only empty lists
-    assert len(geometry._complete_cells(tetrahedron(-2, 2))) == 4 * 2 ** 3
-    assert len(geometry._complete_cells(dl_window(3, 3, -1, 2))) == 27
+    assert len(form_cells(tetrahedron(-2, 2))) == 4 * 2 ** 3
+    assert len(form_cells(dl_window(3, 3, -1, 2))) == 27
+
+
+def test_numbered_window_form_matches_the_definitions():
+    # Every layer reads the form a window numbers once; it must say what
+    # the definitions say, on whole and on induced windows of every kind.
+    # The test above compares its cells and its Wang and hom-shift scopes.
+    for w in edge_id_windows():
+        g = w.graph
+        pts = w.points()
+        assert type(pts) is tuple and list(pts) == g.vertices()
+        assert w._index == {pt: i for i, pt in enumerate(pts)}
+        assert list(w._heads) == sorted(g.label_graph.edges, key=skey)
+        for lab, row in w._heads.items():
+            assert row == [w._index[g.edges[(pt, lab)][1]]
+                           if (pt, lab) in g.edges else -1 for pt in pts]
+        assert [(lab, (pts[t], pts[h])) for lab, (t, h) in
+                tilesets._window_edges(w, w._heads)] == [
+            (g.elabel[e], g.edges[e]) for e in sorted(g.edges, key=skey)]
+        cells = (sea_level_system() if w.mode == "cayley"
+                 else dl_ray_system(w.p, w.q))
+        assert [scope for scope, _ in window_scopes(cells, w)] == [
+            lower + upper for _, lower, upper in reference_complete_cells(w)]
+        assert boundary_vertices(w) == neighbour_boundary(w)
+        for d in range(4):
+            assert interior_vertices(w, d) == rounds_interior(w, d)
 
 
 # -- builders that skip validate ------------------------------------------------

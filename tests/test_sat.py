@@ -13,7 +13,8 @@ from tilesim.reduction import HalfPlaneTileset, reduce_halfplane
 from tilesim.sat import (
     CnfInstance, Solver, TilingAssignment, count_tilings, encode,
     enumerate_tilings, exact_count, export_dimacs, forced_values,
-    import_solution, solve_tiling, solver_for, _decode, _point_str)
+    import_solution, solve_tiling, solver_for, _decode, _instance,
+    _point_str)
 from tilesim.tilesets import (
     DhsTarget, TetraSystem, comb_configuration, comb_tileset, dl_ray_system,
     lr_system, omega_configuration, random_tetra_system, random_wang_tileset,
@@ -417,6 +418,52 @@ def test_import_solution_errors():
         import_solution(cnf, "v 1 -1 -2 -3 -4 -5 -6 0\n", win)
     with pytest.raises(ValueError, match="variable 2 .*v -2 0"):
         import_solution(cnf, "v 1 2 -3 -4 -5 -6\nv -2 0\n", win)
+
+
+def test_instance_candidates_match_the_per_point_definition():
+    # _instance computes candidates once per vertex label; they must be
+    # vertex_candidates point by point, in points() order
+    win = ball(3)
+    for ts in (wang_to_dhs(comb_tileset()), comb_tileset(),
+               sea_level_system()):
+        cands = _instance(win, ts, ())[2]
+        assert cands == [tuple(vertex_candidates(ts, win, pt))
+                         for pt in win.points()]
+    assert cands[0] == tuple(range(tile_count(sea_level_system())))
+
+
+def test_import_solution_names_the_point_of_each_decode_error():
+    # ball(1) has five points; a model line sets the tile variables it
+    # lists, one tile per point unless a case changes that
+    win = ball(1)
+    cnf = encode(win, comb_tileset())
+    pts = win.points()
+    assert len(pts) == 5
+
+    def decode(tiles):
+        line = " ".join(str(cnf.var_of[(pt, t)])
+                        for pt, ts in zip(pts, tiles) for t in ts)
+        return import_solution(cnf, "v %s 0\n" % line, win)
+
+    one = [(0,)] * 5
+    assert decode(one).values == dict.fromkeys(pts, 0)
+    cases = [
+        # two tiles at the middle point
+        (one[:2] + [(1, 4)] + one[3:], "two tiles at", 2),
+        # two tiles at two points: the first in point order is named
+        (one[:1] + [(2, 3)] + one[2:3] + [(0, 5)] + one[4:], "two tiles at",
+         1),
+        # no tile at the last point
+        (one[:4] + [()], "no tile at", 4),
+        # no tile at two points: the first in point order is named
+        (one[:1] + [()] + one[2:3] + [()] + one[4:], "no tile at", 1),
+        # a point with two tiles is named before an earlier one with none
+        ([()] + one[1:3] + [(1, 2)] + one[4:], "two tiles at", 3),
+    ]
+    for tiles, what, i in cases:
+        with pytest.raises(ValueError) as err:
+            decode(tiles)
+        assert str(err.value) == "%s %s" % (what, _point_str(pts[i]))
 
 
 def test_assignment_dump_format():
