@@ -162,6 +162,17 @@ def dl_label_graph(p, q):
     return alphabet([1], spec, rev)
 
 
+def _dl_params(edge_ids):
+    """(p, q) when the ids are DL edge labels ("up" or "dn", i, j), with
+    i < p and j < q, else None: the one reader of DL alphabets."""
+    ids = list(edge_ids)
+    if ids and all(isinstance(e, tuple) and len(e) == 3
+                   and e[0] in ("up", "dn") and isinstance(e[1], int)
+                   and isinstance(e[2], int) for e in ids):
+        return max(e[1] for e in ids) + 1, max(e[2] for e in ids) + 1
+    return None
+
+
 def dl_collapse_label(label):
     """The lamplighter reading of a DL(2,2) edge label."""
     direction, i, j = label
@@ -196,6 +207,10 @@ class Window:
     """A finite induced piece of a Cayley or DL graph, with group points as
     vertex ids.
 
+    The geometry is read off the graph's alphabet: mode, p, q are
+    "cayley", 2, 2 over cayley_label_graph() and "dl", p, q over
+    dl_label_graph(p, q), p, q >= 2; any other alphabet raises ValueError.
+
     Induced: every edge of the Cayley or DL graph between two window
     points is a window edge.  Each edge t -> h labelled lab has the id
     (t, lab), and its reversed twin the id (h, reversed lab).
@@ -210,16 +225,21 @@ class Window:
     So a window's graph must not be changed after the window is made."""
 
     graph: LabelGraph
-    mode: str  # "cayley" or "dl"
-    p: int = 2
-    q: int = 2
 
     def __post_init__(self):
         g = self.graph
+        a = g.label_graph
+        pq = _dl_params(a.edges) if a is not None else None
+        if pq and min(pq) >= 2 and a == dl_label_graph(*pq):
+            self.mode, (self.p, self.q) = "dl", pq
+        elif a == cayley_label_graph():
+            self.mode, self.p, self.q = "cayley", 2, 2
+        else:
+            raise ValueError("a window lies over the Cayley or a DL alphabet")
         self._points = pts = tuple(sorted(g.vlabel, key=skey))
         self._index = index = {pt: i for i, pt in enumerate(pts)}
         self._heads = heads = {lab: [-1] * len(pts) for lab in
-                               sorted(g.label_graph.edges, key=skey)}
+                               sorted(a.edges, key=skey)}
         for (t, lab), (_, h) in g.edges.items():
             heads[lab][index[t]] = index[h]
         # a cell's upper points are the heads of up(0,j) out of its base,
@@ -313,8 +333,7 @@ def ball(r, budget=500000):
             raise CapacityError("ball exceeds %d vertices" % budget,
                                 "ball vertices", len(seen), budget)
         frontier = nxt
-    g = _cayley_window(seen, budget)
-    return Window(g, "cayley")
+    return Window(_cayley_window(seen, budget))
 
 
 def tetrahedron(lo, hi, budget=500000):
@@ -331,8 +350,7 @@ def tetrahedron(lo, hi, budget=500000):
         for size in range(len(positions) + 1):
             for supp in itertools.combinations(positions, size):
                 points.append(GroupPoint(n, tuple((k, 1) for k in supp)))
-    g = _cayley_window(points, budget)
-    return Window(g, "cayley")
+    return Window(_cayley_window(points, budget))
 
 
 def dl_window(p, q, lo, hi, budget=500000):
@@ -362,16 +380,15 @@ def dl_window(p, q, lo, hi, budget=500000):
         return [(("up", i, j), ("dn", i, j), dl_step(pt, "up", i, j))
                 for j in range(q)]
 
-    g = _induced_graph(points, dl_label_graph(p, q), up_edges)
-    return Window(g, "dl", p, q)
+    return Window(_induced_graph(points, dl_label_graph(p, q), up_edges))
 
 
 def _inside(window, d):
     """Per point number, whether all its walks of length <= d stay inside
     the window: the first round drops the boundary, the points with fewer
-    edges out in the window than the full degree (4 on a Cayley window,
-    p + q on a DL window), and each later one the points with a window
-    neighbour (an edge's head) dropped before."""
+    edges out in the window than the full degree p + q (4 on a Cayley
+    window), and each later one the points with a window neighbour (an
+    edge's head) dropped before."""
     nbrs = [[] for _ in window._points]
     for row in window._heads.values():
         for i, h in enumerate(row):
@@ -379,8 +396,7 @@ def _inside(window, d):
                 nbrs[i].append(h)
     if d <= 0:
         return [True] * len(nbrs)
-    degree = 4 if window.mode == "cayley" else window.p + window.q
-    inside = [len(hs) >= degree for hs in nbrs]
+    inside = [len(hs) >= window.p + window.q for hs in nbrs]
     for _ in range(d - 1):
         inside = [ok and all([inside[h] for h in hs])
                   for ok, hs in zip(inside, nbrs)]

@@ -394,14 +394,14 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     for k, w in enumerate(hverts):
         by_label.setdefault(h.vlabel[w], []).append(k)
     rows = [by_label.get(g.vlabel[v], []) for v in order]
-    # An index entry is sorted into skey order, in place, the first time an
-    # orbit reads it, so a call does not format the ids of edges it never
-    # uses.
+    # Each index entry holds its edges in skey order.
     index = {}
     for d, lab in h.elabel.items():
         t, hd = h.edges[d]
         index.setdefault((lab, hid.get(t), hid.get(hd)), []).append(d)
-    in_skey_order = set()
+    for ds in index.values():
+        if len(ds) > 1:
+            ds.sort(key=skey)
     # Per position p: its earlier neighbours, its edges as (label, tail
     # slot, head slot) checks, and its closing orbits as (label, tail slot,
     # head slot, whether the image must be self-reversed, the partner's
@@ -481,12 +481,8 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         index read h.edges and h.elabel in this call, so d has the right
         endpoints and label, and the filter below makes a self-reversed
         image its own reversal; only a partner image needs checking."""
-        ds = index[(lab, ti, hi)]
-        if len(ds) > 1 and (lab, ti, hi) not in in_skey_order:
-            ds.sort(key=skey)
-            in_skey_order.add((lab, ti, hi))
         out = []
-        for d in ds:
+        for d in index[(lab, ti, hi)]:
             if self_rev and hr[d] != d:
                 continue
             if plab is missing:

@@ -51,6 +51,7 @@ from .geometry import (
     plane_label_graph,
     quadrant_label_graph,
     quadrant_vertex_label,
+    _dl_params,
     GEN_INVERSE,
     PLANE_INVERSE,
 )
@@ -113,7 +114,7 @@ class Simulator:
         return self.alpha.codomain
 
     def target_alphabet(self):
-        return base_of_subdivision(self.graph.label_graph)
+        return self._b
 
     def num_states(self):
         return self.graph.num_vertices()
@@ -615,8 +616,8 @@ def decorate_window(window, ts, assignment):
     """A copy of the window whose vertex labels are the tile symbols of an
     assignment (point -> tile id)."""
     symbols = decoration_symbols(ts)
-    graph = window.graph if isinstance(window, Window) else window
-    return relabel_graph(graph, lambda v: symbols[assignment[v]], symbols)
+    return relabel_graph(window.graph, lambda v: symbols[assignment[v]],
+                         symbols)
 
 
 def patch_frontier(g):
@@ -943,39 +944,19 @@ _BASE_ALPHABETS = (("cayley", cayley_label_graph),
                    ("quadrant", quadrant_label_graph))
 
 
-def _dl_params(edge_ids):
-    ps = set()
-    qs = set()
-    for e in edge_ids:
-        if not (isinstance(e, tuple) and len(e) == 3
-                and e[0] in ("up", "dn")
-                and isinstance(e[1], int) and isinstance(e[2], int)):
-            return None
-        ps.add(e[1])
-        qs.add(e[2])
-    if not ps:
-        return None
-    return max(ps) + 1, max(qs) + 1
-
-
 def _alphabet_spec(a):
-    """Recognize an alphabet as (spec string, decoration symbols)."""
-    for name, build in _BASE_ALPHABETS:
-        if a == build():
-            return name, ()
-    pq = _dl_params(a.edge_ids())
-    if pq is not None and a == dl_label_graph(*pq):
-        return "dl %d %d" % pq, ()
+    """Recognize an alphabet as (spec string, decoration symbols): a base
+    alphabet itself, or the alphabet of graphs decorated over one."""
+    bases = [(name, build()) for name, build in _BASE_ALPHABETS]
+    inner = [e[1] for e in a.edges if isinstance(e, tuple) and len(e) == 3]
+    bases += [("dl %d %d" % pq, dl_label_graph(*pq))
+              for pq in (_dl_params(a.edges), _dl_params(inner)) if pq]
     symbols = tuple(a.vertices())
-    for name, build in _BASE_ALPHABETS:
-        if a == alphabet_label_graph(symbols, build()):
+    for name, base in bases:
+        if a == base:
+            return name, ()
+        if a == alphabet_label_graph(symbols, base):
             return name, symbols
-    inner = sorted({e[1] for e in a.edges
-                    if isinstance(e, tuple) and len(e) == 3}, key=skey)
-    pq = _dl_params(inner)
-    if pq is not None and a == alphabet_label_graph(symbols,
-                                                    dl_label_graph(*pq)):
-        return "dl %d %d" % pq, symbols
     raise ValueError("alphabet has no serializable description")
 
 

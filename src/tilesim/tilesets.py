@@ -62,11 +62,11 @@ class WangTileset:
 class TetraSystem:
     """Vertex colours constrained on height-1 cells.
 
-    mode "cayley": cells are the lamplighter (g, g a b^-1, g a, g b) and
-    allowed is closed under the two-base swap (closure by intersection, with
-    a warning, since a tuple whose swap is missing can never occur anyway).
-    mode "dl": cells are the DL(p,q) cells, p lower points then q upper.
-    """
+    mode "cayley", p = q = 2: cells are the lamplighter (g, g a b^-1, g a,
+    g b) and allowed is closed under the two-base swap (closure by
+    intersection, with a warning, since a tuple whose swap is missing can
+    never occur anyway).  mode "dl", p, q >= 2: cells are the DL(p,q)
+    cells, p lower points then q upper.  Windows must match (mode, p, q)."""
 
     alphabet: tuple
     allowed: frozenset
@@ -82,8 +82,10 @@ class TetraSystem:
         self.seeds = tuple(self.seeds)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate symbols")
-        if self.mode not in ("cayley", "dl"):
-            raise ValueError("mode must be 'cayley' or 'dl'")
+        if not ((self.mode, self.p, self.q) == ("cayley", 2, 2)
+                or self.mode == "dl" and min(self.p, self.q) >= 2):
+            raise ValueError("(mode, p, q) must be ('cayley', 2, 2) or "
+                             "('dl', p, q) with p, q >= 2")
         n = self.arity()
         ok = set(self.alphabet)
         for t in self.allowed:
@@ -101,7 +103,7 @@ class TetraSystem:
         _check_seeds(self.seeds, len(self.alphabet))
 
     def arity(self):
-        return 4 if self.mode == "cayley" else self.p + self.q
+        return self.p + self.q
 
 
 @dataclass(eq=True)
@@ -528,9 +530,13 @@ def window_scopes(ts, window):
 
 def _scopes(ts, window):
     """window_scopes with each point given by its number in the window."""
+    have = (window.mode, window.p, window.q)
+    want = (("cayley", 2, 2) if isinstance(ts, WangTileset) else have
+            if isinstance(ts, DhsTarget) else (ts.mode, ts.p, ts.q))
+    if want != have:
+        raise ValueError("a %s needs a %r window, not %r"
+                         % (type(ts).__name__, want, have))
     if isinstance(ts, WangTileset):
-        if window.mode != "cayley":
-            raise ValueError("Wang tiles live on the lamplighter graph")
         pairs = {}
         for lab in ("a", "b"):
             i, j = _WANG_DIR[lab], _WANG_INV[lab]
@@ -542,12 +548,6 @@ def _scopes(ts, window):
     if isinstance(ts, TetraSystem):
         index = {x: i for i, x in enumerate(ts.alphabet)}
         allowed = frozenset(tuple(index[x] for x in t) for t in ts.allowed)
-        if ts.mode == "cayley":
-            if window.mode != "cayley":
-                raise ValueError("cell system needs a lamplighter window")
-        elif window.mode != "dl" or (window.p, window.q) != (ts.p, ts.q):
-            raise ValueError("DL system needs a DL(%d,%d) window"
-                             % (ts.p, ts.q))
         return [(cell, allowed) for cell in window._cells]
     g = ts.graph
     order = {v: i for i, v in enumerate(g.vertices())}
@@ -730,6 +730,10 @@ def tileset_from_text(text):
         if len(names) != count:
             raise ValueError("%d names for %d tiles" % (len(names), count))
 
+    def check_params():
+        if kind != "dl":
+            raise ValueError("params need kind dl")
+
     def place(word, idx):
         placed.append((evaluate_word(word, p, q), idx))
         if kind == "wang":
@@ -753,6 +757,9 @@ def tileset_from_text(text):
                 raise ValueError("unknown kind %r" % (kind,))
         elif key == "params":
             p, q = int(rest[0]), int(rest[1])
+            if min(p, q) < 2:
+                raise ValueError("p, q must be at least 2")
+            return check_params
         elif key == "colors":
             colors = [_parse_token(t) for t in rest]
         elif key == "alphabet":

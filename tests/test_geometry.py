@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from tilesim.geometry import (
     tetrahedron, window_cells, GENERATORS, Window)
 from tilesim.graphs import (CapacityError, LabelGraph, add_edge_pair,
                             induced_subgraph, skey, validate)
+from tilesim.sat import count_tilings
 from tilesim.simulation import decorate_window, relabel_graph
 from tilesim.tilesets import (DhsTarget, _swap, comb_tileset,
                               decoration_symbols, dl_ray_system,
@@ -224,8 +226,7 @@ def test_boundary_matches_neighbour_definition():
     for w in windows[3:]:
         pts = w.points()
         keep = set(pts) - {pts[len(pts) // 2]}
-        windows.append(Window(induced_subgraph(w.graph, keep), w.mode,
-                              w.p, w.q))
+        windows.append(Window(induced_subgraph(w.graph, keep)))
     for w in windows:
         assert boundary_vertices(w) == neighbour_boundary(w)
 
@@ -499,8 +500,7 @@ def edge_id_windows():
         pts = w.points()
         for _ in range(2):
             keep = rng.sample(pts, rng.randrange(len(pts) + 1))
-            windows.append(Window(induced_subgraph(w.graph, keep), w.mode,
-                                  w.p, w.q))
+            windows.append(Window(induced_subgraph(w.graph, keep)))
     return windows
 
 
@@ -557,6 +557,54 @@ def test_numbered_window_form_matches_the_definitions():
         assert boundary_vertices(w) == neighbour_boundary(w)
         for d in range(4):
             assert interior_vertices(w, d) == rounds_interior(w, d)
+
+
+# -- window geometry read off the alphabet --------------------------------------
+
+
+def test_window_reads_mode_p_and_q_off_its_alphabet():
+    # Each builder's window has the geometry it was built with, and so do
+    # its induced subwindows, the empty one included.
+    rng = random.Random(18)
+    cases = [(ball(2), ("cayley", 2, 2)),
+             (tetrahedron(-2, 2), ("cayley", 2, 2))]
+    cases += [(dl_window(p, q, -1, 1), ("dl", p, q))
+              for p, q in ((2, 2), (2, 3), (3, 2), (3, 3))]
+    for w, want in cases:
+        pts = w.points()
+        subs = [Window(induced_subgraph(w.graph, rng.sample(
+            pts, rng.randrange(len(pts) + 1)))) for _ in range(3)]
+        subs.append(Window(induced_subgraph(w.graph, ())))
+        for v in [w, Window(w.graph)] + subs:
+            assert (v.mode, v.p, v.q) == want
+
+
+def test_window_over_another_alphabet_raises():
+    small = ball(1)
+    comb = comb_tileset()
+    decorated = decorate_window(small, comb, {pt: 4 for pt in small.points()})
+    # dl_window and DL systems need p, q >= 2
+    thin = LabelGraph({GroupPoint(0, (), 1, 2): 1}, {}, {}, {},
+                      dl_label_graph(1, 2))
+    for g in (plane_window(0, 2, 0, 2), quadrant_window(2, 2), decorated,
+              cayley_label_graph(), dl_label_graph(2, 3), thin):
+        with pytest.raises(ValueError, match="alphabet"):
+            Window(g)
+
+
+def test_dl_window_geometry_comes_from_its_own_alphabet():
+    # DL(2,2) scopes on a DL(3,3) graph would read 4-point cells of a graph
+    # whose cells have 6 points.
+    w = Window(dl_window(3, 3, -1, 1).graph)
+    assert (w.mode, w.p, w.q) == ("dl", 3, 3)
+    assert w._cells and all(len(cell) == 6 for cell in w._cells)
+    for ts in (dl_ray_system(2, 2), dl_ray_system(3, 2), comb_tileset(),
+               sea_level_system()):
+        with pytest.raises(ValueError, match=re.escape(repr(("dl", 3, 3)))):
+            window_scopes(ts, w)
+    with pytest.raises(ValueError):
+        count_tilings(w, dl_ray_system(2, 2))
+    assert count_tilings(w, dl_ray_system(3, 3)) > 0
 
 
 # -- builders that skip validate ------------------------------------------------
@@ -625,7 +673,7 @@ def test_scopes_of_an_induced_subwindow_are_scopes_of_the_window():
         for _ in range(8):
             share = rng.choice((0.5, 0.8, 0.95))
             keep = [pt for pt in pts if rng.random() < share]
-            sub = Window(induced_subgraph(w.graph, keep), w.mode, w.p, w.q)
+            sub = Window(induced_subgraph(w.graph, keep))
             sub_scopes = window_scopes(ts, sub)
             assert set(sub_scopes) <= scopes
             kept += len(sub_scopes)

@@ -398,8 +398,7 @@ def validate_corpus():
                dl_window(3, 2, -1, 1)]
     for w in windows[:]:
         pts = w.points()
-        windows.append(Window(induced_subgraph(w.graph, pts[::3]), w.mode,
-                              w.p, w.q))
+        windows.append(Window(induced_subgraph(w.graph, pts[::3])))
     graphs_ += [w.graph for w in windows]
     ts = sea_level_system()
     tet = tetrahedron(-1, 1)
@@ -1434,6 +1433,34 @@ def test_full_simplify_drops_self_loop():
     a = two_vertex_alphabet()
     g = labelled(a, {0: "q"}, {0: (0, 0)}, {0: "d"})
     assert full_simplify(g).num_edges() == 0
+    # unoriented: a loop goes with its reversal entry, other pairs stay
+    a = unoriented_rose(["x"])
+    g = labelled(a, {0: 1, 1: 1},
+                 {0: (0, 0), 1: (0, 0), 2: (0, 1), 3: (1, 0)},
+                 {0: "x", 1: "x'", 2: "x", 3: "x'"}, {0: 1, 1: 0, 2: 3, 3: 2})
+    s = full_simplify(g)
+    assert s.edges == {(0, "x", 1): (0, 1), (1, "x'", 0): (1, 0)}
+    assert s.reversal == {(0, "x", 1): (1, "x'", 0),
+                          (1, "x'", 0): (0, "x", 1)}
+
+
+def test_disjoint_union_keeps_reversals_and_relabels_alphabets():
+    a = unoriented_rose(["x"])
+    g = labelled(a, {0: 1, 1: 1}, {0: (0, 1), 1: (1, 0)},
+                 {0: "x", 1: "x'"}, {0: 1, 1: 0})
+    u = disjoint_union(g, g)
+    assert u.label_graph == a
+    assert u.reversal == {(0, 0): (0, 1), (0, 1): (0, 0),
+                          (1, 0): (1, 1), (1, 1): (1, 0)}
+    assert u.elabel == {(0, 0): "x", (0, 1): "x'", (1, 0): "x", (1, 1): "x'"}
+    # two alphabets give an alphabet whose cells are labelled by their ids
+    u = disjoint_union(a, a)
+    assert u.label_graph is None
+    assert u.vlabel == {(0, 1): (0, 1), (1, 1): (1, 1)}
+    assert u.elabel == {e: e for e in u.edges} and len(u.edges) == 4
+    assert u.reversal[(0, "x")] == (0, "x'")
+    assert disjoint_union(two_vertex_alphabet(),
+                          two_vertex_alphabet()).reversal is None
 
 
 def test_weakly_etale_iff_simplification_etale():

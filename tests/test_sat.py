@@ -345,6 +345,30 @@ def test_forced_values_respects_depth():
     assert set(deep) < set(shallow)
 
 
+def test_tilings_are_the_same_when_the_revision_memos_start_over(
+        monkeypatch):
+    # A memo of one revision starts over at almost every new domain tuple,
+    # while propagation still reads the revision it just stored.
+    from tilesim import sat
+    full = sea_level_system()
+    sea = full.alphabet.index(omega_configuration(identity()))
+    cases = [(ball(2), comb_tileset(), ()),
+             (ball(1), comb_tileset(), ((identity(), 0),)),
+             (tetrahedron(-2, 2), full, ((identity(), sea),)),
+             (dl_window(2, 3, -1, 1), dl_ray_system(2, 3), ())]
+
+    def results():
+        return [(enumerate_tilings(win, ts, seeds, limit=200),
+                 count_tilings(win, ts, seeds, limit=10 ** 5),
+                 forced_values(win, ts, seeds, d=1))
+                for win, ts, seeds in cases]
+
+    want = results()
+    monkeypatch.setattr(sat, "_MEMO_LIMIT", 1)
+    assert results() == want
+    assert any(complete for (_, complete), _, _ in want)
+
+
 def test_lr_seeded_window():
     ts = lr_system()
     both = ts.alphabet.index((True, True))

@@ -10,9 +10,9 @@ from tilesim.geometry import (
     tetrahedron)
 from tilesim.graphs import (
     LabelGraph, Morphism, add_edge_pair, alpha_pullback, flat,
-    induced_subgraph, vertex_blowup)
+    induced_subgraph, labelled, path_subdivision, rose, vertex_blowup)
 from tilesim.simulation import (
-    Gwa, GwaAutomaton, apply_simulator,
+    Gwa, GwaAutomaton, Simulator, apply_simulator,
     blowup_simulator, builtin_simulator, comb_to_plane, compose_simulators,
     decorate_window, edge_triples, gwa_simulated_graph, gwa_to_simulator,
     identity_simulator, patch_frontier, quadrant_patch,
@@ -622,6 +622,41 @@ def test_random_pairs_compose_like_two_passes():
         sub2 = rename_vertices(induced_subgraph(g2, trusted), phi)
         sub3 = induced_subgraph(g3, [phi(v) for v in trusted])
         assert same_graph(sub2, sub3)
+
+
+def halving_simulator(x, c):
+    """An oriented simulator that draws each c-edge along two x-edges,
+    through a transit state over the c midpoint."""
+    a, b = rose([x]), rose([c])
+    g = LabelGraph({"q": ("v", 1), "m": ("e", c)},
+                   {0: ("q", "m"), 1: ("m", "q")},
+                   {0: (0, c, 1), 1: (1, c, 0)}, None, path_subdivision(b))
+    return Simulator(g, Morphism({"q": 1, "m": 1}, {0: x, 1: x}, g, a))
+
+
+def test_oriented_simulators_compose_like_two_passes():
+    # While both are in transit, a composite state sits over a midpoint of
+    # the oriented final target, which has no reversal to pick an orbit
+    # representative from.
+    s, t = halving_simulator("y", "x"), halving_simulator("x", "c")
+    u = compose_simulators(s, t)
+    assert u.graph.reversal is None
+    assert sorted(set(u.graph.vlabel.values())) == [("e", "c"), ("v", 1)]
+    w = labelled(rose(["y"]), dict.fromkeys(range(8), 1),
+                 {i: (i, (i + 1) % 8) for i in range(8)},
+                 dict.fromkeys(range(8), "y"))
+    g1, i1 = apply_simulator(w, s)
+    g2, i2 = apply_simulator(g1, t, frontier=i1)
+    g3, i3 = apply_simulator(w, u)
+
+    def phi(v):
+        return (v[0][0], (v[0][1], ("v", v[1])))
+
+    # each c-edge spans four y-edges of the 8-cycle
+    assert {(t[0], h[0]) for t, _, h in edge_triples(g3)} == {
+        (i, (i + 4) % 8) for i in range(8)}
+    assert same_graph(rename_vertices(g2, phi), g3)
+    assert {phi(v) for v in i2} == set(i3)
 
 
 # -- grid patches and frontiers

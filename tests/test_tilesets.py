@@ -202,6 +202,46 @@ def test_comb_configuration_is_a_valid_tiling():
     assert not tiling_ok(win, comb_tileset(), assign)
 
 
+def test_tiling_ok_rejects_each_kind_of_bad_assignment():
+    # One case per early False of the checker behind every SAT answer.
+    win = ball(2)
+    target = wang_to_dhs(comb_tileset())
+    verts = target.graph.vertices()
+    hom = enumerate_homs(win.graph, target.graph, limit=1)[0]
+    good = {pt: verts.index(v) for pt, v in hom.vmap.items()}
+    pt = identity()
+    assert tiling_ok(win, target, good)
+    # an assignment of the wrong size
+    assert not tiling_ok(win, target, {**good, evaluate_word("aaa"): 0})
+    assert not tiling_ok(win, target, {x: t for x, t in good.items()
+                                       if x != pt})
+    # a tile outside the point's candidates, or no tile at a point
+    assert not tiling_ok(win, target, {**good, pt: len(verts)})
+    swapped = {x: t for x, t in good.items() if x != pt}
+    swapped[evaluate_word("aaa")] = good[pt]
+    assert not tiling_ok(win, target, swapped)
+    # a seed the tiling does not carry, or a seed outside the window
+    other = (good[pt] + 1) % len(verts)
+    assert tiling_ok(win, target, good, [(pt, good[pt])])
+    assert not tiling_ok(win, target, good, [(pt, other)])
+    assert not tiling_ok(win, DhsTarget(target.graph, [(pt, other)]), good)
+    assert not tiling_ok(win, target, good,
+                         [(evaluate_word("aaa"), good[pt])])
+
+
+def test_tetra_system_geometry_is_checked():
+    # A cell system's (mode, p, q) is what its scopes need of a window, so
+    # a Cayley system with other p, q or a DL system with p or q below 2
+    # is refused rather than kept as a value scopes ignore.
+    TetraSystem((F, T), frozenset(), mode="dl", p=2, q=3)
+    for mode, p, q in (("cayley", 3, 3), ("cayley", 2, 3), ("dl", 1, 2),
+                       ("dl", 2, 0), ("hex", 2, 2)):
+        with pytest.raises(ValueError, match="mode, p, q"):
+            TetraSystem((F, T), frozenset(), mode=mode, p=p, q=q)
+    with pytest.raises(ValueError, match=re.escape(repr("params 1 3"))):
+        tileset_from_text("kind dl\nparams 1 3\nalphabet 0 1\n")
+
+
 def test_wang_validation():
     with pytest.raises(ValueError):
         WangTileset(frozenset("ab"), (("a", "b", "c", "a"),))
@@ -389,10 +429,14 @@ def test_tileset_file_round_trip_with_hash_in_colours():
     ("kind wang\ncolors x\ntile x x x x\n", "seed a 3"),
     ("kind tetra\nalphabet 0 1\n", "tetra 0 0 0 2"),
     ("kind dl\nparams 2 3\nalphabet 0 1\n", "tetra 0 0 0 0"),
+    ("kind tetra\nalphabet 0 1\ntetra 0 0 0 0\n", "params 3 3"),
+    # a seed word evaluated as a DL(3,3) point, which no Wang window holds
+    ("kind wang\ncolors x\ntile x x x x\nseed a 0\n", "params 3 3"),
 ])
 def test_tileset_file_late_errors_name_the_line(text, line):
     # These are found only once every line is read: the seed word needs
-    # the params, a tile the colours or alphabet, a seed the tile count.
+    # the params, a tile the colours or alphabet, a seed the tile count,
+    # a params line the kind.
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         tileset_from_text(text + line + "\n")
     with pytest.raises(ValueError, match=re.escape(repr(line))):
