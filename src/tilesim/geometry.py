@@ -118,19 +118,21 @@ def dl_step(x, direction, i, j):
 def evaluate_word(word, p=2, q=2):
     """Evaluate a generator word left to right.
 
-    For the lamplighter, the word is a string of a/A/b/B characters
-    (whitespace ignored).  For DL, whitespace-separated tokens up:i:j and
-    dn:i:j are also accepted.
+    The word is split on whitespace.  A token made only of the letters
+    a, A, b and B is read letter by letter as lamplighter generators
+    (so whitespace between letters is ignored); for DL, tokens up:i:j
+    and dn:i:j are also accepted.
     """
     x = identity(p, q)
-    for tok in word.split() if (" " in word or ":" in word) else word:
-        if tok in ("a", "A", "b", "B"):
-            x = step(x, tok)
-        else:
-            parts = tok.split(":")
-            if len(parts) != 3 or parts[0] not in ("up", "dn"):
-                raise ValueError("bad token %r" % (tok,))
-            x = dl_step(x, parts[0], int(parts[1]), int(parts[2]))
+    for tok in word.split():
+        if set(tok).issubset(GENERATORS):
+            for letter in tok:
+                x = step(x, letter)
+            continue
+        parts = tok.split(":")
+        if len(parts) != 3 or parts[0] not in ("up", "dn"):
+            raise ValueError("bad token %r" % (tok,))
+        x = dl_step(x, parts[0], int(parts[1]), int(parts[2]))
     return x
 
 

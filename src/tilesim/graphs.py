@@ -1233,25 +1233,32 @@ def _parse_token(tok):
         return tok
 
 
-def read_lines(text, handle, what):
-    """Call handle(tokens) on each non-blank line of a line format.
+def read_lines(text, what, arity, once):
+    """The (raw line, key, values) records of a line format, in line order.
 
-    Lines are split by shlex, so a quoted token may hold spaces or '#',
-    and an unquoted '#' starts a comment.  handle may return a function to
-    call once every line is read, for checks that need later lines; these
-    run in line order.  A ValueError from splitting, from handle or from a
-    returned function is re-raised naming the line."""
-    later = []
+    Each line is split by shlex, so a quoted token may hold spaces or '#'
+    and an unquoted '#' starts a comment; the first token is the key and
+    the rest, kept as strings, its values.  arity maps each key to its
+    allowed value counts, or None for any; keys in once may appear once.
+    Any other line is a ValueError naming it, as are the checks readers
+    run under _naming_line while they build from the records."""
+    records, seen = [], set()
     for raw in text.splitlines():
         with _naming_line(what, raw):
             toks = shlex.split(raw, comments=True)
-            if toks:
-                check = handle(toks)
-                if check is not None:
-                    later.append((raw, check))
-    for raw, check in later:
-        with _naming_line(what, raw):
-            check()
+            if not toks:
+                continue
+            key, values = toks[0], toks[1:]
+            if key not in arity:
+                raise ValueError("unknown line")
+            if arity[key] is not None and len(values) not in arity[key]:
+                raise ValueError("%s takes %s values" % (
+                    key, " or ".join(map(str, arity[key]))))
+            if key in seen and key in once:
+                raise ValueError("repeated %s line" % key)
+            seen.add(key)
+            records.append((raw, key, values))
+    return records
 
 
 @contextmanager
@@ -1262,47 +1269,61 @@ def _naming_line(what, raw):
         raise ValueError("bad %s line %r: %s" % (what, raw, exc)) from None
 
 
+def _cell_lines(g, m=None):
+    """g's vertex and edge lines in skey order, "vertex id label" and
+    "edge id tail head label [rev id']", each with the cell's image under
+    the morphism m, when given, before the label."""
+    lines = []
+    for v in g.vertices():
+        cols = [v] + ([m.vmap[v]] if m else []) + [g.vlabel[v]]
+        lines.append("vertex " + " ".join(map(_fmt, cols)))
+    for e in g.edge_ids():
+        cols = [e, *g.edges[e]] + ([m.emap[e]] if m else []) + [g.elabel[e]]
+        rev = " rev " + _fmt(g.reversal[e]) if g.reversal is not None else ""
+        lines.append("edge " + " ".join(map(_fmt, cols)) + rev)
+    return lines
+
+
+def _read_cells(records, what, label_graph, mapped):
+    """(graph over label_graph, vertex images, edge images) from the
+    vertex and edge records that _cell_lines writes, with the image column
+    when mapped.  A repeated id, or a word other than rev before the
+    reverse edge's id, is a ValueError naming the line."""
+    vlabel, edges, elabel, rev, vmap, emap = {}, {}, {}, {}, {}, {}
+    for raw, key, values in records:
+        if key not in ("vertex", "edge"):
+            continue
+        with _naming_line(what, raw):
+            x, *rest = map(_parse_token, values)
+            if x in (vlabel if key == "vertex" else edges):
+                raise ValueError("repeated %s %r" % (key, x))
+            if key == "vertex":
+                if mapped:
+                    vmap[x] = rest.pop(0)
+                vlabel[x] = rest[0]
+                continue
+            if len(rest) > 4 + mapped:
+                if values[-2] != "rev":
+                    raise ValueError("expected 'rev'")
+                rev[x] = rest[-1]
+            if mapped:
+                emap[x] = rest.pop(2)
+            edges[x], elabel[x] = (rest[0], rest[1]), rest[2]
+    g = LabelGraph(vlabel, edges, elabel, rev or None, label_graph)
+    return g, vmap, emap
+
+
 def to_text(g):
     """Canonical text form: one line per cell, sorted deterministically."""
-    lines = []
-    for v in sorted(g.vlabel, key=skey):
-        lines.append("vertex %s %s" % (_fmt(v), _fmt(g.vlabel[v])))
-    for e in sorted(g.edges, key=skey):
-        t, h = g.edges[e]
-        line = "edge %s %s %s %s" % (_fmt(e), _fmt(t), _fmt(h), _fmt(g.elabel[e]))
-        if g.reversal is not None:
-            line += " rev %s" % _fmt(g.reversal[e])
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_cell_lines(g)) + "\n"
 
 
 def from_text(text, label_graph=None):
-    vlabel = {}
-    edges = {}
-    elabel = {}
-    rev = {}
-
-    def line(toks):
-        if toks[0] == "vertex" and len(toks) == 3:
-            v = _parse_token(toks[1])
-            if v in vlabel:
-                raise ValueError("repeated vertex %r" % (v,))
-            vlabel[v] = _parse_token(toks[2])
-        elif toks[0] == "edge" and len(toks) in (5, 7):
-            e = _parse_token(toks[1])
-            if e in edges:
-                raise ValueError("repeated edge %r" % (e,))
-            edges[e] = (_parse_token(toks[2]), _parse_token(toks[3]))
-            elabel[e] = _parse_token(toks[4])
-            if len(toks) == 7:
-                if toks[5] != "rev":
-                    raise ValueError("expected 'rev'")
-                rev[e] = _parse_token(toks[6])
-        else:
-            raise ValueError("unknown line")
-
-    read_lines(text, line, "graph")
-    return LabelGraph(vlabel, edges, elabel, rev or None, label_graph)
+    """Read to_text's format; '#' starts a comment.  Keys: vertex (2
+    values: id, label) and edge (4: id, tail, head, label, or 6 with rev
+    and the reverse edge's id), on any number of lines."""
+    records = read_lines(text, "graph", {"vertex": (2,), "edge": (4, 6)}, ())
+    return _read_cells(records, "graph", label_graph, False)[0]
 
 
 def to_dot(g, name="g"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .geometry import evaluate_word, grid_alphabet, grid_patch, identity
 from .graphs import (CapacityError, backtrack, exponential, read_lines, sharp,
-                     skey, _fmt, _parse_token)
+                     skey, _fmt, _naming_line, _parse_token)
 from .tilesets import (COMB_TILE_NAMES, DhsTarget, WangTileset,
                        comb_configuration, comb_tileset, lamp_runs)
 
@@ -60,65 +60,44 @@ class HalfPlaneTileset:
 def halfplane_to_text(hp):
     """Line format: kind, colour list, one tile line per tile in order,
     and the seed tile index."""
-    lines = ["kind halfplane"]
-    lines.append("colors " + " ".join(_fmt(c)
-                                      for c in sorted(hp.colors, key=skey)))
-    for t in hp.tiles:
-        lines.append("tile " + " ".join(_fmt(c) for c in t))
-    lines.append("seedtile %d" % hp.seed)
-    return "\n".join(lines) + "\n"
+    lines = ["kind halfplane", "colors " + " ".join(
+        map(_fmt, sorted(hp.colors, key=skey)))]
+    lines += ["tile " + " ".join(map(_fmt, t)) for t in hp.tiles]
+    return "\n".join(lines + ["seedtile %d" % hp.seed]) + "\n"
 
 
 def halfplane_from_text(text):
-    """Read halfplane_to_text's format; '#' starts a comment.  Raises
-    ValueError naming the line on a malformed or repeated line, a tile with
-    an undeclared colour or a seed tile out of range."""
-    colors = None
-    tiles = {}  # tile -> None, in line order
-    seed = None
-
-    # Tile colours and the seed index are checked once every line is read,
-    # since the colours and the tiles may come later.
-    def check_tile(tile):
-        for c in tile:
-            if colors is not None and c not in colors:
-                raise ValueError("tile colour %r not declared" % (c,))
-
-    def check_seed():
-        if tiles and not 0 <= seed < len(tiles):
-            raise ValueError("seed tile out of range")
-
-    def line(toks):
-        nonlocal colors, seed
-        key, rest = toks[0], toks[1:]
-        if key == "kind":
-            if rest != ["halfplane"]:
-                raise ValueError("not a half-plane tileset")
-        elif key == "colors":
-            if colors is not None:
-                raise ValueError("repeated colors line")
-            colors = frozenset(_parse_token(t) for t in rest)
-        elif key == "tile":
-            if len(rest) != 4:
-                raise ValueError("tile lines carry four colours")
-            tile = tuple(_parse_token(t) for t in rest)
-            if tile in tiles:
-                raise ValueError("repeated tile")
-            tiles[tile] = None
-            return lambda: check_tile(tile)
-        elif key == "seedtile":
-            if len(rest) != 1:
-                raise ValueError("seedtile takes one index")
-            if seed is not None:
-                raise ValueError("repeated seedtile line")
-            seed = int(rest[0])
-            return check_seed
-        else:
-            raise ValueError("unknown line %r" % (key,))
-
-    read_lines(text, line, "half-plane")
-    if colors is None or not tiles or seed is None:
+    """Read halfplane_to_text's format; '#' starts a comment.  Keys: kind
+    (1 value, halfplane; optional), colors (any number of values), tile (4
+    colours) and seedtile (1 tile index); all but tile are once-only.
+    Raises ValueError naming the line on a malformed or repeated line, a
+    tile with an undeclared colour or a seed tile out of range."""
+    what = "half-plane"
+    records = read_lines(text, what, {"kind": (1,), "colors": None,
+                                      "tile": (4,), "seedtile": (1,)},
+                         ("kind", "colors", "seedtile"))
+    line = {key: (raw, values) for raw, key, values in records}
+    if not {"colors", "tile", "seedtile"} <= line.keys():
         raise ValueError("colors, tile and seedtile lines are all required")
+    tiles = {}  # tile -> None, in line order
+    colors = frozenset(map(_parse_token, line["colors"][1]))
+    for raw, key, values in records:
+        with _naming_line(what, raw):
+            if key == "kind" and values != ["halfplane"]:
+                raise ValueError("not a half-plane tileset")
+            if key == "tile":
+                tile = tuple(map(_parse_token, values))
+                if tile in tiles:
+                    raise ValueError("repeated tile")
+                for c in tile:
+                    if c not in colors:
+                        raise ValueError("tile colour %r not declared" % (c,))
+                tiles[tile] = None
+    raw, values = line["seedtile"]
+    with _naming_line(what, raw):
+        seed = int(values[0])
+        if not 0 <= seed < len(tiles):
+            raise ValueError("seed tile out of range")
     return HalfPlaneTileset(colors, tuple(tiles), seed)
 
 
@@ -145,11 +124,16 @@ def grid_wang_tilings(tiles, points, seed=None, limit=None):
     of grid points, in deterministic order, as dicts point -> tile index.
 
     Only sides shared by two points in the set constrain anything; seed
-    pins one (point, index) pair.  With limit the search stops early, so a
-    truncated result does not mean the full list was found.
+    pins one (point, index) pair, and a point outside the set or an index
+    outside the tiles is a ValueError.  With limit the search stops early,
+    so a truncated result does not mean the full list was found.
     """
     tiles = tuple(tuple(t) for t in tiles)
     order = sorted(points)
+    if seed is not None and seed[0] not in order:
+        raise ValueError("seed point %r is not among the points" % (seed[0],))
+    if seed is not None and not 0 <= seed[1] < len(tiles):
+        raise ValueError("seed tile %r out of range" % (seed[1],))
     if limit is not None and limit <= 0:
         return []
     rows = [(seed[1],) if seed is not None and pt == seed[0]

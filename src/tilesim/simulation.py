@@ -36,10 +36,13 @@ from .graphs import (
     simplify,
     skey,
     vertex_blowup,
+    _cell_lines,
     _dot,
     _edge_labels,
     _fmt,
+    _naming_line,
     _parse_token,
+    _read_cells,
 )
 from .geometry import (
     Window,
@@ -177,7 +180,10 @@ def apply_simulator(window, s, frontier=None):
     coherent paths (0,c,0) and (0,c,1)(1,c,1)*(1,c,0) through the pairs.
     A pair is incomplete when it sits over a frontier point or one of its
     walks passes a midpoint over one.  Vertices come in skey order, as
-    flat keeps them, and edge ids are (tail pair, c, head pair).
+    flat keeps them, and edge ids are (tail pair, c, head pair).  The
+    output is unchecked, as flat's output meets the axioms: a walk for c
+    runs from a pair over c's tail to one over c's head, and over an
+    unoriented window and simulator it retraces as a walk for c'.
     """
     graph, frontier = _window_graph(window, frontier)
     if graph.label_graph != s.alpha.codomain:
@@ -235,7 +241,8 @@ def apply_simulator(window, s, frontier=None):
     rev = None
     if graph.reversal is not None and sg.reversal is not None:
         rev = {(u, c, v): (v, b.reversal[c], u) for (u, c, v) in edges}
-    return LabelGraph(vlabel, edges, elabel, rev, b), frozenset(incomplete)
+    return (LabelGraph._trusted(vlabel, edges, elabel, rev, b),
+            frozenset(incomplete))
 
 
 # -- composition --------------------------------------------------------------
@@ -980,75 +987,43 @@ def simulator_to_text(s):
         lines.append("%s %s" % (tag, spec))
         for sym in symbols:
             lines.append("symbol %s" % _fmt(sym))
-    g = s.graph
-    for v in g.vertices():
-        lines.append("vertex %s %s %s"
-                     % (_fmt(v), _fmt(s.alpha.vmap[v]), _fmt(g.vlabel[v])))
-    for e in g.edge_ids():
-        t, h = g.edges[e]
-        line = "edge %s %s %s %s %s" % (_fmt(e), _fmt(t), _fmt(h),
-                                        _fmt(s.alpha.emap[e]),
-                                        _fmt(g.elabel[e]))
-        if g.reversal is not None:
-            line += " rev %s" % _fmt(g.reversal[e])
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _cell_lines(s.graph, s.alpha)) + "\n"
 
 
 def simulator_from_text(text):
-    bases = {}
-    symbols = {"alpha": [], "beta": []}
-    current = None
-    vlabel = {}
-    avmap = {}
-    edges = {}
-    elabel = {}
-    aemap = {}
-    rev = {}
-    saw_header = False
+    """Read simulator_to_text's format; '#' starts a comment.
 
-    def line(toks):
-        nonlocal current, saw_header
-        if not saw_header:
-            if toks != ["simulator"]:
+    The first line is the header simulator (no values).  Keys: alpha and
+    beta (1 value, a base alphabet, or 3: dl p q), once each; symbol (1
+    value), a decoration symbol of the alphabet line above it; vertex (3
+    values: id, source label, target label) and edge (5: id, tail, head,
+    source label, target label, or 7 with rev and the reverse edge's
+    id)."""
+    what = "simulator"
+    records = read_lines(text, what, {
+        "simulator": (0,), "alpha": (1, 3), "beta": (1, 3), "symbol": (1,),
+        "vertex": (3,), "edge": (5, 7)}, ("simulator", "alpha", "beta"))
+    bases, symbols, current = {}, {"alpha": {}, "beta": {}}, None
+    for i, (raw, key, values) in enumerate(records):
+        with _naming_line(what, raw):
+            if i == 0 and key != "simulator":
                 raise ValueError("expected a simulator header")
-            saw_header = True
-        elif toks[0] in ("alpha", "beta"):
-            if toks[0] in bases:
-                raise ValueError("repeated %s line" % toks[0])
-            bases[toks[0]] = _base_alphabet(toks[1:])
-            current = toks[0]
-        elif toks[0] == "symbol" and len(toks) == 2:
-            if current is None:
-                raise ValueError("symbol line before alpha/beta")
-            symbols[current].append(_parse_token(toks[1]))
-        elif toks[0] == "vertex" and len(toks) == 4:
-            v = _parse_token(toks[1])
-            if v in vlabel:
-                raise ValueError("repeated vertex %r" % (v,))
-            avmap[v] = _parse_token(toks[2])
-            vlabel[v] = _parse_token(toks[3])
-        elif toks[0] == "edge" and len(toks) in (6, 8):
-            e = _parse_token(toks[1])
-            if e in edges:
-                raise ValueError("repeated edge %r" % (e,))
-            edges[e] = (_parse_token(toks[2]), _parse_token(toks[3]))
-            aemap[e] = _parse_token(toks[4])
-            elabel[e] = _parse_token(toks[5])
-            if len(toks) == 8:
-                if toks[6] != "rev":
-                    raise ValueError("expected 'rev'")
-                rev[e] = _parse_token(toks[7])
-        else:
-            raise ValueError("unknown line")
-
-    read_lines(text, line, "simulator")
-    if "alpha" not in bases or "beta" not in bases:
+            if key in ("alpha", "beta"):
+                current = key
+                bases[key] = _base_alphabet(values)
+            elif key == "symbol":
+                if current is None:
+                    raise ValueError("symbol line before alpha/beta")
+                sym = _parse_token(values[0])
+                if sym in symbols[current]:
+                    raise ValueError("repeated symbol %r" % (sym,))
+                symbols[current][sym] = None
+    if len(bases) < 2:
         raise ValueError("missing alphabet description")
     a, b = (alphabet_label_graph(tuple(symbols[tag]), bases[tag])
             if symbols[tag] else bases[tag] for tag in ("alpha", "beta"))
-    g = LabelGraph(vlabel, edges, elabel, rev or None, path_subdivision(b))
-    return Simulator(g, Morphism(avmap, aemap, g, a))
+    g, vmap, emap = _read_cells(records, what, path_subdivision(b), True)
+    return Simulator(g, Morphism(vmap, emap, g, a))
 
 
 def simulator_to_dot(s, name="simulator"):

@@ -23,7 +23,7 @@ import shlex
 import warnings
 
 from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
-                     _fmt, _parse_token)
+                     _fmt, _naming_line, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
                        cayley_label_graph)
 
@@ -649,20 +649,16 @@ def tileset_to_text(ts):
     """Line format: kind, colour/alphabet list, one line per tile or cell,
     seeds as generator words.  DL systems add a params line, and named
     tiles or symbols a names line."""
-    lines = []
     if isinstance(ts, WangTileset):
-        lines.append("kind wang")
-        lines.append("colors " + " ".join(_fmt(c)
-                                          for c in sorted(ts.colors, key=skey)))
-        for t in ts.tiles:
-            lines.append("tile " + " ".join(_fmt(c) for c in t))
+        lines = ["kind wang", "colors " + " ".join(
+            map(_fmt, sorted(ts.colors, key=skey)))]
+        lines += ["tile " + " ".join(map(_fmt, t)) for t in ts.tiles]
     elif isinstance(ts, TetraSystem):
-        lines.append("kind tetra" if ts.mode == "cayley" else "kind dl")
-        if ts.mode == "dl":
-            lines.append("params %d %d" % (ts.p, ts.q))
-        lines.append("alphabet " + " ".join(_fmt(x) for x in ts.alphabet))
-        for t in sorted(ts.allowed, key=skey):
-            lines.append("tetra " + " ".join(_fmt(x) for x in t))
+        lines = (["kind tetra"] if ts.mode == "cayley"
+                 else ["kind dl", "params %d %d" % (ts.p, ts.q)])
+        lines.append("alphabet " + " ".join(map(_fmt, ts.alphabet)))
+        lines += ["tetra " + " ".join(map(_fmt, t))
+                  for t in sorted(ts.allowed, key=skey)]
     else:
         raise ValueError("cannot serialize %r" % type(ts).__name__)
     if ts.names is not None:
@@ -702,93 +698,60 @@ def _point_word(pt):
 
 
 def tileset_from_text(text):
-    kind = None
-    colors = None
-    symbols = None
+    """Read tileset_to_text's format; '#' starts a comment.  Keys: kind (1
+    value: wang, tetra or dl), params (2: p, q; kind dl only), colors
+    (Wang) or alphabet (cell systems), names (one per tile or symbol),
+    tile or tetra (a colour per side or a symbol per cell point) and seed
+    (2: a generator word, a tile index).  All but tile, tetra and seed are
+    once-only.  A fault on a line is a ValueError naming that line."""
+    what = "tileset"
+    records = read_lines(text, what, {
+        "kind": (1,), "params": (2,), "colors": None, "alphabet": None,
+        "names": None, "tile": None, "tetra": None, "seed": (2,)},
+        ("kind", "params", "colors", "alphabet", "names"))
+    line = {key: (raw, values) for raw, key, values in records}
+    if "kind" not in line:
+        raise ValueError("missing kind line")
+    raw, (kind,) = line["kind"]
+    with _naming_line(what, raw):
+        if kind not in ("wang", "tetra", "dl"):
+            raise ValueError("unknown kind %r" % (kind,))
     p = q = 2
-    tiles = {}  # tile or cell tuple -> None, in line order
-    names = None
-    placed = []
-    declared = set()  # the once-only lines read so far
-
-    # Tile and seed lines are checked once every line is read, since the
-    # colours, alphabet, params and tile count may come later.
-    def check_tile(tile):
-        if kind == "wang" and colors is not None:
-            _check_tile(tile, 4, colors)
-        elif kind in ("tetra", "dl") and symbols is not None:
-            _check_tile(tile, 4 if kind == "tetra" else p + q, symbols,
-                        "cell tuple")
-
-    def check_names():
-        if kind == "wang":
-            count = len(tiles)
-        elif symbols is not None:
-            count = len(symbols)
-        else:
-            return
-        if len(names) != count:
-            raise ValueError("%d names for %d tiles" % (len(names), count))
-
-    def check_params():
-        if kind != "dl":
-            raise ValueError("params need kind dl")
-
-    def place(word, idx):
-        placed.append((evaluate_word(word, p, q), idx))
-        if kind == "wang":
-            _check_seeds(placed[-1:], len(tiles))
-        elif kind in ("tetra", "dl") and symbols is not None:
-            _check_seeds(placed[-1:], len(symbols))
-
-    def line(toks):
-        nonlocal kind, colors, symbols, names, p, q
-        key, rest = toks[0], toks[1:]
-        arity = {"kind": 1, "params": 2, "seed": 2}.get(key)
-        if arity is not None and len(rest) != arity:
-            raise ValueError("%s takes %d values" % (key, arity))
-        if key in ("kind", "params", "colors", "alphabet", "names"):
-            if key in declared:
-                raise ValueError("repeated %s line" % key)
-            declared.add(key)
-        if key == "kind":
-            kind = rest[0]
-            if kind not in ("wang", "tetra", "dl"):
-                raise ValueError("unknown kind %r" % (kind,))
-        elif key == "params":
-            p, q = int(rest[0]), int(rest[1])
+    if "params" in line:
+        raw, values = line["params"]
+        with _naming_line(what, raw):
+            p, q = map(int, values)
             if min(p, q) < 2:
                 raise ValueError("p, q must be at least 2")
-            return check_params
-        elif key == "colors":
-            colors = [_parse_token(t) for t in rest]
-        elif key == "alphabet":
-            symbols = [_parse_token(t) for t in rest]
-        elif key == "names":
-            names = tuple(_parse_token(t) for t in rest)
-            return check_names
-        elif key in ("tile", "tetra"):
-            tile = tuple(_parse_token(t) for t in rest)
-            if tile in tiles:
-                raise ValueError("repeated %s" % key)
-            tiles[tile] = None
-            return lambda: check_tile(tile)
-        elif key == "seed":
-            word, idx = rest[0], int(rest[1])
-            return lambda: place(word, idx)
-        else:
-            raise ValueError("unknown line")
-
-    read_lines(text, line, "tileset")
+            if kind != "dl":
+                raise ValueError("params need kind dl")
+    key = "colors" if kind == "wang" else "alphabet"
+    if key not in line:
+        raise ValueError("missing %s line" % key)
+    symbols = [_parse_token(t) for t in line[key][1]]
+    tiles = {}  # tile or cell tuple -> None, in line order
+    for raw, key, values in records:
+        with _naming_line(what, raw):
+            if key in ("tile", "tetra"):
+                tile = tuple(map(_parse_token, values))
+                if tile in tiles:
+                    raise ValueError("repeated %s" % key)
+                _check_tile(tile, p + q, symbols, key)
+                tiles[tile] = None
+    count = len(tiles) if kind == "wang" else len(symbols)
+    names, seeds = None, []
+    for raw, key, values in records:
+        with _naming_line(what, raw):
+            if key == "names":
+                names = tuple(map(_parse_token, values))
+                if len(names) != count:
+                    raise ValueError("%d names for %d tiles"
+                                     % (len(names), count))
+            elif key == "seed":
+                seeds.append((evaluate_word(values[0], p, q),
+                              int(values[1])))
+                _check_seeds(seeds[-1:], count)
     if kind == "wang":
-        if colors is None:
-            raise ValueError("missing colors line")
-        return WangTileset(frozenset(colors), tuple(tiles), placed,
-                           names)
-    if kind in ("tetra", "dl"):
-        if symbols is None:
-            raise ValueError("missing alphabet line")
-        mode = "cayley" if kind == "tetra" else "dl"
-        return TetraSystem(tuple(symbols), frozenset(tiles), placed,
-                           mode, p, q, names)
-    raise ValueError("missing kind line")
+        return WangTileset(frozenset(symbols), tuple(tiles), seeds, names)
+    return TetraSystem(tuple(symbols), frozenset(tiles), seeds,
+                       "cayley" if kind == "tetra" else "dl", p, q, names)

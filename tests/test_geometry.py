@@ -16,9 +16,12 @@ from tilesim.geometry import (
 from tilesim.graphs import (CapacityError, LabelGraph, add_edge_pair,
                             induced_subgraph, skey, validate)
 from tilesim.sat import count_tilings
-from tilesim.simulation import decorate_window, relabel_graph
-from tilesim.tilesets import (DhsTarget, _swap, comb_tileset,
-                              decoration_symbols, dl_ray_system,
+from tilesim.simulation import (apply_simulator, comb_to_plane,
+                                decorate_window, quadrant_to_plane,
+                                relabel_graph, sea_to_quadrant)
+from tilesim.tilesets import (DhsTarget, _swap, comb_configuration,
+                              comb_tileset, decoration_symbols,
+                              dl_ray_system, omega_configuration,
                               random_wang_tileset, sea_level_system,
                               wang_to_dhs, window_scopes)
 
@@ -57,6 +60,16 @@ def test_word_examples():
     assert evaluate_word("aBaB").is_identity()
     with pytest.raises(ValueError):
         evaluate_word("axb")
+
+
+def test_word_whitespace_is_ignored():
+    # letter runs split by whitespace read as one word; DL tokens still
+    # read as moves, alone or next to letters
+    assert evaluate_word("ab A") == evaluate_word("abA")
+    assert evaluate_word(" a\tb\nA ") == evaluate_word("abA")
+    assert evaluate_word("ab up:0:1") == evaluate_word("abb")
+    with pytest.raises(ValueError, match="bad token 'ax'"):
+        evaluate_word("ax b")
 
 
 def test_words_match_oracle():
@@ -635,6 +648,19 @@ def test_trusted_builders_meet_the_axioms():
     for g in grids:
         decorated.append(relabel_graph(g, lambda v: rng.choice(symbols),
                                        symbols))
+    # apply_simulator builds its output without validate as well
+    sea = sea_level_system()
+    w = tetrahedron(-2, 2)
+    decorated.append(apply_simulator(decorate_window(
+        w, sea, {pt: sea.alphabet.index(omega_configuration(pt))
+                 for pt in w.points()}), sea_to_quadrant())[0])
+    w = ball(2)
+    decorated.append(apply_simulator(decorate_window(
+        w, comb, {pt: comb_configuration(pt) for pt in w.points()}),
+        comb_to_plane())[0])
+    decorated.append(apply_simulator(quadrant_window(3, 2),
+                                     quadrant_to_plane())[0])
+    assert all(g.edges for g in decorated[-3:])
     bases = [w.graph.label_graph for w in cayley + dl]
     bases += [g.label_graph for g in grids]
     assert bases[:2] == [cayley_label_graph()] * 2

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 
@@ -1537,6 +1538,17 @@ def test_text_repeated_id_names_the_line():
         from_text("vertex 0 1\nedge e 0 0 x\nedge e 0 0 y\n", label_graph=a)
     with pytest.raises(ValueError, match="'vertex 0 1': repeated vertex 0"):
         from_text("vertex 0 1\nvertex 0 1\nedge e 0 0 x\n", label_graph=a)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("vertex 0 1\nedge e 0 0 x bad f\n", "edge e 0 0 x bad f",
+     "expected 'rev'"),
+    ("vertex 0 1\nface f 0\n", "face f 0", "unknown line")],
+    ids=["no-rev-keyword", "unknown-key"])
+def test_text_bad_lines_name_the_line(text, line, message):
+    with pytest.raises(ValueError, match="^bad graph line "
+                       + re.escape("%r: %s" % (line, message)) + "$"):
+        from_text(text, label_graph=rose(["x", "y"]))
 
 
 def test_operations_are_deterministic():

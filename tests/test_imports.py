@@ -1,10 +1,12 @@
 """Gates on src/tilesim's module-level imports: each one is referenced,
 and each absolute one names a standard-library module, since the runtime
-has no dependencies; on pyproject.toml, which declares none; on
+has no dependencies; on pyproject.toml, which declares none and whose
+scripts each import and are callable; on
 object.__setattr__, which no module uses to hang state on an object; and
 on its definitions, each of which src, tests or perfbench references."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -71,6 +73,46 @@ def test_project_is_tilesim_with_no_dependencies():
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert 'name = "tilesim"' in project.splitlines()
     assert "dependencies = []" in project.splitlines()
+
+
+def script_targets(text):
+    """The "module:function" targets of pyproject.toml's [project.scripts]
+    table, read as text like the test above."""
+    if "\n[project.scripts]\n" not in text:
+        return []
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    return [line.split("=", 1)[1].strip().strip('"')
+            for line in table.splitlines() if "=" in line]
+
+
+def broken_scripts(targets):
+    """The targets whose module does not import or whose function is
+    missing or not callable; an installed command would die on each."""
+    broken = []
+    for target in targets:
+        module, _, name = target.partition(":")
+        try:
+            ok = callable(getattr(importlib.import_module(module), name, None))
+        except ImportError:
+            ok = False
+        if not ok:
+            broken.append(target)
+    return broken
+
+
+def test_gate_finds_a_broken_script():
+    text = ('[project]\nname = "x"\n\n[project.scripts]\n'
+            'ok = "json:dumps"\ngone = "tilesim.nothing:main"\n'
+            'value = "sys:version"\n\n[tool.other]\nx = "y:z"\n')
+    targets = script_targets(text)
+    assert targets == ["json:dumps", "tilesim.nothing:main", "sys:version"]
+    assert broken_scripts(targets) == ["tilesim.nothing:main", "sys:version"]
+    assert script_targets('[project]\nname = "x"\n') == []
+
+
+def test_project_scripts_import_and_are_callable():
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    assert broken_scripts(script_targets(text)) == []
 
 
 def setattr_calls(source):

@@ -199,6 +199,17 @@ def test_grid_wang_brute_force_on_a_square():
     assert len(capped) == 3
 
 
+@pytest.mark.parametrize("seed, message", [
+    (((5, 5), 1), "seed point (5, 5) is not among the points"),
+    (((0, 0), -1), "seed tile -1 out of range"),
+    (((0, 0), 7), "seed tile 7 out of range")],
+    ids=["point-outside", "negative-tile", "tile-past-the-end"])
+def test_grid_wang_tilings_checks_its_seed(seed, message):
+    tiles = (("c", "d", "c", "c"), ("c", "c", "c", "d"))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        grid_wang_tilings(tiles, [(0, 0), (1, 0)], seed=seed)
+
+
 def test_halfplane_text_round_trip():
     two = HalfPlaneTileset(
         frozenset("cd"), (("c", "c", "c", "c"), ("d", "d", "c", "d")), 1)
@@ -237,10 +248,12 @@ def test_halfplane_text_comments_and_bad_lines():
     ("colors c\ntile c c c c\nseedtile 1", "seedtile 1"),
     ("seedtile -1\ncolors c\ntile c c c c", "seedtile -1"),
     ("colors c\ncolors c d\ntile c c c c\nseedtile 0", "colors c d"),
-    ("colors c\ntile c c c c\nseedtile 0\nseedtile 0", "seedtile 0")],
+    ("colors c\ntile c c c c\nseedtile 0\nseedtile 0", "seedtile 0"),
+    ("kind halfplane\ncolors c\ntile c c c c\nseedtile 0\n"
+     "kind halfplane", "kind halfplane")],
     ids=["duplicate-tile", "undeclared-colour", "colour-declared-later",
          "seed-out-of-range", "negative-seed", "repeated-colors",
-         "repeated-seedtile"])
+         "repeated-seedtile", "repeated-kind"])
 def test_halfplane_text_errors_name_the_line(text, bad):
     with pytest.raises(ValueError, match="^bad half-plane line "
                        + re.escape(repr(bad))):

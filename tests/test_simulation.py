@@ -740,6 +740,39 @@ def test_simulator_text_repeated_lines_name_the_line(extra):
         simulator_from_text(text + extra + "\n")
 
 
+def test_simulator_text_repeated_symbol_names_the_line():
+    # One more repeated line; the text of the parametrized test above has
+    # no symbol lines, so the case needs a decorated alphabet of its own.
+    s = identity_simulator(alphabet_label_graph(("c", "d"),
+                                                cayley_label_graph()))
+    lines = simulator_to_text(s).splitlines()
+    i = next(i for i, x in enumerate(lines) if x.startswith("symbol "))
+    lines.insert(i + 1, lines[i])
+    with pytest.raises(ValueError, match="^bad simulator line "
+                       + re.escape(repr(lines[i]) + ": repeated symbol")):
+        simulator_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("simulator\nsymbol c\nalpha plane\nbeta plane\n", "symbol c",
+     "symbol line before alpha/beta"),
+    ("simulator\nalpha plane\nbeta plane\nedge e 0 0 N N ver f\n",
+     "edge e 0 0 N N ver f", "expected 'rev'"),
+    ("simulator\nalpha plane\n", None, "missing alphabet description")],
+    ids=["symbol-first", "no-rev-keyword", "no-beta"])
+def test_simulator_text_errors(text, line, message):
+    if line is not None:
+        message = "bad simulator line %r: %s" % (line, message)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        simulator_from_text(text)
+
+
+def test_simulator_text_needs_a_known_alphabet():
+    with pytest.raises(ValueError, match="^alphabet has no serializable "
+                       "description$"):
+        simulator_to_text(identity_simulator(rose(["x"])))
+
+
 def test_simulator_text_rejects_garbage():
     with pytest.raises(ValueError):
         simulator_from_text("not a simulator\n")

@@ -443,6 +443,21 @@ def test_tileset_file_late_errors_name_the_line(text, line):
         tileset_from_text(line + "\n" + text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("kind wang\ntile x x x x\n", "missing colors line"),
+    ("kind tetra\ntetra 0 0 0 0\n", "missing alphabet line"),
+    ("kind tetra\nnames p q\n", "missing alphabet line")],
+    ids=["wang-no-colors", "tetra-no-alphabet", "names-no-alphabet"])
+def test_tileset_file_missing_lines(text, message):
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        tileset_from_text(text)
+
+
+def test_tileset_file_writes_only_wang_and_cell_systems():
+    with pytest.raises(ValueError, match="^cannot serialize 'DhsTarget'$"):
+        tileset_to_text(wang_to_dhs(comb_tileset()))
+
+
 @pytest.mark.parametrize("line", ["kind", "params 2", "seed"])
 def test_tileset_file_short_lines_name_the_line(line):
     with pytest.raises(ValueError, match=re.escape(repr(line))):
@@ -491,6 +506,12 @@ def test_tileset_file_repeated_tile_names_the_line(text, line):
     with pytest.raises(ValueError, match=re.escape(repr(line))
                        + ": repeated " + line.split()[0]):
         tileset_from_text(text + line + "\n")
+
+
+def test_seed_word_may_hold_whitespace():
+    ts = tileset_from_text("kind wang\ncolors x\ntile x x x x\n"
+                           "seed 'ab A' 0\n")
+    assert ts.seeds == ((evaluate_word("abA"), 0),)
 
 
 def test_seeded_file_round_trip():
