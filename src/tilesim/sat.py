@@ -49,7 +49,9 @@ class CnfInstance:
 
     Variables 1..num_vars; var_of maps (point, tile id) to a variable and
     meaning inverts it.  Auxiliary variables (sequential counters, scope
-    selectors) have no meaning entry.
+    selectors) have no meaning entry.  From encode, the clauses are tuples
+    that hold one int object per literal value: every occurrence of v or
+    -v in them, and v in var_of and meaning, is the same object.
     """
 
     num_vars: int = 0
@@ -115,35 +117,50 @@ def encode(window, ts, seeds=()):
     only on its table and its points' candidate lists up to renumbering:
     each distinct (table, candidate lists) pattern is built once over local
     literals and instantiated per scope through a literal table.
+
+    Memory: variables are numbered into one table of int objects, one for
+    v and one for -v, and every clause takes its literals from it, so the
+    clauses hold as many ints as distinct literal values, not one per
+    occurrence.
     """
     pts, _, cands, scopes, pins = _instance(window, ts, seeds)
     cnf = CnfInstance()
     var_of, meaning, clauses = cnf.var_of, cnf.meaning, cnf.clauses
-    n = 0
+    # pos[v] and neg[v] hold the one int object of v and of -v; every
+    # literal of every clause is taken from them
+    pos, neg = [0], [0]
+
+    def number(k):
+        """Number k new variables and return the first."""
+        first = len(pos)
+        pos.extend(range(first, first + k))
+        neg.extend(range(-first, -first - k, -1))
+        return first
+
     # per point: (first tile variable, candidate list id, candidate count)
     slot = []
     cand_ids = {}
     for pt, cs in zip(pts, cands):
-        slot.append((n + 1, cand_ids.setdefault(cs, len(cand_ids)), len(cs)))
-        for t in cs:
-            n += 1
+        first = number(len(cs))
+        slot.append((first, cand_ids.setdefault(cs, len(cand_ids)), len(cs)))
+        for t, v in zip(cs, pos[first:]):
             key = (pt, t)
-            var_of[key] = n
-            meaning[n] = key
+            var_of[key] = v
+            meaning[v] = key
     for first, _, k in slot:
-        group = tuple(range(first, first + k))
-        clauses.append(group)
+        clauses.append(tuple(pos[first:first + k]))
+        ngroup = neg[first:first + k]
         if k <= _PAIRWISE_LIMIT:
-            clauses.extend(itertools.combinations([-x for x in group], 2))
+            clauses.extend(itertools.combinations(ngroup, 2))
         else:
-            regs = range(n + 1, n + k)
-            n += k - 1
-            clauses.append((-group[0], regs[0]))
+            r = number(k - 1)
+            regs, nregs = pos[r:], neg[r:]
+            clauses.append((ngroup[0], regs[0]))
             for i in range(1, k - 1):
-                clauses.append((-regs[i - 1], regs[i]))
-                clauses.append((-group[i], regs[i]))
-                clauses.append((-group[i], -regs[i - 1]))
-            clauses.append((-group[-1], -regs[-1]))
+                clauses.append((nregs[i - 1], regs[i]))
+                clauses.append((ngroup[i], regs[i]))
+                clauses.append((ngroup[i], nregs[i - 1]))
+            clauses.append((ngroup[-1], nregs[-1]))
     cand_lists = list(cand_ids)
     patterns = {}
     for scope, allowed in scopes:
@@ -155,15 +172,17 @@ def encode(window, ts, seeds=()):
                                      allowed)
             patterns[key] = pattern
         nsel, pickers = pattern
-        lits = [0]
+        lits, negs = [0], []
         for first, _, k in info:
-            lits.extend(range(first, first + k))
-        lits.extend(range(n + 1, n + 1 + nsel))
-        n += nsel
+            lits += pos[first:first + k]
+            negs += neg[first:first + k]
+        first = number(nsel)
+        lits += pos[first:]
+        negs += neg[first:]
         # local literal l maps to lits[l]; -l wraps round to the negation
-        lits.extend([-x for x in reversed(lits[1:])])
+        lits += reversed(negs)
         clauses.extend([pick(lits) for pick in pickers])
-    cnf.num_vars = n
+    cnf.num_vars = len(pos) - 1
     for i, t in pins:
         var = var_of.get((pts[i], t))
         clauses.append(() if var is None else (var,))
@@ -214,6 +233,9 @@ def _scope_pattern(cand_lists, allowed):
 
 
 # -- the solver -------------------------------------------------------------------
+
+# clauses per slice that Solver._add_clauses flattens to range-check
+_CHECK_CHUNK = 4096
 
 
 class Solver:
@@ -272,12 +294,19 @@ class Solver:
         root assignment: a satisfied or tautological clause is dropped,
         false and repeated literals go, a unit is propagated at once, and an
         empty clause leaves the solver unsatisfiable for good.  A literal
-        out of range is a ValueError, raised before any clause is added."""
-        clauses = list(clauses)
-        flat = list(itertools.chain.from_iterable(clauses))
-        if flat and (min(flat) < -self.nvars or max(flat) > self.nvars
-                     or 0 in flat):
-            self._check(flat)
+        out of range is a ValueError, raised before any clause is added.
+
+        A list or tuple of clauses is read in place, not copied, and the
+        range check flattens it _CHECK_CHUNK clauses at a time, so loading
+        adds no transient list that grows with the literal count."""
+        if not isinstance(clauses, (list, tuple)):
+            clauses = list(clauses)
+        n = self.nvars
+        for i in range(0, len(clauses), _CHECK_CHUNK):
+            flat = list(itertools.chain.from_iterable(
+                clauses[i:i + _CHECK_CHUNK]))
+            if flat and (min(flat) < -n or max(flat) > n or 0 in flat):
+                self._check(flat)
         if not self.ok:
             return
         vals, watches, db = self.vals, self.watches, self.db

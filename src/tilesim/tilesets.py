@@ -699,11 +699,12 @@ def _point_word(pt):
 
 def tileset_from_text(text):
     """Read tileset_to_text's format; '#' starts a comment.  Keys: kind (1
-    value: wang, tetra or dl), params (2: p, q; kind dl only), colors
-    (Wang) or alphabet (cell systems), names (one per tile or symbol),
-    tile or tetra (a colour per side or a symbol per cell point) and seed
-    (2: a generator word, a tile index).  All but tile, tetra and seed are
-    once-only.  A fault on a line is a ValueError naming that line."""
+    value: wang, tetra or dl), params (2: p, q; kind dl only), colors and
+    tile (Wang: a colour per side) or alphabet and tetra (cell systems: a
+    symbol per cell point), names (one per tile or symbol) and seed (2: a
+    generator word, a tile index).  All but tile, tetra and seed are
+    once-only, and a line of the other kind's keys is an error.  A fault
+    on a line is a ValueError naming that line."""
     what = "tileset"
     records = read_lines(text, what, {
         "kind": (1,), "params": (2,), "colors": None, "alphabet": None,
@@ -725,14 +726,18 @@ def tileset_from_text(text):
                 raise ValueError("p, q must be at least 2")
             if kind != "dl":
                 raise ValueError("params need kind dl")
-    key = "colors" if kind == "wang" else "alphabet"
+    key, tile_key = (("colors", "tile") if kind == "wang"
+                     else ("alphabet", "tetra"))
     if key not in line:
         raise ValueError("missing %s line" % key)
     symbols = [_parse_token(t) for t in line[key][1]]
+    stray = {"colors", "alphabet", "tile", "tetra"} - {key, tile_key}
     tiles = {}  # tile or cell tuple -> None, in line order
     for raw, key, values in records:
         with _naming_line(what, raw):
-            if key in ("tile", "tetra"):
+            if key in stray:
+                raise ValueError("%s line in a kind %s file" % (key, kind))
+            if key == tile_key:
                 tile = tuple(map(_parse_token, values))
                 if tile in tiles:
                     raise ValueError("repeated %s" % key)

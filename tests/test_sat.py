@@ -129,6 +129,24 @@ def test_solver_rejects_out_of_range_literals():
     assert s.solve((1,)) == {1: True, 2: True}
 
 
+@pytest.mark.parametrize("bad", [0, 1001, -1001])
+def test_range_check_reads_past_the_first_slices(bad):
+    # a unit first, then 10,000 valid clauses, then the one bad literal in
+    # the last clause: nothing may be attached before the check reaches it
+    clauses = [(1,)] + [(-v, v + 1) for v in range(1, 1000)] * 10
+    clauses.append((2, bad))
+    message = "literal %d outside" % bad
+    with pytest.raises(ValueError, match="^" + message):
+        solver_for(CnfInstance(1000, clauses))
+    for given in (clauses, tuple(clauses), iter(clauses)):
+        s = Solver(1000)
+        with pytest.raises(ValueError, match="^" + message):
+            s._add_clauses(given)
+        assert s.db == [] and s.trail == []
+        assert not any(s.watches)
+        assert s.ok and s.vals == [None] * 2001
+
+
 def _brute_sat(n, clauses, assumptions):
     for bits in itertools.product((False, True), repeat=n):
         val = lambda q: bits[abs(q) - 1] == (q > 0)
@@ -186,6 +204,20 @@ def test_encode_output_is_pinned():
         "53b0eba6a16338262367692fa7655e0a184cf0874116bc32b9e4a2eee7c60dc3")
     assert list(cnf.var_of.values()) == list(range(1, len(cnf.var_of) + 1))
     assert list(cnf.meaning) == list(cnf.var_of.values())
+
+
+@pytest.mark.parametrize("window, ts", [
+    (ball(2), comb_tileset()),  # pairwise groups, blocking clauses
+    # sequential counters (28 candidates a point) and scope selectors
+    (tetrahedron(-1, 1), sea_level_system())],
+    ids=["blocking", "selector"])
+def test_encode_holds_one_int_object_per_literal_value(window, ts):
+    # Python caches only the ints -5..256, so every other negative literal
+    # is a new object unless encode shares it
+    cnf = encode(window, ts)
+    lits = [q for cl in cnf.clauses for q in cl]
+    lits += list(cnf.var_of.values()) + list(cnf.meaning)
+    assert len({id(q) for q in lits}) == len(set(lits))
 
 
 def test_enumeration_order_is_pinned():

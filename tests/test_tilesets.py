@@ -453,6 +453,21 @@ def test_tileset_file_missing_lines(text, message):
         tileset_from_text(text)
 
 
+@pytest.mark.parametrize("text, line", [
+    # these texts read without error, the stray line dropped
+    ("kind wang\ncolors x\nalphabet 0 1\ntile x x x x\n", "alphabet 0 1"),
+    ("kind tetra\nalphabet 0 1\ncolors q\ntile 0 0 0 0\n", "colors q"),
+    # and these read a tile line as a tetra line, or the other way round
+    ("kind tetra\nalphabet 0 1\ntile 0 0 0 0\n", "tile 0 0 0 0"),
+    ("tetra x x x x\nkind wang\ncolors x\n", "tetra x x x x")],
+    ids=["alphabet-in-wang", "colors-in-tetra", "tile-in-tetra",
+         "tetra-in-wang"])
+def test_tileset_file_lines_of_the_other_kind_name_the_line(text, line):
+    with pytest.raises(ValueError, match=re.escape(
+            "%r: %s line in a kind " % (line, line.split()[0]))):
+        tileset_from_text(text)
+
+
 def test_tileset_file_writes_only_wang_and_cell_systems():
     with pytest.raises(ValueError, match="^cannot serialize 'DhsTarget'$"):
         tileset_to_text(wang_to_dhs(comb_tileset()))
