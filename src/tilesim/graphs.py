@@ -735,46 +735,28 @@ _OTHER_SIDE = {"T": "H", "H": "T", "F": "R", "R": "F"}
 
 def _generic_fiber(g2, alpha, a, is_edge):
     """The fiber of alpha over the abstract closure of the alphabet cell a,
-    as a graph labelled like g2.
+    as a graph labelled like g2: alpha_pullback of the free cell over a.
 
-    For a vertex a this is the discrete graph on pairs ('T', u2) with
-    alpha(u2) = a.  For an edge a it has tail-side copies ('T', u2) over the
-    tail of a, head-side copies ('H', u2) over the head, forward edges
-    ('F', e2) per e2 over a, and (in the unoriented case) backward edges
-    ('R', e2) per e2 over a'.  Tail-side and head-side copies stay distinct
-    even when a is a self-loop in the alphabet, which is what makes currying
-    against the pullback work.
+    For a vertex a the free cell is one vertex 'T', so the fiber is the
+    discrete graph on pairs ('T', u2) with alpha(u2) = a.  For an edge a it
+    is an edge 'F' from 'T' to 'H' and, when alpha's codomain and g2 are
+    both unoriented, its reversal 'R' over a'.  So tail-side copies
+    ('T', u2) and head-side copies ('H', u2) stay distinct even when a is a
+    self-loop in the alphabet, which is what makes currying against the
+    pullback work.
     """
     av = alpha.codomain
+    unoriented = av.reversal is not None and g2.reversal is not None
     if not is_edge:
-        vlabel = {("T", u2): g2.vlabel[u2]
-                  for u2 in g2.vlabel if alpha.vmap[u2] == a}
-        rev = {} if g2.reversal is not None else None
-        return LabelGraph(vlabel, {}, {}, rev, g2.label_graph)
+        cell = LabelGraph({"T": a}, {}, {}, {} if unoriented else None, av)
+        return alpha_pullback(cell, g2, alpha)
+    edges, elabel = {"F": ("T", "H")}, {"F": a}
+    if unoriented:
+        edges["R"], elabel["R"] = ("H", "T"), av.reversal[a]
     ta, ha = av.edges[a]
-    vlabel = {}
-    for u2 in g2.vlabel:
-        if alpha.vmap[u2] == ta:
-            vlabel[("T", u2)] = g2.vlabel[u2]
-        if alpha.vmap[u2] == ha:
-            vlabel[("H", u2)] = g2.vlabel[u2]
-    edges = {}
-    elabel = {}
-    for e2 in g2.edges:
-        if alpha.emap[e2] == a:
-            edges[("F", e2)] = (("T", g2.tail(e2)), ("H", g2.head(e2)))
-            elabel[("F", e2)] = g2.elabel[e2]
-    rev = None
-    if av.reversal is not None and g2.reversal is not None:
-        ap = av.reversal[a]
-        for e2 in g2.edges:
-            if alpha.emap[e2] == ap:
-                edges[("R", e2)] = (("H", g2.tail(e2)), ("T", g2.head(e2)))
-                elabel[("R", e2)] = g2.elabel[e2]
-        rev = {}
-        for (side, e2) in edges:
-            rev[(side, e2)] = (_OTHER_SIDE[side], g2.reversal[e2])
-    return LabelGraph(vlabel, edges, elabel, rev, g2.label_graph)
+    cell = LabelGraph({"T": ta, "H": ha}, edges, elabel,
+                      {"F": "R", "R": "F"} if unoriented else None, av)
+    return alpha_pullback(cell, g2, alpha)
 
 
 def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):

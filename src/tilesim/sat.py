@@ -1,35 +1,33 @@
-"""Finite-window tilings: a tile-domain engine, CNF and exact counting.
+"""Finite-window tilings: a CSP engine, CNF and exact counting.
 
-The domain engine answers solve_tiling, enumerate_tilings, count_tilings
-and forced_values.  It keeps one bitmask of possible tiles per point,
-enforces generalised arc consistency on the tileset's constraint scopes
-with an AC-3 queue, and searches depth first, iteratively, maintaining
-that consistency: it branches on the first undecided point in
-window.points() order and tries its smallest tile id first.  Tilings
-therefore come in lexicographic order of their tile ids read in
-window.points() order.  encode numbers variables point by point and tile
-by tile, and the clause-learning solver below sets the lowest free
-variable true first, so blocking each model it finds gives the same
-sequence; the tests compare the two model for model.
+The engine, _Domains, is a CSP over numbered variables: a bitmask domain
+per variable and table scopes, each a tuple of distinct variables with a
+frozenset of allowed value tuples.  It keeps generalised arc consistency
+with an AC-3 queue and searches depth first, iteratively, branching on the
+lowest undecided variable and its smallest value first, so solutions come
+in lexicographic order of their values.  It knows no window or tileset.
 
-encode() turns a window plus tileset into clauses over one variable per
-(point, tile) pair: an exactly-one group per point, plus the fully-contained
-constraint scopes of the tileset.  Scopes sharing a table and candidate lists
-share one clause pattern, built once and renumbered per scope.  The CNF goes
-out as DIMACS (export_dimacs, import_solution) and into the embedded
-clause-learning Solver, which keeps its state in flat lists indexed by
-literal or variable and is the reference the engine is tested against.
-Its watch lists hold ints: a two-literal clause (most clauses of every
-encoding) is entered as its other literal, which is also the reason it
-records when it implies, and a longer clause as nvars + 1 + its index in
-the clause list.
+_instance numbers a tiling instance off the window's numbered form (see
+Window): points in window.points() order, their candidate tiles, scopes
+over point numbers and seeds as (number, tile).  _domains makes it the
+engine's input, one variable per point, and is the one place a seed
+narrows a domain.  solve_tiling, enumerate_tilings, count_tilings,
+forced_values and exact_count read _domains, so tilings come in
+lexicographic order of their tile ids read in window.points() order.
+
+encode() reads _instance and builds clauses over one variable per (point,
+tile) pair: an exactly-one group per point, plus the scopes.  Scopes
+sharing a table and candidate lists share one clause pattern, built once
+and renumbered per scope.  The CNF goes out as DIMACS (export_dimacs,
+import_solution) and into the embedded clause-learning Solver, which keeps
+its state in flat lists indexed by literal or variable.  Its watch lists
+hold ints: a two-literal clause (most clauses of every encoding) is
+entered as its other literal, which is also the reason it records when it
+implies, and a longer clause as nvars + 1 + its index in the clause list.
+encode numbers variables point by point and tile by tile, and the solver
+sets the lowest free variable true first, so blocking each model it finds
+gives the engine's order; the tests compare the two model for model.
 exact_count() counts by variable elimination, independently of both.
-
-encode, the engine and exact_count share one numbered form of an instance
-(_instance), so candidates, scopes and seeds are numbered and the seeds
-checked in one place.  _instance reads the window's own numbered form (see
-Window), made once with the window: its points, point numbers, edge rows
-and cells are not sorted or hashed again per call.
 """
 
 from __future__ import annotations
@@ -83,11 +81,10 @@ def _point_str(pt):
 
 
 def _instance(window, ts, seeds):
-    """(points, index, cands, scopes, pins), read off the window's numbered
-    form: window.points() (so numbers follow skey order), point -> number,
-    each point's candidate tuple, window_scopes over point numbers, and the
-    tileset's then the extra seeds as (number, tile).  A seed outside the
-    window is a ValueError."""
+    """(points, cands, scopes, pins): window.points() (so numbers follow
+    skey order), each point's candidate tuple, window_scopes over point
+    numbers, and the tileset's then the extra seeds as (number, tile).  A
+    seed outside the window is a ValueError."""
     index = window._index
     pins = []
     for pt, t in tuple(ts.seeds) + tuple(seeds):
@@ -96,8 +93,25 @@ def _instance(window, ts, seeds):
             raise ValueError("seed %s lies outside the window"
                              % _point_str(pt))
         pins.append((i, t))
-    return (window.points(), index, _candidates(ts, window),
-            _scopes(ts, window), pins)
+    return window.points(), _candidates(ts, window), _scopes(ts, window), pins
+
+
+def _domains(window, ts, seeds):
+    """(points, domains, scopes): _instance as the engine's input, each
+    point's candidates as one bitmask with its seeds applied.  This is the
+    one place a seed narrows a domain: it keeps only the seed tile, so a
+    seed tile that is no candidate of its point (out of range included),
+    or two seeds that clash, empty the domain."""
+    pts, cands, scopes, pins = _instance(window, ts, seeds)
+    dom = [sum(1 << t for t in cs) for cs in cands]
+    for i, t in pins:
+        dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
+    return pts, dom, scopes
+
+
+def _bits(mask):
+    """The positions of mask's set bits, ascending."""
+    return tuple(t for t in range(mask.bit_length()) if mask >> t & 1)
 
 
 _PAIRWISE_LIMIT = 8
@@ -123,7 +137,7 @@ def encode(window, ts, seeds=()):
     clauses hold as many ints as distinct literal values, not one per
     occurrence.
     """
-    pts, _, cands, scopes, pins = _instance(window, ts, seeds)
+    pts, cands, scopes, pins = _instance(window, ts, seeds)
     cnf = CnfInstance()
     var_of, meaning, clauses = cnf.var_of, cnf.meaning, cnf.clauses
     # pos[v] and neg[v] hold the one int object of v and of -v; every
@@ -594,30 +608,20 @@ def _decode(cnf, model, window):
 
 
 class _Domains:
-    """Tile domains of one tiling instance, kept generalised arc consistent.
+    """A CSP over numbered variables, kept generalised arc consistent.
 
-    Points are numbered as in _instance, and each point's domain is an int
-    bitmask over tile ids, starting from its vertex candidates.  Scopes are
-    tuples of point numbers; scopes with equal tables share one compiled
-    table.  Every domain change goes on a trail of (point, old mask)
-    entries, so undo(mark) restores any earlier state.  ok is False when
-    propagation at the root already empties a domain.
-
-    A seed outside the window is a ValueError; a seed tile that is not a
-    candidate of its point (out of range included) empties the domain.
+    dom lists each variable's domain as an int bitmask over its values.  A
+    scope is (tuple of variable numbers, frozenset of allowed value
+    tuples); it must not repeat a variable, which window scopes never do.
+    Scopes with equal tables share one compiled table.  Every domain change
+    goes on a trail of (variable, old mask) entries, so undo(mark) restores
+    any earlier state.  ok is False when a domain starts empty or
+    propagation at the root empties one.  _domains compiles a tiling
+    instance into this form and is the one place a seed narrows a domain.
     """
 
-    def __init__(self, window, ts, seeds=()):
-        self.points, self.index, cands, scopes, pins = _instance(window, ts,
-                                                                 seeds)
-        self.dom = dom = []
-        for cs in cands:
-            mask = 0
-            for t in cs:
-                mask |= 1 << t
-            dom.append(mask)
-        for i, t in pins:
-            dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
+    def __init__(self, dom, scopes):
+        self.dom = dom = list(dom)
         self.trail = []
         self.scopes = []
         self.watch = [[] for _ in dom]
@@ -635,10 +639,10 @@ class _Domains:
 
     def _propagate(self, queue):
         """Revise queued scopes (AC-3) until none changes a domain; False
-        on a wipe-out.  A revision keeps, at each position, the tiles some
-        table tuple supports under the current domains.  Window scopes
-        never repeat a point, so a revised scope is consistent and is not
-        queued again by its own changes."""
+        on a wipe-out.  A revision keeps, at each position, the values some
+        table tuple supports under the current domains.  No scope repeats a
+        variable, so a revised scope is consistent and is not queued again
+        by its own changes."""
         dom, trail, scopes, watch, queued = (self.dom, self.trail,
                                              self.scopes, self.watch,
                                              self.queued)
@@ -670,7 +674,7 @@ class _Domains:
         return True
 
     def narrow(self, i, mask):
-        """Cut point i's domain to mask and propagate; False on a
+        """Cut variable i's domain to mask and propagate; False on a
         wipe-out, which leaves the domains to be restored by undo()."""
         old = self.dom[i]
         mask &= old
@@ -693,19 +697,19 @@ class _Domains:
             dom[i] = old
 
     def search(self):
-        """Yield the tilings below the current domains as tuples of tile
-        ids in point order, in lexicographic order of those tuples.
+        """Yield the solutions below the current domains as tuples of
+        values in variable order, in lexicographic order of those tuples.
 
         Iterative maintained-arc-consistency search: branch on the first
-        point with more than one tile, try its smallest tile, and on
-        failure remove that tile and propagate before the next.  The
+        variable with more than one value, try its smallest value, and on
+        failure remove that value and propagate before the next.  The
         domains are not restored afterwards; undo() does that.
         """
         if not self.ok:
             return
         dom, trail = self.dom, self.trail
         n = len(dom)
-        stack = []  # (point, tile bit, trail mark) per decision
+        stack = []  # (variable, value bit, trail mark) per decision
         i = 0
         while True:
             while i < n and not dom[i] & (dom[i] - 1):
@@ -730,7 +734,7 @@ _MEMO_LIMIT = 4096
 
 
 def _compile_table(allowed):
-    """A table as (rows, memo): each allowed tuple as a tuple of tile
+    """A table as (rows, memo): each allowed tuple as a tuple of value
     bits, and a memo from the domains of a scope on the table to their
     revision, since scopes on one table meet the same few domain tuples
     over and over."""
@@ -738,7 +742,7 @@ def _compile_table(allowed):
 
 
 def _revise(rows, doms):
-    """The tiles of each domain that some row inside all domains puts
+    """The values of each domain that some row inside all domains puts
     there."""
     keep = [0] * len(doms)
     for row in rows:
@@ -764,14 +768,14 @@ def enumerate_tilings(window, ts, seeds=(), limit=None):
     complete is False when a limit stopped the enumeration early, which is
     not the same thing as the instance being unsatisfiable.
     """
-    eng = _Domains(window, ts, seeds)
-    models = eng.search()
+    pts, dom, scopes = _domains(window, ts, seeds)
+    models = _Domains(dom, scopes).search()
     out = []
     while limit is None or len(out) < limit:
         model = next(models, None)
         if model is None:
             return out, True
-        out.append(TilingAssignment(dict(zip(eng.points, model))))
+        out.append(TilingAssignment(dict(zip(pts, model))))
     return out, False
 
 
@@ -797,9 +801,10 @@ def forced_values(window, ts, seeds=(), d=2):
     settles further pairs for free.  An unsatisfiable instance gives every
     point the empty tuple.
     """
-    eng = _Domains(window, ts, seeds)
+    pts, dom, scopes = _domains(window, ts, seeds)
+    eng = _Domains(dom, scopes)
     inner = [i for i, ok in enumerate(_inside(window, d)) if ok]
-    feasible = [0] * len(eng.dom)
+    feasible = [0] * len(dom)
 
     def harvest(model):
         for i in inner:
@@ -822,9 +827,7 @@ def forced_values(window, ts, seeds=(), d=2):
                     if model is not None:
                         harvest(model)
                 eng.undo(root)
-    pts = eng.points
-    return {pts[i]: tuple(t for t in range(feasible[i].bit_length())
-                          if feasible[i] >> t & 1) for i in inner}
+    return {pts[i]: _bits(feasible[i]) for i in inner}
 
 
 # -- exact counting ---------------------------------------------------------------
@@ -869,24 +872,19 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
     point number, that is the skey-least point), and the result is the
     product of the remaining constants.  Exact for any solution count, but
     the intermediate tables grow with the window's induced width; a table
-    beyond max_table entries raises CapacityError.
+    beyond max_table entries raises CapacityError.  Seeds narrow the
+    domains as in _domains, and an empty domain counts 0 at once.
     """
-    _, _, cands, scopes, pins = _instance(window, ts, seeds)
-    pinned = {}
-    for i, t in pins:
-        if pinned.setdefault(i, t) != t:
-            return 0
-    factors = {}
-    fid = 0
-    for i, cs in enumerate(cands):
-        if i in pinned:
-            cs = [t for t in cs if t == pinned[i]]
-        factors[fid] = ((i,), {(t,): 1 for t in cs})
-        fid += 1
+    _, dom, scopes = _domains(window, ts, seeds)
+    if 0 in dom:
+        return 0
+    factors = {i: ((i,), {(t,): 1 for t in _bits(m)})
+               for i, m in enumerate(dom)}
+    fid = len(dom)
     for scope, allowed in scopes:
         factors[fid] = (scope, {t: 1 for t in sorted(allowed)})
         fid += 1
-    remaining = set(range(len(cands)))
+    remaining = set(range(len(dom)))
     while remaining:
         touching = {}
         for f, (vs, _) in factors.items():

@@ -13,8 +13,8 @@ from tilesim.reduction import HalfPlaneTileset, reduce_halfplane
 from tilesim.sat import (
     CnfInstance, Solver, TilingAssignment, count_tilings, encode,
     enumerate_tilings, exact_count, export_dimacs, forced_values,
-    import_solution, solve_tiling, solver_for, _decode, _instance,
-    _point_str)
+    import_solution, solve_tiling, solver_for, _decode, _Domains,
+    _instance, _point_str)
 from tilesim.tilesets import (
     DhsTarget, TetraSystem, comb_configuration, comb_tileset, dl_ray_system,
     lr_system, omega_configuration, random_tetra_system, random_wang_tileset,
@@ -482,10 +482,48 @@ def test_instance_candidates_match_the_per_point_definition():
     win = ball(3)
     for ts in (wang_to_dhs(comb_tileset()), comb_tileset(),
                sea_level_system()):
-        cands = _instance(win, ts, ())[2]
+        cands = _instance(win, ts, ())[1]
         assert cands == [tuple(vertex_candidates(ts, win, pt))
                          for pt in win.points()]
     assert cands[0] == tuple(range(tile_count(sea_level_system())))
+
+
+def test_engine_on_variables_that_are_not_window_points():
+    # two variables per point of ball(1), its tile 2i and a copy 2i + 1,
+    # over the values 0..2; the pair scopes tie each copy to its tile and
+    # the copy at one end of a window edge to the tile at the other, so no
+    # scope is a window scope
+    win = ball(1)
+    edges = [sc for sc, _ in _instance(win, comb_tileset(), ())[2]]
+    pairs = list(itertools.product(range(3), repeat=2))
+    rng = random.Random(7)
+    found = set()
+    for _ in range(12):
+        dom = [rng.randrange(1, 8) for _ in range(2 * len(win.points()))]
+        scopes = [((2 * i, 2 * i + 1),
+                   frozenset(rng.sample(pairs, rng.randrange(3, 8))))
+                  for i in range(len(win.points()))]
+        scopes += [((2 * i + 1, 2 * j),
+                    frozenset(rng.sample(pairs, rng.randrange(4, 9))))
+                   for i, j in edges]
+        brute = [vals for vals in itertools.product(
+                     *[[t for t in range(3) if d >> t & 1] for d in dom])
+                 if all(tuple(vals[v] for v in sc) in allowed
+                        for sc, allowed in scopes)]
+        eng = _Domains(dom, scopes)
+        root = list(eng.dom)
+        mark = len(eng.trail)
+        assert list(eng.search()) == brute
+        found.add(bool(brute))
+        eng.undo(mark)
+        assert eng.dom == root
+        for v, d in enumerate(root):
+            for t in range(3):
+                if d >> t & 1:
+                    eng.narrow(v, 1 << t)
+                    eng.undo(mark)
+                    assert eng.dom == root
+    assert found == {True, False}
 
 
 def test_import_solution_names_the_point_of_each_decode_error():
@@ -742,6 +780,7 @@ def test_seed_tile_that_is_no_candidate_is_unsatisfiable(ts, seed):
     assert count_tilings(ball(1), ts, seeds) == 0
     forced = forced_values(ball(2), ts, seeds, d=1)
     assert forced and all(v == () for v in forced.values())
+    assert exact_count(ball(1), ts, seeds, max_table=1) == 0
 
 
 def test_seed_outside_the_window_raises_everywhere():
