@@ -234,13 +234,13 @@ def induced_subgraph(g, keep_vertices):
 # -- morphisms -------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Morphism:
     """A graph morphism: vertex map + edge map commuting with tail, head and
     (when both sides are unoriented) reversal.  When domain and codomain are
     labelled over the same alphabet the maps must preserve labels.  The maps
     are any Mapping: a plain dict, or the read-only rows enumerate_homs
-    returns."""
+    returns.  The class is slotted, so an instance keeps no __dict__."""
 
     vmap: Mapping
     emap: Mapping
@@ -358,6 +358,14 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     varying fastest.  Results, and the entries of each vmap and emap, come
     in that order.  `limit` stops after the first `limit` results.
 
+    The tail is the positions from the first s on whose earlier neighbours
+    all come before s.  Given the images before s, the search over it is
+    the product of its tables, the last position varying fastest, so it
+    fetches them once and builds that block of results at once.  It goes
+    one option at a time if a table is empty, an orbit so far or in the
+    block has other than one image or fails a check, or the budget or
+    `limit` would end the search within the block.
+
     Each result's vmap and emap is a read-only Mapping, a row over one key
     index per call: every vmap has the keys of _vertex_order(g) and every
     emap those of g.edge_ids() in orbit order, each orbit's representative
@@ -368,7 +376,9 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     exhausted.  A unit is charged per vertex candidate tried and per
     morphism built: taking an option charges the candidates from the last
     one taken at its position up to itself, and an exhausted table the
-    rest of its position's candidates.  The error gives budget + 1 as the
+    rest of its position's candidates, so a tail block is charged, per
+    position p, p's candidate count times the product of the table sizes
+    before p, plus one per result.  The error gives budget + 1 as the
     size, where a count one candidate at a time would have stopped.
 
     The candidates and the edge index are read from h.vlabel, h.edges and
@@ -522,9 +532,55 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             images, passed = zip(*combo) if combo else ((), ())
             yield tuple(itertools.chain.from_iterable(images)), all(passed)
 
+    # Per position from n - 1 down: the last earlier neighbour of it or later.
+    tops = itertools.accumulate((qs[-1] if qs else -1 for qs in nbrs[::-1]),
+                                max)
+    tail = min((p for p, top in zip(range(n - 1, -1, -1), tops) if top < p),
+               default=n)
+
     results = []
     tables = [{} for _ in order]
     stored = 0
+
+    def table(p):
+        nonlocal stored
+        key = keys[p](img)
+        o = tables[p].get(key)
+        if o is None:
+            if stored >= _HOM_TABLE_LIMIT:
+                for t in tables:
+                    t.clear()
+                stored = 0
+            o = tables[p][key] = options(p, key)
+            stored += len(o) + 1
+        return o
+
+    def tail_block():
+        """Build the tail's block as the docstring says, or return False."""
+        nonlocal spent
+        block = [table(p) for p in range(tail, n)]
+        size, charge = 1, 0
+        for p, o in enumerate(block, tail):
+            charge += size * len(rows[p])
+            size *= len(o)
+        if (not size or spent + charge + size > budget
+                or (limit is not None and len(results) + size >= limit)
+                or not all(x[3] is not None and x[4]
+                           for o in block for x in o)):
+            return False
+        spent += charge + size
+        # product reads each level whole, so only the last one is lazy.
+        vs, es = [tuple(vimg[:tail])], [tuple(buf[:lo[tail]])]
+        for o in block:
+            vs = itertools.starmap(operator.add, itertools.product(
+                vs, [x[2:3] for x in o]))
+            es = itertools.starmap(operator.add, itertools.product(
+                es, [x[3] for x in o]))
+        for vt, et in zip(vs, map(getter, es)):
+            results.append(Morphism._trusted(_Row(pos, vt), _Row(eindex, et),
+                                             g, h))
+        return True
+
     # Per depth: the option list, the next option and the candidate index
     # of the last one taken; the candidate number, h's vertex and choices
     # taken; and whether the orbits closed before it all passed, None once
@@ -561,16 +617,10 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             continue
         o = opts[depth]
         if o is None:
-            key = keys[depth](img)
-            o = tables[depth].get(key)
-            if o is None:
-                if stored >= _HOM_TABLE_LIMIT:
-                    for table in tables:
-                        table.clear()
-                    stored = 0
-                o = tables[depth][key] = options(depth, key)
-                stored += len(o) + 1
-            opts[depth] = o
+            if depth == tail and ok[depth] and same_domains and tail_block():
+                depth -= 1
+                continue
+            o = opts[depth] = table(depth)
             nxt[depth] = 0
             last[depth] = -1
         a = nxt[depth]
@@ -909,27 +959,16 @@ def path_subdivision(g):
     edges = {}
     elabel = {}
     for e in g.edge_ids():
-        orb = g.edge_orbit(e)
         t, h = ("v", g.tail(e)), ("v", g.head(e))
-        mid = ("e", orb)
-        lab = g.elabel[e]
-        edges[(0, e, 0)] = (t, h)
-        edges[(0, e, 1)] = (t, mid)
-        edges[(1, e, 1)] = (mid, mid)
-        edges[(1, e, 0)] = (mid, h)
-        llab = _label_orbit(g, e)
-        elabel[(0, e, 0)] = (0, lab, 0)
-        elabel[(0, e, 1)] = (0, lab, 1)
-        elabel[(1, e, 1)] = (1, lab, 1)
-        elabel[(1, e, 0)] = (1, lab, 0)
+        mid = ("e", g.edge_orbit(e))
+        for i, j, ends in ((0, 0, (t, h)), (0, 1, (t, mid)),
+                           (1, 1, (mid, mid)), (1, 0, (mid, h))):
+            edges[(i, e, j)] = ends
+            elabel[(i, e, j)] = (i, g.elabel[e], j)
     rev = None
     if g.reversal is not None:
-        rev = {}
-        for e in g.edges:
-            ep = g.reversal[e]
-            for i in (0, 1):
-                for j in (0, 1):
-                    rev[(i, e, j)] = (j, ep, i)
+        rev = {(i, e, j): (j, g.reversal[e], i)
+               for e in g.edges for i in (0, 1) for j in (0, 1)}
     if g.label_graph is None:
         vlabel = {v: v for v in vlabel}
         elabel = {e: e for e in edges}
@@ -950,15 +989,11 @@ def _label_orbit(g, e):
 
 def base_of_subdivision(bstar):
     """Recover b from path_subdivision(b)."""
-    vlabel = {}
-    for v in bstar.vertices():
-        if isinstance(v, tuple) and len(v) == 2 and v[0] == "v":
-            vlabel[v[1]] = v[1]
-    edges = {}
-    for e in bstar.edge_ids():
-        if isinstance(e, tuple) and len(e) == 3 and e[0] == 0 and e[2] == 0:
-            (_, t), (_, h) = bstar.edges[e]
-            edges[e[1]] = (t, h)
+    vlabel = {v[1]: v[1] for v in bstar.vertices()
+              if isinstance(v, tuple) and len(v) == 2 and v[0] == "v"}
+    edges = {e[1]: (t, h) for e in bstar.edge_ids()
+             if isinstance(e, tuple) and len(e) == 3 and e[0] == e[2] == 0
+             for (_, t), (_, h) in [bstar.edges[e]]}
     elabel = {e: e for e in edges}
     rev = None
     if bstar.reversal is not None:
@@ -1014,9 +1049,7 @@ def flat(g, frontier=None):
 
 def _coherent_heads(g, u, c, by_label_tail):
     """Heads of coherent c-paths out of u, plus the midpoints visited."""
-    heads = set()
-    for e in by_label_tail.get(((0, c, 0), u), []):
-        heads.add(g.head(e))
+    heads = {g.head(e) for e in by_label_tail.get(((0, c, 0), u), [])}
     seen = set()
     queue = []
     for e in by_label_tail.get(((0, c, 1), u), []):
@@ -1026,8 +1059,7 @@ def _coherent_heads(g, u, c, by_label_tail):
             queue.append(m)
     while queue:
         m = queue.pop(0)
-        for e in by_label_tail.get(((1, c, 0), m), []):
-            heads.add(g.head(e))
+        heads.update(g.head(e) for e in by_label_tail.get(((1, c, 0), m), []))
         for e in by_label_tail.get(((1, c, 1), m), []):
             m2 = g.head(e)
             if m2 not in seen:
@@ -1087,14 +1119,10 @@ def sharp(g):
             elabel[(name, e)] = (1, c, 1)
     if rev is not None:
         for e in g.edge_ids():
-            ep = g.reversal[e]
-            rev[("start", e)] = ("end", ep)
-            rev[("end", e)] = ("start", ep)
-            rev[("m1", e)] = ("m5", ep)
-            rev[("m5", e)] = ("m1", ep)
-            rev[("m2", e)] = ("m2", ep)
-            rev[("m3", e)] = ("m4", ep)
-            rev[("m4", e)] = ("m3", ep)
+            for name, rname in (("start", "end"), ("end", "start"),
+                                ("m1", "m5"), ("m5", "m1"), ("m2", "m2"),
+                                ("m3", "m4"), ("m4", "m3")):
+                rev[(name, e)] = (rname, g.reversal[e])
     return LabelGraph(vlabel, edges, elabel, rev, path_subdivision(b))
 
 
@@ -1146,9 +1174,8 @@ def simplify(g):
                 raise ValueError("reversal label ambiguous under simplification")
     rev = None
     if g.reversal is not None:
-        rev = {}
-        for (t, lab, h) in edges:
-            rev[(t, lab, h)] = (h, witness_rev_label[(t, lab, h)], t)
+        rev = {(t, lab, h): (h, witness_rev_label[(t, lab, h)], t)
+               for (t, lab, h) in edges}
     return LabelGraph(vlabel, edges, elabel, rev, g.label_graph)
 
 
@@ -1174,21 +1201,16 @@ def vertex_blowup(g, k):
     result is labelled over the blown-up alphabet (and a blown-up alphabet is
     again an alphabet)."""
     b = g.label_graph
-
-    def count(v):
-        lab = g.vlabel[v]
-        return k[lab]
-
     vlabel = {}
     for v in g.vertices():
-        for i in range(count(v)):
+        for i in range(k[g.vlabel[v]]):
             vlabel[(v, i)] = (g.vlabel[v], i)
     edges = {}
     elabel = {}
     for e in g.edge_ids():
         t, h = g.edges[e]
-        for i in range(count(t)):
-            for j in range(count(h)):
+        for i in range(k[g.vlabel[t]]):
+            for j in range(k[g.vlabel[h]]):
                 edges[(i, e, j)] = ((t, i), (h, j))
                 elabel[(i, e, j)] = (i, g.elabel[e], j)
     rev = None

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
+import heapq
 import itertools
 
 from .geometry import GroupPoint, canonical, _inside
@@ -884,17 +885,26 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
     for scope, allowed in scopes:
         factors[fid] = (scope, {t: 1 for t in sorted(allowed)})
         fid += 1
-    remaining = set(range(len(dom)))
-    while remaining:
-        touching = {}
-        for f, (vs, _) in factors.items():
-            for v in vs:
-                touching.setdefault(v, set()).add(f)
-        cheapest = min(
-            remaining,
-            key=lambda v: (len({u for f in touching.get(v, ())
-                                for u in factors[f][0]}), v))
-        fids = sorted(touching.get(cheapest, ()))
+    # touching[v] holds the factors over v, and degree[v] how many variables
+    # they span while v remains; the heap pops the least current
+    # (degree, v), so ties go to the lower number.
+    touching = {v: set() for v in range(len(dom))}
+    for f, (vs, _) in factors.items():
+        for v in vs:
+            touching[v].add(f)
+
+    def span(v):
+        return len({u for f in touching[v] for u in factors[f][0]})
+
+    degree = {v: span(v) for v in touching}
+    heap = [(d, v) for v, d in degree.items()]
+    heapq.heapify(heap)
+    while heap:
+        d, cheapest = heapq.heappop(heap)
+        if degree.get(cheapest) != d:
+            continue
+        del degree[cheapest]
+        fids = sorted(touching[cheapest])
         joined = factors[fids[0]]
         for f in fids[1:]:
             joined = _join_factors(joined, factors[f])
@@ -903,10 +913,14 @@ def exact_count(window, ts, seeds=(), max_table=10 ** 6):
                                     % max_table, "elimination table entries",
                                     len(joined[1]), max_table)
         for f in fids:
-            del factors[f]
+            for v in factors.pop(f)[0]:
+                touching[v].discard(f)
         factors[fid] = _sum_out(joined, cheapest)
+        for v in factors[fid][0]:
+            touching[v].add(fid)
+            degree[v] = span(v)
+            heapq.heappush(heap, (degree[v], v))
         fid += 1
-        remaining.discard(cheapest)
     result = 1
     for vs, table in factors.values():
         result *= table.get((), 0)

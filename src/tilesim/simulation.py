@@ -252,16 +252,13 @@ def subdivide_morphism(m):
     """The morphism induced between path subdivisions."""
     dom = path_subdivision(m.domain)
     cod = path_subdivision(m.codomain)
-    vmap = {}
-    for v in m.domain.vertices():
-        vmap[("v", v)] = ("v", m.vmap[v])
+    vmap = {("v", v): ("v", m.vmap[v]) for v in m.domain.vertices()}
     emap = {}
     for e in m.domain.edge_ids():
         vmap[("e", m.domain.edge_orbit(e))] = \
             ("e", m.codomain.edge_orbit(m.emap[e]))
-        for i in (0, 1):
-            for j in (0, 1):
-                emap[(i, e, j)] = (i, m.emap[e], j)
+        emap.update(((i, e, j), (i, m.emap[e], j))
+                    for i in (0, 1) for j in (0, 1))
     return Morphism(vmap, emap, dom, cod)
 
 
@@ -723,26 +720,18 @@ def quadrant_to_plane():
     for i in (-1, 0, 1):
         for j in (-1, 0, 1):
             bld.state((i, j), qlab(i, j), ("v", 1))
+    # Per axis, sign 0 steps to +1 and to -1, and +1 and -1 to themselves.
+    moves = ((0, 1), (0, -1), (1, 1), (-1, -1))
     for j in (-1, 0, 1):
-        lab0, lab1 = qlab(0, j), qlab(1, j)
-        bld.edge(((0, j), (1, j), "E"), (0, j), (1, j),
-                 ("E", lab0, lab1), (0, "E", 0))
-        bld.edge(((0, j), (-1, j), "E"), (0, j), (-1, j),
-                 ("E", lab0, lab1), (0, "W", 0))
-        bld.edge(((1, j), (1, j), "E"), (1, j), (1, j),
-                 ("E", lab1, lab1), (0, "E", 0))
-        bld.edge(((-1, j), (-1, j), "E"), (-1, j), (-1, j),
-                 ("E", lab1, lab1), (0, "W", 0))
+        for x, x2 in moves:
+            bld.edge(((x, j), (x2, j), "E"), (x, j), (x2, j),
+                     ("E", qlab(abs(x), j), qlab(1, j)),
+                     (0, "E" if x2 > 0 else "W", 0))
     for i in (-1, 0, 1):
-        lab0, lab1 = qlab(i, 0), qlab(i, 1)
-        bld.edge(((i, 0), (i, 1), "N"), (i, 0), (i, 1),
-                 ("N", lab0, lab1), (0, "N", 0))
-        bld.edge(((i, 0), (i, -1), "N"), (i, 0), (i, -1),
-                 ("N", lab0, lab1), (0, "S", 0))
-        bld.edge(((i, 1), (i, 1), "N"), (i, 1), (i, 1),
-                 ("N", lab1, lab1), (0, "N", 0))
-        bld.edge(((i, -1), (i, -1), "N"), (i, -1), (i, -1),
-                 ("N", lab1, lab1), (0, "S", 0))
+        for y, y2 in moves:
+            bld.edge(((i, y), (i, y2), "N"), (i, y), (i, y2),
+                     ("N", qlab(i, abs(y)), qlab(i, 1)),
+                     (0, "N" if y2 > 0 else "S", 0))
     return bld.build()
 
 

@@ -1190,10 +1190,46 @@ def test_homs_are_the_same_when_the_tables_start_over(monkeypatch):
                 for m in enumerate_homs(g, h)]
 
     cases = [(ball(1).graph, wang_to_dhs(comb_tileset()).graph),
+             (ball(2).graph, wang_to_dhs(comb_tileset()).graph),
              (plane_window(0, 2, 0, 1), plane_torus(2))]
     want = [items(g, h) for g, h in cases]
     monkeypatch.setattr(graphs, "_HOM_TABLE_LIMIT", 2)
     assert [items(g, h) for g, h in cases] == want
+
+
+def test_homs_stopped_by_a_limit_in_or_past_a_tail_block():
+    # From position 8 on, ball(2)'s positions have all their earlier
+    # neighbours before 8, so each image of positions 0-7 heads a block of
+    # results built at once; the first two blocks hold 3 and 108 results.
+    # A limit inside or at the end of a block takes the search one option
+    # at a time.
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+
+    def items(homs):
+        return [(list(m.vmap.items()), list(m.emap.items())) for m in homs]
+
+    full = items(enumerate_homs(g, h))
+    for k in (2, 3, 4, 110, 111, 112):
+        assert items(enumerate_homs(g, h, limit=k)) == full[:k]
+
+
+def edgeless_instance():
+    """Three vertices of ball(1) and no edges, into the comb target: each
+    position has all six comb vertices as options."""
+    b = ball(1).graph
+    vs = b.vertices()[:3]
+    g = LabelGraph({v: b.vlabel[v] for v in vs}, {}, {}, {}, b.label_graph)
+    return g, wang_to_dhs(comb_tileset()).graph
+
+
+def test_homs_on_an_edgeless_domain_are_one_product():
+    g, h = edgeless_instance()
+    homs = enumerate_homs(g, h)
+    assert len(homs) == 6 ** 3
+    assert ([(list(m.vmap.items()), list(m.emap.items())) for m in homs]
+            == [(list(vm.items()), list(em.items()))
+                for vm, em in brute_force_homs(g, h)])
+    assert_valid_homs(homs, g, h)
 
 
 def test_homs_on_special_domains_and_targets():
@@ -1369,11 +1405,16 @@ def budget_instance(r):
     if r == "half_edge":
         g, h, _count = list(special_hom_instances())[-1]
         return g, h
+    if r == "edgeless":
+        return edgeless_instance()
     return ball(r).graph, wang_to_dhs(comb_tileset()).graph
 
 
 @pytest.mark.parametrize("r, limit, first_ok", [(1, None, 639), (1, 5, 59),
                                                 (2, 5, 132),
+                                                (2, None, 156466),
+                                                ("edgeless", None, 474),
+                                                ("edgeless", 7, 17),
                                                 ("torus", None, 134),
                                                 ("torus", 3, 9),
                                                 ("half_edge", None, 5),

@@ -316,6 +316,19 @@ def test_exact_count_capacity_error_carries_numbers():
         "elimination table entries", 9, 5)
 
 
+def test_exact_count_capacity_error_on_a_ball_is_pinned():
+    # The table sizes depend on the elimination order, min-degree with
+    # ties to the lower point number, so this pins that order too.
+    # Each error's size is the next bound; 50 entries is the largest table
+    # the count builds.
+    for bound, size in ((20, 21), (21, 33), (33, 50)):
+        with pytest.raises(CapacityError) as err:
+            exact_count(ball(3), comb_tileset(), max_table=bound)
+        assert (err.value.what, err.value.size, err.value.budget) == (
+            "elimination table entries", size, bound)
+    assert exact_count(ball(3), comb_tileset(), max_table=50) == 26258463369
+
+
 def test_counts_match_hom_counts():
     # tile assignments on a window are exactly graph homomorphisms into the
     # one-vertex-per-tile target
