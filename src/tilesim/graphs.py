@@ -21,6 +21,7 @@ from collections.abc import ItemsView, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 import ast
+import gc
 import itertools
 import operator
 import shlex
@@ -324,6 +325,21 @@ def backtrack(rows, fits):
         depth += 1
 
 
+@contextmanager
+def _gc_paused():
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc.get_count()[0] > gc.get_threshold()[0]:
+            gc.collect(0)
+        gc.enable()
+
+
+@_gc_paused()
 def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     """All label-preserving morphisms g -> h, in a deterministic order.
 
@@ -390,6 +406,9 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     self-reversed images against h.reversal as its options are built.  A
     result that uses a failed check goes through Morphism, so
     validate_morphism raises its error.
+
+    The cyclic garbage collector is paused for the call (the results form no
+    reference cycles); its state is process-wide, and tilesim single-threaded.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")

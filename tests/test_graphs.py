@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import itertools
 import pickle
@@ -1211,6 +1212,74 @@ def test_homs_stopped_by_a_limit_in_or_past_a_tail_block():
     full = items(enumerate_homs(g, h))
     for k in (2, 3, 4, 110, 111, 112):
         assert items(enumerate_homs(g, h, limit=k)) == full[:k]
+
+
+def collections_started(call):
+    """The generations of the cyclic collections that start during call()."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+    return starts
+
+
+def test_homs_turn_the_collector_back_on_at_every_exit():
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    assert len(enumerate_homs(g, h)) == 19060
+    assert gc.isenabled()
+    assert len(enumerate_homs(g, h, limit=5)) == 5
+    assert gc.isenabled()
+    with pytest.raises(CapacityError):
+        enumerate_homs(g, h, budget=1000)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="different alphabets"):
+        enumerate_homs(labelled(rose([]), {0: 1}, {}, {}), h)
+    assert gc.isenabled()
+
+
+def test_homs_leave_a_collector_the_caller_turned_off_alone():
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    gc.disable()
+    try:
+        starts = collections_started(lambda: enumerate_homs(g, h))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert starts == []
+
+
+def test_homs_start_one_young_collection():
+    # A full collection leaves every count at zero.  The call's results put
+    # generation 0 over its threshold many times over, and the pause runs
+    # the one young collection that is owed as the call returns.
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    gc.collect()
+    assert collections_started(lambda: enumerate_homs(g, h)) == [0]
+
+
+def test_hom_searches_make_no_reference_cycles():
+    # What pausing the collector rests on: with it off, a search leaves no
+    # unreachable objects behind, whether it returns, stops at its limit
+    # or runs out of budget.
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    gc.collect()
+    gc.disable()
+    try:
+        for kwargs in ({}, {"limit": 5}, {"budget": 1000}):
+            try:
+                enumerate_homs(g, h, **kwargs)
+            except CapacityError:
+                assert kwargs == {"budget": 1000}
+            assert gc.collect() == 0, kwargs
+    finally:
+        gc.enable()
 
 
 def edgeless_instance():
