@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import itertools
 from typing import NamedTuple
 
-from .graphs import CapacityError, LabelGraph, add_edge_pair, alphabet, skey
+from .graphs import (CapacityError, LabelGraph, add_edge_pair, alphabet, rose,
+                     skey)
 
 
 class GroupPoint(NamedTuple):
@@ -151,7 +152,7 @@ GEN_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 def cayley_label_graph():
     """One-vertex alphabet with edges a, b and their inverses A, B."""
-    return alphabet([1], {g: (1, 1) for g in GENERATORS}, dict(GEN_INVERSE))
+    return rose(GENERATORS, GEN_INVERSE)
 
 
 def dl_label_graph(p, q):
@@ -464,7 +465,7 @@ PLANE_STEP = {"E": (1, 0), "W": (-1, 0), "N": (0, 1), "S": (0, -1)}
 
 
 def plane_label_graph():
-    return alphabet([1], {g: (1, 1) for g in PLANE_DIRS}, dict(PLANE_INVERSE))
+    return rose(PLANE_DIRS, PLANE_INVERSE)
 
 
 QUADRANT_LABELS = ("NE", "NES", "NEW", "NESW")

@@ -104,9 +104,13 @@ class LabelGraph:
 
 
 def _edge_labels(g):
-    """g.elabel's labels in g.edges order.  Every builder writes the two
-    dicts with the same keys in the same order, and then this is
-    elabel.values() itself, read by position."""
+    """g.elabel's labels in g.edges order.
+
+    Invariant: every builder writes edges and elabel in the same order,
+    keyed by one id object per edge, built once and stored in both dicts.
+    Then this is elabel.values() itself, read by position; for any other
+    graph, such as one read from text or changed after it was built, each
+    label is looked up by its id."""
     elabel, edges = g.elabel, g.edges
     if len(elabel) == len(edges) and all(map(operator.is_, elabel, edges)):
         return elabel.values()
@@ -180,6 +184,7 @@ def rose(edge_names, reversal=None):
 
 
 def labelled(b, vlabel, edges, elabel, reversal=None):
+    """A graph over b built from copies of the given maps."""
     return LabelGraph(dict(vlabel), dict(edges), dict(elabel),
                       dict(reversal) if reversal is not None else None, b)
 
@@ -188,23 +193,20 @@ def disjoint_union(g1, g2):
     """Disjoint union; ids become (0, id) and (1, id)."""
     if g1.label_graph != g2.label_graph:
         raise ValueError("disjoint union over different alphabets")
-    vlabel = {(0, v): lab for v, lab in g1.vlabel.items()}
-    vlabel.update({(1, v): lab for v, lab in g2.vlabel.items()})
-    edges = {(0, e): ((0, t), (0, h)) for e, (t, h) in g1.edges.items()}
-    edges.update({(1, e): ((1, t), (1, h)) for e, (t, h) in g2.edges.items()})
-    elabel = {(0, e): lab for e, lab in g1.elabel.items()}
-    elabel.update({(1, e): lab for e, lab in g2.elabel.items()})
-    rev = None
-    if g1.reversal is not None and g2.reversal is not None:
-        rev = {(0, e): (0, f) for e, f in g1.reversal.items()}
-        rev.update({(1, e): (1, f) for e, f in g2.reversal.items()})
-    b = g1.label_graph
-    if b is None:
-        # The union of two alphabets is again an alphabet, so relabel cells
-        # by their new ids.
-        vlabel = {v: v for v in vlabel}
-        elabel = {e: e for e in edges}
-    return LabelGraph(vlabel, edges, elabel, rev, b)
+    vlabel, edges, elabel = {}, {}, {}
+    rev = {} if g1.reversal is not None and g2.reversal is not None else None
+    for i, g in enumerate((g1, g2)):
+        vlabel.update(((i, v), lab) for v, lab in g.vlabel.items())
+        for e, (t, h) in g.edges.items():
+            x = (i, e)
+            edges[x] = ((i, t), (i, h))
+            elabel[x] = g.elabel[e]
+        if rev is not None:
+            rev.update(((i, e), (i, f)) for e, f in g.reversal.items())
+    if g1.label_graph is None:
+        # The union of two alphabets is again an alphabet.
+        return alphabet(vlabel, edges, rev)
+    return LabelGraph(vlabel, edges, elabel, rev, g1.label_graph)
 
 
 def add_edge_pair(edges, elabel, rev, e, r, t, h, lab=None, rlab=None):
@@ -757,8 +759,7 @@ def pullback(g1, g2):
 
 def identity_over(b):
     """b seen as a graph labelled over itself (identity labelling)."""
-    rev = dict(b.reversal) if b.reversal is not None else None
-    return LabelGraph(dict(b.vlabel), dict(b.edges), dict(b.elabel), rev, b)
+    return labelled(b, b.vlabel, b.edges, b.elabel, b.reversal)
 
 
 def alpha_pullback(g1, g2, alpha):
@@ -788,9 +789,9 @@ def alpha_pullback(g1, g2, alpha):
     elabel = {}
     for e1 in g1.edge_ids():
         for e2 in by_alpha_e.get(g1.elabel[e1], []):
-            edges[(e1, e2)] = ((g1.tail(e1), g2.tail(e2)),
-                               (g1.head(e1), g2.head(e2)))
-            elabel[(e1, e2)] = g2.elabel[e2]
+            e = (e1, e2)
+            edges[e] = ((g1.tail(e1), g2.tail(e2)), (g1.head(e1), g2.head(e2)))
+            elabel[e] = g2.elabel[e2]
     rev = None
     if g1.reversal is not None and g2.reversal is not None:
         rev = {(e1, e2): (g1.reversal[e1], g2.reversal[e2])
@@ -868,9 +869,10 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     for c in av.edge_ids():
         fiber = _generic_fiber(g2, alpha, c, True)
         for k in _local_keys(enumerate_homs(fiber, g1, budget=budget)):
-            edges[(k, c)] = ((_side_key(k, "T"), av.tail(c)),
-                             (_side_key(k, "H"), av.head(c)))
-            elabel[(k, c)] = c
+            x = (k, c)
+            edges[x] = ((_side_key(k, "T"), av.tail(c)),
+                        (_side_key(k, "H"), av.head(c)))
+            elabel[x] = c
         if len(edges) > max_cells:
             raise CapacityError("exponential exceeds %d cells" % max_cells,
                                 "exponential edges", len(edges), max_cells)
@@ -966,58 +968,45 @@ def path_subdivision(g):
     vertex shared by an edge and its reversal, and add the four edge pieces
     (0,e,0), (0,e,1), (1,e,1), (1,e,0) per edge e.
 
-    Works both for alphabets (the result is again an alphabet) and for
-    labelled graphs (the result is labelled over the subdivided alphabet).
+    The result of a labelled graph is labelled over the subdivided
+    alphabet.  That of an alphabet is again an alphabet: its labels are
+    built from g's labels as its ids are from g's ids, and g's labels are
+    g's ids.
     """
-    vlabel = {}
-    for v in g.vertices():
-        vlabel[("v", v)] = ("v", g.vlabel[v])
-    for e in g.edge_ids():
-        orb = g.edge_orbit(e)
-        vlabel[("e", orb)] = ("e", _label_orbit(g, e))
+    b = g.label_graph
+    labels = g if b is None else b
+    vlabel = {("v", v): ("v", g.vlabel[v]) for v in g.vertices()}
     edges = {}
     elabel = {}
     for e in g.edge_ids():
+        lab = g.elabel[e]
         t, h = ("v", g.tail(e)), ("v", g.head(e))
         mid = ("e", g.edge_orbit(e))
+        vlabel[mid] = ("e", labels.edge_orbit(lab))
         for i, j, ends in ((0, 0, (t, h)), (0, 1, (t, mid)),
                            (1, 1, (mid, mid)), (1, 0, (mid, h))):
-            edges[(i, e, j)] = ends
-            elabel[(i, e, j)] = (i, g.elabel[e], j)
+            x = (i, e, j)
+            edges[x] = ends
+            elabel[x] = (i, lab, j)
     rev = None
     if g.reversal is not None:
         rev = {(i, e, j): (j, g.reversal[e], i)
                for e in g.edges for i in (0, 1) for j in (0, 1)}
-    if g.label_graph is None:
-        vlabel = {v: v for v in vlabel}
-        elabel = {e: e for e in edges}
-        return LabelGraph(vlabel, edges, elabel, rev, None)
-    bstar = path_subdivision(g.label_graph)
-    return LabelGraph(vlabel, edges, elabel, rev, bstar)
-
-
-def _label_orbit(g, e):
-    b = g.label_graph
-    lab = g.elabel[e]
-    if b is None:
-        return g.edge_orbit(e)
-    if b.reversal is None:
-        return lab
-    return min(lab, b.reversal[lab], key=skey)
+    return LabelGraph(vlabel, edges, elabel, rev,
+                      None if b is None else path_subdivision(b))
 
 
 def base_of_subdivision(bstar):
     """Recover b from path_subdivision(b)."""
-    vlabel = {v[1]: v[1] for v in bstar.vertices()
-              if isinstance(v, tuple) and len(v) == 2 and v[0] == "v"}
+    vertices = [v[1] for v in bstar.vertices()
+                if isinstance(v, tuple) and len(v) == 2 and v[0] == "v"]
     edges = {e[1]: (t, h) for e in bstar.edge_ids()
              if isinstance(e, tuple) and len(e) == 3 and e[0] == e[2] == 0
              for (_, t), (_, h) in [bstar.edges[e]]}
-    elabel = {e: e for e in edges}
     rev = None
     if bstar.reversal is not None:
         rev = {e: bstar.reversal[(0, e, 0)][1] for e in edges}
-    return LabelGraph(vlabel, edges, elabel, rev, None)
+    return alphabet(vertices, edges, rev)
 
 
 def flat(g, frontier=None):
@@ -1107,9 +1096,7 @@ def sharp(g):
     rev = dict(gs.reversal) if gs.reversal is not None else None
 
     def plus(c):
-        if b.reversal is None:
-            return ("sink", c, "+")
-        orb = min(c, b.reversal[c], key=skey)
+        orb = b.edge_orbit(c)
         return ("sink", orb, "+" if c == orb else "-")
 
     def minus(c):
@@ -1118,24 +1105,21 @@ def sharp(g):
         return plus(b.reversal[c])
 
     for c in b.edge_ids():
-        orb = c if b.reversal is None else min(c, b.reversal[c], key=skey)
-        vlabel[plus(c)] = ("e", orb)
-        vlabel[minus(c)] = ("e", orb)
+        vlabel[plus(c)] = vlabel[minus(c)] = ("e", b.edge_orbit(c))
 
     for e in g.edge_ids():
         c = g.elabel[e]
-        mid = ("e", g.edge_orbit(e))
-        edges[("start", e)] = (("v", g.tail(e)), minus(c))
-        elabel[("start", e)] = (0, c, 1)
-        edges[("end", e)] = (plus(c), ("v", g.head(e)))
-        elabel[("end", e)] = (1, c, 0)
-        for name, (t, h) in (("m1", (plus(c), plus(c))),
-                             ("m2", (plus(c), minus(c))),
-                             ("m3", (plus(c), mid)),
-                             ("m4", (mid, minus(c))),
-                             ("m5", (minus(c), minus(c)))):
-            edges[(name, e)] = (t, h)
-            elabel[(name, e)] = (1, c, 1)
+        p, m, mid = plus(c), minus(c), ("e", g.edge_orbit(e))
+        for name, ends, lab in (("start", (("v", g.tail(e)), m), (0, c, 1)),
+                                ("end", (p, ("v", g.head(e))), (1, c, 0)),
+                                ("m1", (p, p), (1, c, 1)),
+                                ("m2", (p, m), (1, c, 1)),
+                                ("m3", (p, mid), (1, c, 1)),
+                                ("m4", (mid, m), (1, c, 1)),
+                                ("m5", (m, m), (1, c, 1))):
+            x = (name, e)
+            edges[x] = ends
+            elabel[x] = lab
     if rev is not None:
         for e in g.edge_ids():
             for name, rname in (("start", "end"), ("end", "start"),
@@ -1184,11 +1168,12 @@ def simplify(g):
     witness_rev_label = {}
     for e, (t, h) in g.edges.items():
         lab = g.elabel[e]
-        edges[(t, lab, h)] = (t, h)
-        elabel[(t, lab, h)] = lab
+        x = (t, lab, h)
+        edges[x] = (t, h)
+        elabel[x] = lab
         if g.reversal is not None:
             rl = g.elabel[g.reversal[e]]
-            prev = witness_rev_label.setdefault((t, lab, h), rl)
+            prev = witness_rev_label.setdefault(x, rl)
             if prev != rl:
                 raise ValueError("reversal label ambiguous under simplification")
     rev = None
@@ -1230,16 +1215,15 @@ def vertex_blowup(g, k):
         t, h = g.edges[e]
         for i in range(k[g.vlabel[t]]):
             for j in range(k[g.vlabel[h]]):
-                edges[(i, e, j)] = ((t, i), (h, j))
-                elabel[(i, e, j)] = (i, g.elabel[e], j)
+                x = (i, e, j)
+                edges[x] = ((t, i), (h, j))
+                elabel[x] = (i, g.elabel[e], j)
     rev = None
     if g.reversal is not None:
         rev = {(i, e, j): (j, g.reversal[e], i) for (i, e, j) in edges}
-    if b is None:
-        vlabel = {v: v for v in vlabel}
-        elabel = {e: e for e in edges}
-        return LabelGraph(vlabel, edges, elabel, rev, None)
-    return LabelGraph(vlabel, edges, elabel, rev, vertex_blowup(b, k))
+    # Over an alphabet each label is its cell's id, as in path_subdivision.
+    return LabelGraph(vlabel, edges, elabel, rev,
+                      None if b is None else vertex_blowup(b, k))
 
 
 # -- serialization -----------------------------------------------------------
@@ -1250,10 +1234,29 @@ def _fmt(x):
 
 
 def _parse_token(tok):
+    """The value of a token written by _fmt: a Python literal, or a tuple
+    nesting literals and GroupPoint(...) calls with literal arguments, as
+    window cell ids read.  Checked on the syntax tree, so nothing but
+    literals is evaluated; any other token stays a string."""
     try:
-        return ast.literal_eval(tok)
+        return _literal(ast.parse(tok.lstrip(" \t"), mode="eval").body)
     except (ValueError, SyntaxError):
         return tok
+
+
+def _literal(node):
+    if isinstance(node, ast.Tuple):
+        return tuple(map(_literal, node.elts))
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "GroupPoint"):
+        return ast.literal_eval(node)
+    from .geometry import GroupPoint
+    args = [ast.literal_eval(x) for x in node.args]
+    kwargs = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+    try:
+        return GroupPoint(*args, **kwargs)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def read_lines(text, what, arity, once):

@@ -31,6 +31,7 @@ from .graphs import (
     add_edge_pair,
     alpha_pullback,
     base_of_subdivision,
+    labelled,
     path_subdivision,
     read_lines,
     simplify,
@@ -56,7 +57,6 @@ from .geometry import (
     quadrant_vertex_label,
     _dl_params,
     GEN_INVERSE,
-    PLANE_INVERSE,
 )
 from .tilesets import decoration_symbols, comb_tileset, sea_level_system
 
@@ -126,27 +126,25 @@ class Simulator:
 def identity_simulator(a):
     """The do-nothing simulator from an alphabet to itself: one settled
     state per vertex, one (0,e,0) edge per alphabet edge."""
-    astar = path_subdivision(a)
-    vlabel = {v: ("v", v) for v in a.vertices()}
-    elabel = {e: (0, e, 0) for e in a.edges}
-    rev = dict(a.reversal) if a.reversal is not None else None
-    g = LabelGraph(vlabel, dict(a.edges), elabel, rev, astar)
-    alpha = Morphism({v: v for v in a.vlabel}, {e: e for e in a.edges}, g, a)
-    return Simulator(g, alpha)
+    return _settled_simulator(a, a, {v: v for v in a.vlabel},
+                              {e: e for e in a.edges})
 
 
 def blowup_simulator(a, k):
     """Simulator from a to its vertex blow-up a^k; applying it blows up the
     window.  k maps vertices of a to copy counts."""
     ak = vertex_blowup(a, k)
-    akstar = path_subdivision(ak)
-    vlabel = {v: ("v", v) for v in ak.vertices()}
-    elabel = {e: (0, e, 0) for e in ak.edges}
-    rev = dict(ak.reversal) if ak.reversal is not None else None
-    g = LabelGraph(vlabel, dict(ak.edges), elabel, rev, akstar)
-    alpha = Morphism({(v, i): v for (v, i) in ak.vlabel},
-                     {(i, e, j): e for (i, e, j) in ak.edges}, g, a)
-    return Simulator(g, alpha)
+    return _settled_simulator(a, ak, {(v, i): v for (v, i) in ak.vlabel},
+                              {(i, e, j): e for (i, e, j) in ak.edges})
+
+
+def _settled_simulator(a, b, vmap, emap):
+    """The simulator from a to b with b's cells as states and edges: vertex
+    v a settled state over v, edge e over (0,e,0), with labels vmap[v] and
+    emap[e] in a."""
+    g = labelled(path_subdivision(b), {v: ("v", v) for v in b.vertices()},
+                 b.edges, {e: (0, e, 0) for e in b.edges}, b.reversal)
+    return Simulator(g, Morphism(vmap, emap, g, a))
 
 
 def _window_graph(window, frontier):
@@ -234,8 +232,9 @@ def apply_simulator(window, s, frontier=None):
             c = bedges[k]
             for z in heads:
                 v = pair[z]
-                edges[(u, c, v)] = (u, v)
-                elabel[(u, c, v)] = c
+                e = (u, c, v)
+                edges[e] = (u, v)
+                elabel[e] = c
         if touched:
             incomplete.add(u)
     rev = None
@@ -270,32 +269,27 @@ def compose_simulators(s, t):
     is in transit whenever either component is.  Double subdivision tags
     (i,(i',c,j'),j) collapse to (max(i,i'), c, max(j,j')).
     """
-    if base_of_subdivision(s.graph.label_graph) != t.alpha.codomain:
+    if s.target_alphabet() != t.source_alphabet():
         raise ValueError("simulator targets do not chain")
     tsub = subdivide_morphism(t.alpha)
     u0 = alpha_pullback(s.graph, tsub.domain, tsub)
-    cstar = t.graph.label_graph
-    c = base_of_subdivision(cstar)
+    c = t.target_alphabet()
 
     def retag_vertex(lab):
         kind, x = lab
-        if kind == "v":
-            return x
-        c0 = x[1]
-        if c.reversal is None:
-            return ("e", c0)
-        return ("e", min(c0, c.reversal[c0], key=skey))
+        return x if kind == "v" else ("e", c.edge_orbit(x[1]))
 
     def retag_edge(lab):
         i, (i2, c0, j2), j = lab
         return (max(i, i2), c0, max(j, j2))
 
-    vlabel = {uv: retag_vertex(u0.vlabel[uv]) for uv in u0.vlabel}
-    elabel = {ee: retag_edge(u0.elabel[ee]) for ee in u0.edges}
-    rev = dict(u0.reversal) if u0.reversal is not None else None
-    graph = LabelGraph(vlabel, dict(u0.edges), elabel, rev, cstar)
-    alpha = Morphism({uv: s.alpha.vmap[uv[0]] for uv in vlabel},
-                     {ee: s.alpha.emap[ee[0]] for ee in elabel},
+    graph = labelled(t.graph.label_graph,
+                     {uv: retag_vertex(u0.vlabel[uv]) for uv in u0.vlabel},
+                     u0.edges,
+                     {ee: retag_edge(u0.elabel[ee]) for ee in u0.edges},
+                     u0.reversal)
+    alpha = Morphism({uv: s.alpha.vmap[uv[0]] for uv in graph.vlabel},
+                     {ee: s.alpha.emap[ee[0]] for ee in graph.elabel},
                      graph, s.alpha.codomain)
     return Simulator(graph, alpha)
 
@@ -307,7 +301,12 @@ def compose_simulators(s, t):
 class GwaAutomaton:
     """A nondeterministic acceptor whose letters are source-alphabet edges.
     Initial and final states must be disjoint, so accepted runs are
-    nonempty."""
+    nonempty.
+
+    The transition table is compiled once, when the automaton is made, so
+    its fields must not be changed afterwards: _trans maps (state, letter)
+    to the states its transitions reach, and _live holds the states with a
+    transition out."""
 
     states: frozenset
     initial: frozenset
@@ -323,9 +322,12 @@ class GwaAutomaton:
             raise ValueError("initial or final states not among the states")
         if self.initial & self.final:
             raise ValueError("initial and final states must be disjoint")
-        for (q, _, q2) in self.transitions:
+        self._trans, self._live = {}, set()
+        for (q, letter, q2) in self.transitions:
             if q not in self.states or q2 not in self.states:
                 raise ValueError("transition through unknown state")
+            self._trans.setdefault((q, letter), []).append(q2)
+            self._live.add(q)
 
 
 @dataclass
@@ -361,16 +363,8 @@ def _tail_index(graph):
     return by_tail
 
 
-def _compile_machine(machine):
-    trans = {}
-    live = set()
-    for (q, letter, q2) in machine.transitions:
-        trans.setdefault((q, letter), []).append(q2)
-        live.add(q)
-    return trans, live
-
-
-def _run(graph, by_tail, machine, trans, live, u, boundary):
+def _run(graph, by_tail, machine, u, boundary):
+    trans, live = machine._trans, machine._live
     touched = u in boundary
     seen = {(u, q) for q in machine.initial}
     queue = list(seen)
@@ -401,8 +395,7 @@ def run_gwa(graph, machine, u, boundary=None):
     boundary, the empty one included, is used as given.
     """
     graph, boundary = _window_graph(graph, boundary)
-    trans, live = _compile_machine(machine)
-    return _run(graph, _tail_index(graph), machine, trans, live, u, boundary)
+    return _run(graph, _tail_index(graph), machine, u, boundary)
 
 
 def gwa_simulated_graph(graph, gwa, boundary=()):
@@ -426,21 +419,20 @@ def gwa_simulated_graph(graph, gwa, boundary=()):
     by_target_tail = {}
     for e in gwa.target.edge_ids():
         by_target_tail.setdefault(gwa.target.tail(e), []).append(e)
-    compiled = {e: _compile_machine(m) for e, m in gwa.machines.items()}
     edges = {}
     elabel = {}
     incomplete = set()
     for u in sorted(vlabel, key=skey):
         for e in by_target_tail.get(vlabel[u], ()):
-            trans, live = compiled[e]
-            succ, touched = _run(graph, by_tail, gwa.machines[e],
-                                 trans, live, u, boundary)
+            succ, touched = _run(graph, by_tail, gwa.machines[e], u,
+                                 boundary)
             if touched:
                 incomplete.add(u)
             for v in succ:
                 if vlabel.get(v) == gwa.target.head(e):
-                    edges[(u, e, v)] = (u, v)
-                    elabel[(u, e, v)] = e
+                    x = (u, e, v)
+                    edges[x] = (u, v)
+                    elabel[x] = e
     out = LabelGraph(vlabel, edges, elabel, None, gwa.target)
     return out, frozenset(incomplete)
 
@@ -460,8 +452,7 @@ def simulator_to_gwa(s):
     the copy indices baked into the blown-up edge labels make accepted runs
     correspond exactly to coherent chains.  Returns (gwa, copy counts).
     """
-    a = s.alpha.codomain
-    b = base_of_subdivision(s.graph.label_graph)
+    a, b = s.source_alphabet(), s.target_alphabet()
     copies = _state_copies(s)
     k = {lab: len(copies.get(lab, ())) for lab in a.vlabel}
     ak = vertex_blowup(a, k)
@@ -856,7 +847,7 @@ def rectangle_compress():
     bld = _SimBuilder(a, b)
     bld.state("keep", "good", ("v", 1))
     for d in ("E", "N", "W", "S"):
-        bld.state(("skip", d), "bad", ("e", min(d, PLANE_INVERSE[d])))
+        bld.state(("skip", d), "bad", ("e", b.edge_orbit(d)))
     for d in ("E", "N"):
         bld.edge(("keep", "keep", d), "keep", "keep",
                  ("good", d, "good"), (0, d, 0))

@@ -22,10 +22,15 @@ import itertools
 import shlex
 import warnings
 
-from .graphs import (LabelGraph, add_edge_pair, alphabet, read_lines, skey,
+from .graphs import (LabelGraph, add_edge_pair, read_lines, rose, skey,
                      _fmt, _naming_line, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
                        cayley_label_graph)
+
+
+# The Wang side rule of the docstring above: per generator g, the sides
+# (i, j) such that side i of a g-edge's tail tile meets side j of its head's.
+_WANG_SIDES = {"a": (0, 2), "b": (1, 3)}
 
 
 def _swap(t):
@@ -213,8 +218,7 @@ def wang_to_dhs(w):
     edges = {}
     elabel = {}
     rev = {}
-    pairs = {"a": (0, 2), "b": (1, 3)}
-    for g, (i, j) in pairs.items():
+    for g, (i, j) in _WANG_SIDES.items():
         gi = GEN_INVERSE[g]
         for s in w.tiles:
             for t in w.tiles:
@@ -242,7 +246,7 @@ def sft_to_dhs(gens, n, symbols, allowed):
     words = sft_words(gens, n)
     pos = {w: i for i, w in enumerate(words)}
     short = sft_words(gens, n - 1) if n > 0 else []
-    base = alphabet([1], {g: (1, 1) for g in gens})
+    base = rose(gens)
     allowed = sorted(set(allowed), key=skey)
     for p in allowed:
         if len(p) != len(words) or any(x not in symbols for x in p):
@@ -254,8 +258,9 @@ def sft_to_dhs(gens, n, symbols, allowed):
         for s in gens:
             for p2 in allowed:
                 if all(p2[pos[w]] == p[pos[(s,) + w]] for w in short):
-                    edges[(p, s, p2)] = (p, p2)
-                    elabel[(p, s, p2)] = s
+                    e = (p, s, p2)
+                    edges[e] = (p, p2)
+                    elabel[e] = s
     return DhsTarget(LabelGraph(vlabel, edges, elabel, None, base))
 
 
@@ -511,10 +516,6 @@ def omega_configuration(pt):
 # -- window constraint scopes ----------------------------------------------------
 
 
-_WANG_DIR = {"a": 0, "b": 1, "A": 2, "B": 3}
-_WANG_INV = {"a": 2, "b": 3, "A": 0, "B": 1}
-
-
 def window_scopes(ts, window):
     """Fully-contained constraint scopes of a tileset over a window, as
     (vertex tuple, set of allowed tile-id tuples) pairs, deterministically
@@ -537,13 +538,9 @@ def _scopes(ts, window):
         raise ValueError("a %s needs a %r window, not %r"
                          % (type(ts).__name__, want, have))
     if isinstance(ts, WangTileset):
-        pairs = {}
-        for lab in ("a", "b"):
-            i, j = _WANG_DIR[lab], _WANG_INV[lab]
-            pairs[lab] = frozenset(
-                (s, t) for s in range(len(ts.tiles))
-                for t in range(len(ts.tiles))
-                if ts.tiles[s][i] == ts.tiles[t][j])
+        pairs = {lab: frozenset((s, t) for s, x in enumerate(ts.tiles)
+                                for t, y in enumerate(ts.tiles) if x[i] == y[j])
+                 for lab, (i, j) in _WANG_SIDES.items()}
         return [(th, pairs[lab]) for lab, th in _window_edges(window, pairs)]
     if isinstance(ts, TetraSystem):
         index = {x: i for i, x in enumerate(ts.alphabet)}

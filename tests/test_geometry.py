@@ -14,7 +14,8 @@ from tilesim.geometry import (
     point_neighbors, quadrant_label_graph, quadrant_window, step,
     tetrahedron, window_cells, GENERATORS, Window)
 from tilesim.graphs import (CapacityError, LabelGraph, add_edge_pair,
-                            induced_subgraph, skey, validate)
+                            from_text, induced_subgraph, rose, skey,
+                            to_text, validate)
 from tilesim.sat import count_tilings
 from tilesim.simulation import (apply_simulator, comb_to_plane,
                                 decorate_window, quadrant_to_plane,
@@ -704,3 +705,45 @@ def test_scopes_of_an_induced_subwindow_are_scopes_of_the_window():
             assert set(sub_scopes) <= scopes
             kept += len(sub_scopes)
         assert kept
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: step(identity(), "x"), "unknown generator 'x'",
+                 id="step"),
+    pytest.param(lambda: dl_step(identity(2, 3), "dn", 0, 1),
+                 "no down-edge labelled (0,1) here", id="dl_step-down"),
+    pytest.param(lambda: dl_step(identity(), "across", 0, 0),
+                 "direction must be 'up' or 'dn'", id="dl_step-direction"),
+    pytest.param(lambda: ball(-1), "negative radius", id="ball"),
+    pytest.param(lambda: dl_window(2, 2, 1, 0), "empty height range",
+                 id="dl_window"),
+])
+def test_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def numbered_form(w):
+    return w.mode, w.p, w.q, w.points(), w._index, w._heads, w._cells
+
+
+def test_text_round_trip_of_windows_and_what_is_built_on_them():
+    # Point ids are written as GroupPoint(...) reprs and read back as points.
+    for w in (ball(2), tetrahedron(-1, 1), dl_window(2, 3, -1, 1)):
+        g = from_text(to_text(w.graph), w.graph.label_graph)
+        assert g == w.graph
+        assert numbered_form(Window(g)) == numbered_form(w)
+    w = ball(2)
+    dec = decorate_window(w, comb_tileset(),
+                          {p: comb_configuration(p) for p in w.points()})
+    out, _ = apply_simulator(dec, comb_to_plane())
+    assert out.edges
+    for g in (dec, out):
+        assert from_text(to_text(g), g.label_graph) == g
+
+
+def test_text_reads_other_calls_as_strings():
+    text = ("vertex 'GroupPoint(x)' 1\nvertex 'GroupPoint(1, z=2)' 1\n"
+            "vertex \"__import__('os')\" 1\n")
+    assert list(from_text(text, rose([])).vlabel) == [
+        "GroupPoint(x)", "GroupPoint(1, z=2)", "__import__('os')"]

@@ -1267,10 +1267,14 @@ def test_homs_start_one_young_collection():
 def test_hom_searches_make_no_reference_cycles():
     # What pausing the collector rests on: with it off, a search leaves no
     # unreachable objects behind, whether it returns, stops at its limit
-    # or runs out of budget.
+    # or runs out of budget.  The calls run with no trace function: under
+    # one, as coverage tools install, CPython's frame objects form cycles
+    # of their own, and the count would measure the tracer, not the search.
     g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    tracer = sys.gettrace()
     gc.collect()
     gc.disable()
+    sys.settrace(None)
     try:
         for kwargs in ({}, {"limit": 5}, {"budget": 1000}):
             try:
@@ -1279,6 +1283,7 @@ def test_hom_searches_make_no_reference_cycles():
                 assert kwargs == {"budget": 1000}
             assert gc.collect() == 0, kwargs
     finally:
+        sys.settrace(tracer)
         gc.enable()
 
 
@@ -1467,8 +1472,13 @@ def test_homs_reject_a_domain_whose_reversal_was_broken():
 
 
 def budget_instance(r):
-    """ball(r) -> comb for an int r; else a named instance whose homs go
-    through the product over parallel or self-reversed edge images."""
+    """ball(r) -> comb for an int r; else a named instance: one whose homs
+    go through the product over parallel or self-reversed edge images, or
+    "last_fails", whose search ends on a table that leaves out its
+    position's last candidate, so its last charge is an exhausted table's."""
+    if r == "last_fails":
+        tiles = ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1))
+        return ball(1).graph, wang_to_dhs(WangTileset({0, 1}, tiles)).graph
     if r == "torus":
         return plane_window(0, 2, 0, 1), plane_torus(2)
     if r == "half_edge":
@@ -1487,7 +1497,8 @@ def budget_instance(r):
                                                 ("torus", None, 134),
                                                 ("torus", 3, 9),
                                                 ("half_edge", None, 5),
-                                                ("half_edge", 2, 4)])
+                                                ("half_edge", 2, 4),
+                                                ("last_fails", None, 308)])
 def test_homs_budget_threshold(r, limit, first_ok):
     # One unit per vertex candidate tried and one per hom built: the
     # smallest budget that succeeds is fixed by the search order.
@@ -1495,6 +1506,12 @@ def test_homs_budget_threshold(r, limit, first_ok):
     with pytest.raises(CapacityError):
         enumerate_homs(window, target, limit=limit, budget=first_ok - 1)
     assert enumerate_homs(window, target, limit=limit, budget=first_ok)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_homs_up_to_a_limit_below_one_are_none(limit):
+    g, h = ball(1).graph, wang_to_dhs(comb_tileset()).graph
+    assert enumerate_homs(g, h, limit=limit) == []
 
 
 def test_homs_on_large_grid_need_no_recursion():
@@ -1686,3 +1703,66 @@ def test_labelling_morphism_is_valid():
     g = labelled(a, {0: "p", 1: "q"}, {0: (0, 1)}, {0: "c"})
     m = labelling_morphism(g)
     assert m.vmap == {0: "p", 1: "q"}
+
+
+def edge_graph():
+    """One c-edge from a p-vertex to a q-vertex, over two_vertex_alphabet."""
+    return labelled(two_vertex_alphabet(), {0: "p", 1: "q"}, {0: (0, 1)},
+                    {0: "c"})
+
+
+def ambiguous_reversal_graph():
+    """Two parallel s-loops whose twins, once a twin's label is changed
+    after the graph is built, carry different labels."""
+    g = labelled(unoriented_rose(["s"]), {0: 1},
+                 {e: (0, 0) for e in ("x", "x'", "y", "y'")},
+                 {"x": "s", "x'": "s'", "y": "s", "y'": "s'"},
+                 {"x": "x'", "x'": "x", "y": "y'", "y'": "y"})
+    g.elabel["y'"] = "s"
+    return g
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Morphism({}, {}, edge_graph(), edge_graph()),
+                 "morphism maps have wrong domains", id="morphism-domains"),
+    pytest.param(lambda: Morphism({0: 9, 1: 1}, {0: 0}, edge_graph(),
+                                  edge_graph()),
+                 "vertex image 9 missing", id="morphism-vertex-image"),
+    pytest.param(lambda: Morphism({0: 0, 1: 1}, {0: 9}, edge_graph(),
+                                  edge_graph()),
+                 "edge image 9 missing", id="morphism-edge-image"),
+    pytest.param(lambda: Morphism({0: 1}, {},
+                                  labelled(two_vertex_alphabet(), {0: "p"},
+                                           {}, {}), edge_graph()),
+                 "morphism breaks vertex label at 0",
+                 id="morphism-vertex-label"),
+    pytest.param(lambda: disjoint_union(edge_graph(),
+                                        identity_over(rose(["x"]))),
+                 "disjoint union over different alphabets",
+                 id="disjoint_union"),
+    pytest.param(lambda: labelling_morphism(two_vertex_alphabet()),
+                 "graph has no alphabet", id="labelling_morphism"),
+    pytest.param(lambda: alpha_pullback(
+        edge_graph(), identity_over(two_vertex_alphabet()),
+        labelling_morphism(edge_graph())),
+        "alpha is not a labelling of the second factor", id="alpha_pullback"),
+    pytest.param(lambda: exponential(edge_graph(),
+                                     identity_over(rose(["x"]))),
+                 "exponential needs both graphs over one alphabet",
+                 id="exponential-alphabet"),
+    pytest.param(lambda: exponential(
+        labelled(unoriented_rose(["s"]), {0: 1}, {}, {}),
+        identity_over(unoriented_rose(["s"]))),
+        "exponential needs matching orientedness",
+        id="exponential-orientedness"),
+    pytest.param(lambda: flat(two_vertex_alphabet()),
+                 "flat needs a labelled graph", id="flat"),
+    pytest.param(lambda: sharp(two_vertex_alphabet()),
+                 "sharp needs a labelled graph", id="sharp"),
+    pytest.param(lambda: simplify(ambiguous_reversal_graph()),
+                 "reversal label ambiguous under simplification",
+                 id="simplify"),
+])
+def test_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -210,6 +210,12 @@ def test_grid_wang_tilings_checks_its_seed(seed, message):
         grid_wang_tilings(tiles, [(0, 0), (1, 0)], seed=seed)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_grid_wang_tilings_up_to_a_limit_below_one_are_none(limit):
+    tiles = (("c", "d", "c", "c"), ("c", "c", "c", "d"))
+    assert grid_wang_tilings(tiles, [(0, 0), (1, 0)], limit=limit) == []
+
+
 def test_halfplane_text_round_trip():
     two = HalfPlaneTileset(
         frozenset("cd"), (("c", "c", "c", "c"), ("d", "d", "c", "d")), 1)

@@ -489,6 +489,19 @@ def test_import_solution_errors():
         import_solution(cnf, "v 1 2 -3 -4 -5 -6\nv -2 0\n", win)
 
 
+def test_import_solution_reads_a_bare_unsat_line():
+    win = ball(0)
+    with pytest.raises(ValueError, match="solver reported unsatisfiable"):
+        import_solution(encode(win, comb_tileset()), "UNSAT\n", win)
+
+
+def test_narrowing_to_a_disjoint_mask_changes_no_domain():
+    d = _Domains([0b011, 0b011], [((0, 1), frozenset({(0, 0), (1, 1)}))])
+    assert d.ok
+    assert d.narrow(0, 0b100) is False
+    assert d.dom == [0b011, 0b011] and d.trail == []
+
+
 def test_instance_candidates_match_the_per_point_definition():
     # _instance computes candidates once per vertex label; they must be
     # vertex_candidates point by point, in points() order

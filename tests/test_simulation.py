@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 import re
 
@@ -9,8 +11,9 @@ from tilesim.geometry import (
     plane_label_graph, plane_window, quadrant_label_graph, quadrant_window,
     tetrahedron)
 from tilesim.graphs import (
-    LabelGraph, Morphism, add_edge_pair, alpha_pullback, flat,
-    induced_subgraph, labelled, path_subdivision, rose, vertex_blowup)
+    LabelGraph, Morphism, add_edge_pair, alpha_pullback, alphabet,
+    disjoint_union, exponential, flat, induced_subgraph, labelled,
+    path_subdivision, rose, sharp, simplify, vertex_blowup)
 from tilesim.simulation import (
     Gwa, GwaAutomaton, Simulator, apply_simulator,
     blowup_simulator, builtin_simulator, comb_to_plane, compose_simulators,
@@ -23,7 +26,7 @@ from tilesim.simulation import (
 from tilesim.sat import forced_values, solve_tiling
 from tilesim.tilesets import (
     comb_configuration, comb_tileset, lamp_runs, omega_configuration,
-    sea_level_system)
+    sea_level_system, sft_to_dhs)
 
 
 def comb_window(r):
@@ -788,3 +791,90 @@ def test_dot_export_mentions_both_labellings():
     assert dot.startswith("digraph simulator {")
     assert "dir=both" in dot
     assert "'NE'" in dot and "label=" in dot
+
+
+def a_step_gwa():
+    """A walker from the Cayley alphabet to rose(["c"]) whose c-runs are
+    single a-steps."""
+    m = GwaAutomaton({"i", "f"}, {"i"}, {"f"}, {("i", "a", "f")})
+    return Gwa({1: 1}, {"c": m}, cayley_label_graph(), rose(["c"]))
+
+
+def two_label_gwa():
+    """A walker whose middle state m is entered by a p-step, which ends at
+    x, and by an r-step, which ends at y, and lies on complete runs."""
+    a = alphabet(["x", "y"], {"p": ("x", "x"), "r": ("x", "y"),
+                              "s": ("x", "x")})
+    b = alphabet([1], {"c": (1, 1)})
+    m = GwaAutomaton({"i", "m", "f"}, {"i"}, {"f"},
+                     {("i", "p", "m"), ("i", "r", "m"), ("m", "s", "f")})
+    return Gwa({"x": 1, "y": 1}, {"c": m}, a, b)
+
+
+def unlabelled_simulator():
+    g = rose(["x"])
+    return Simulator(g, Morphism(dict(g.vlabel), dict(g.elabel), g, g))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Simulator(
+        identity_simulator(rose(["x"])).graph,
+        identity_simulator(rose(["y"])).alpha),
+        "alpha does not label the simulator graph", id="Simulator-alpha"),
+    pytest.param(unlabelled_simulator,
+                 "simulator graph carries no target labelling",
+                 id="Simulator-target"),
+    pytest.param(lambda: GwaAutomaton({"i"}, {"i", "x"}, set(), set()),
+                 "initial or final states not among the states",
+                 id="GwaAutomaton-ends"),
+    pytest.param(lambda: GwaAutomaton({"i", "f"}, {"i"}, {"f"},
+                                      {("i", "a", "z")}),
+                 "transition through unknown state",
+                 id="GwaAutomaton-transition"),
+    pytest.param(lambda: Gwa({1: 1}, {}, cayley_label_graph(),
+                             plane_label_graph()),
+                 "need exactly one machine per target edge", id="Gwa"),
+    pytest.param(lambda: gwa_simulated_graph(plane_window(0, 1, 0, 1),
+                                             a_step_gwa()),
+                 "graph labels do not match the walker source",
+                 id="gwa_simulated_graph"),
+    pytest.param(lambda: gwa_to_simulator(two_label_gwa()),
+                 "machine state 'm' would need two source labels",
+                 id="gwa_to_simulator"),
+    pytest.param(lambda: random_simulator(
+        random.Random(0), quadrant_label_graph(), plane_label_graph()),
+        "random simulators use one-vertex alphabets", id="random_simulator"),
+    pytest.param(lambda: simulator_from_text("alpha plane\nbeta plane\n"),
+                 "expected a simulator header", id="simulator_from_text"),
+])
+def test_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_builders_key_edges_and_labels_by_one_id_object():
+    # The invariant _edge_labels reads labels by position on: a builder
+    # builds each edge id once and keys both edges and elabel by it.
+    dec, _ = comb_window(2)
+    g = ball(1).graph
+    s = quadrant_to_plane()
+    q = quadrant_window(3, 3)
+    x = labelled(rose(["x"]), {0: 1, 1: 1}, {0: (0, 1)}, {0: "x"})
+    built = {
+        "apply_simulator": apply_simulator(dec, comb_to_plane())[0],
+        "path_subdivision": path_subdivision(g),
+        "alpha_pullback": alpha_pullback(q, s.graph, s.alpha),
+        "vertex_blowup": vertex_blowup(g, {1: 2}),
+        "simplify": simplify(g),
+        "flat": flat(alpha_pullback(q, s.graph, s.alpha)),
+        "sharp": sharp(g),
+        "exponential": exponential(x, x),
+        "disjoint_union": disjoint_union(g, g),
+        "gwa_simulated_graph": gwa_simulated_graph(g, a_step_gwa())[0],
+        "sft_to_dhs": sft_to_dhs(("a",), 1, (0, 1), itertools.product(
+            (0, 1), repeat=2)).graph,
+    }
+    assert all(out.edges for out in built.values())
+    assert [name for name, out in built.items()
+            if len(out.elabel) != len(out.edges)
+            or not all(map(operator.is_, out.elabel, out.edges))] == []

@@ -657,3 +657,29 @@ def test_scope_counts_on_small_windows():
     scope, _ = cell_scopes[0]
     assert len(scope) == 4
     assert set(scope) == set(t_win.points())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: WangTileset({"x"}, [("x",) * 4], names=("a", "b")),
+                 "names do not match tiles", id="WangTileset-names"),
+    pytest.param(lambda: TetraSystem(("x",), frozenset(), names=("a", "b")),
+                 "names do not match alphabet", id="TetraSystem-names"),
+    pytest.param(lambda: TetraSystem(("x", "x"), frozenset()),
+                 "duplicate symbols", id="TetraSystem-symbols"),
+    pytest.param(lambda: WangTileset({"x"}, [("x",) * 4],
+                                     seeds=(((0, 0), 0),)),
+                 "seed location (0, 0) is not a group point", id="seed"),
+    pytest.param(lambda: parse_tile_ref(comb_tileset(), "9"),
+                 "tile id 9 out of range", id="parse_tile_ref"),
+    pytest.param(lambda: dhs_to_sft(wang_to_dhs(comb_tileset())),
+                 "expected an oriented target", id="dhs_to_sft"),
+    pytest.param(lambda: product_tileset(dl_ray_system(2, 2),
+                                         ray_left_system()),
+                 "products are for lamplighter cell systems",
+                 id="product_tileset"),
+    pytest.param(lambda: builtin_tileset("dl_ray:2"), "expected dl_ray:p:q",
+                 id="builtin_tileset"),
+])
+def test_guards_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
