@@ -243,7 +243,8 @@ class Morphism:
     (when both sides are unoriented) reversal.  When domain and codomain are
     labelled over the same alphabet the maps must preserve labels.  The maps
     are any Mapping: a plain dict, or the read-only rows enumerate_homs
-    returns.  The class is slotted, so an instance keeps no __dict__."""
+    returns, which decode one shared string of codes.  The class is
+    slotted, so an instance keeps no __dict__."""
 
     vmap: Mapping
     emap: Mapping
@@ -354,41 +355,51 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     orbit, one reversal orbit of g.edge_ids(), closes at the later of its
     end positions.
 
-    Each position has an option table.  Its key is the tuple of images of
-    the earlier neighbours; its value lists, in candidate order, every
-    candidate whose edges to them and to itself are in the index, as
-    (candidate index, candidate, h's vertex, images, passed, choices).
+    A result is one string of small-int codes in search order: position p
+    contributes its vertex's number, then the codes of the edge images of
+    the orbits closing at p, in orbit order, each representative's before
+    its partner's.  An edge's code is its place in a per-call edge table:
+    h's edge ids, then any partner id h.reversal names that is not one of
+    them.  The string is bytes when both tables have at most 256 entries,
+    else a tuple of ints.
+
+    Each position has an option table.  Its key is the tuple of the
+    earlier neighbours' vertex numbers; its value lists, in candidate
+    order, every candidate whose edges to them and to itself are in the
+    index, as (candidate index, candidate, piece, passed, choices).
     choices holds, per orbit closing at p, its images (d,) or (d, d') in
-    skey order of d, each with whether they pass validate_morphism's
-    checks against h; images is the flat tuple of the orbits' images and
-    passed their conjunction when every orbit has exactly one choice, and
-    images is None otherwise.  A table is built the first time its key
-    comes up in a call, and all of them start over once they hold
-    _HOM_TABLE_LIMIT options, so their memory stays bounded.
+    skey order of d, as codes, each with whether they pass
+    validate_morphism's checks against h; piece is the candidate's code
+    followed by the orbits' codes, and passed their conjunction, when
+    every orbit has exactly one choice, and piece is None otherwise.  A
+    table is built the first time its key comes up in a call, and all of
+    them start over once they hold _HOM_TABLE_LIMIT options, so their
+    memory stays bounded.
 
     The iterative search takes each position's options in order.  Taking
-    one writes its images to the position's fixed slice of one buffer,
-    which holds every orbit's images in search order, so the search state
-    stays linear in the size of g.  A complete vertex map whose orbits
-    have one image each is one result, its emap read from the buffer by
-    one itemgetter in g.edge_ids() orbit order.  Otherwise its results run
-    over the product of the orbits' choices in orbit order, the last orbit
-    varying fastest.  Results, and the entries of each vmap and emap, come
-    in that order.  `limit` stops after the first `limit` results.
+    one writes its piece, or only its candidate's code, to the position's
+    fixed slice of one code buffer, so the search state stays linear in
+    the size of g.  A complete vertex map whose orbits have one image each
+    is one result, a copy of the buffer.  Otherwise its results run over
+    the product of the orbits' choices in orbit order, the last orbit
+    varying fastest, each written to the buffer in turn.  Results come in
+    that order.  `limit` stops after the first `limit` results.
 
     The tail is the positions from the first s on whose earlier neighbours
-    all come before s.  Given the images before s, the search over it is
+    all come before s.  Given the codes before s, the search over it is
     the product of its tables, the last position varying fastest, so it
-    fetches them once and builds that block of results at once.  It goes
-    one option at a time if a table is empty, an orbit so far or in the
-    block has other than one image or fails a check, or the budget or
-    `limit` would end the search within the block.
+    fetches them once and builds that block of results at once, each the
+    codes before s followed by one piece per tail position.  It goes one
+    option at a time if a table is empty, an orbit so far or in the block
+    has other than one image or fails a check, or the budget or `limit`
+    would end the search within the block.
 
-    Each result's vmap and emap is a read-only Mapping, a row over one key
-    index per call: every vmap has the keys of _vertex_order(g) and every
-    emap those of g.edge_ids() in orbit order, each orbit's representative
-    before its partner, so a row holds only its tuple of images.  Rows
-    compare equal to the dicts with the same items, in the same order.
+    Each result's vmap and emap is a read-only Mapping, a _Row that decodes
+    the result's one code string through a key index and a table shared
+    by every result of the call: every vmap has the keys of
+    _vertex_order(g) and every emap those of g.edge_ids() in orbit order,
+    each orbit's representative before its partner.  Rows compare equal
+    to the dicts with the same items, in the same order.
 
     `budget` bounds the explored assignments and raises CapacityError when
     exhausted.  A unit is charged per vertex candidate tried and per
@@ -474,13 +485,19 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         closing[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]],
                            unoriented and partner == e,
                            missing if partner == e else g.elabel[partner]))
-    # vmap's keys are `order`, indexed by pos, and emap's are `flat`, indexed
-    # by eindex, in every result, so the domains are checked here, once, as
-    # is that each partner is its representative's reversed twin, which
+    # In a result's codes, position p's vertex code is at lo[p] and an
+    # orbit's first edge code at starts[orbit]; vindex and eindex give each
+    # key of vmap (`order`) and emap (`flat`) its offset.  Those are the
+    # keys of every result, so the domains are checked here, once, as is
+    # that each partner is its representative's reversed twin, which
     # orbit_images takes for granted.  An edge in flat twice means
     # g.reversal is no longer an involution, and validate raises its error.
+    lo = list(itertools.accumulate((1 + f for f in filled), initial=0))
+    starts = [lo[p] + 1 + start for p, _i, start in orbit_at]
     flat = [x for pair in orbit_ids for x in pair if x is not None]
-    eindex = {e: i for i, e in enumerate(flat)}
+    vindex = {v: lo[p] for p, v in enumerate(order)}
+    eindex = {e: s + x for s, pair in zip(starts, orbit_ids)
+              for x, e in enumerate(pair) if e is not None}
     if len(eindex) < len(flat):
         validate(g)
     same_domains = (pos.keys() == g.vlabel.keys()
@@ -488,16 +505,20 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                     and all(p is None or (g.reversal[p] == e
                                           and g.edges[p] == g.edges[e][::-1])
                             for e, p in orbit_ids))
-    # Position p's closing orbits write their images, in orbit order, to
-    # buf[lo[p]:lo[p + 1]], and `getter` reads buf in `flat` order.
-    lo = list(itertools.accumulate(filled, initial=0))
-    spans = [slice(lo[p], lo[p + 1]) for p in range(n)]
-    getter = _tuple_getter([lo[p] + start + x
-                            for (p, _i, start), (_e, partner)
-                            in zip(orbit_at, orbit_ids)
-                            for x in range(1 if partner is None else 2)])
-    keys = [_tuple_getter(qs) for qs in nbrs]
     he, hl, hr = h.edges, h.elabel, h.reversal
+    # validate_morphism rejects a result whose partner image is in etable
+    # but not in h.edges.
+    vtable = tuple(hverts)
+    etable = list(dict.fromkeys(
+        itertools.chain(he, hr.values() if unoriented else ())))
+    ecode = {d: i for i, d in enumerate(etable)}
+    # Codes are bytes, which the collector does not track, when both tables
+    # fit a byte, else a tuple of ints.
+    if max(len(vtable), len(etable)) <= 256:
+        pack, buf = bytes, bytearray(lo[n])
+    else:
+        pack, buf = tuple, [0] * lo[n]
+    keys = [_tuple_getter([lo[q] for q in qs]) for qs in nbrs]
     spent = 0
 
     def overspent():
@@ -506,21 +527,23 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                              budget + 1, budget)
 
     def orbit_images(lab, ti, hi, self_rev, plab):
-        """[(images, passed)] for an orbit whose ends map to vertex numbers
-        ti, hi: images is (d,) or (d, d') in skey order of d, and passed
-        says whether they pass validate_morphism's checks against h.  The
-        index read h.edges and h.elabel in this call, so d has the right
-        endpoints and label, and the filter below makes a self-reversed
-        image its own reversal; only a partner image needs checking."""
+        """[(codes, passed)] for an orbit whose ends map to vertex numbers
+        ti, hi: codes packs the images (d,) or (d, d') in skey order of d,
+        and passed says whether they pass validate_morphism's checks against
+        h.  The index read h.edges and h.elabel in this call, so d has the
+        right endpoints and label, and the filter below makes a
+        self-reversed image its own reversal; only a partner image needs
+        checking."""
         out = []
         for d in index[(lab, ti, hi)]:
             if self_rev and hr[d] != d:
                 continue
             if plab is missing:
-                out.append(((d,), True))
+                out.append((pack([ecode[d]]), True))
                 continue
             r = hr[d]
-            out.append(((d, r), he.get(r) == (hverts[hi], hverts[ti])
+            out.append((pack([ecode[d], ecode[r]]),
+                        he.get(r) == (hverts[hi], hverts[ti])
                         and hr.get(r, missing) == d
                         and (not labelled or hl.get(r, missing) == plab)))
         return out
@@ -534,24 +557,25 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 if (lab, ends[a], ends[b]) not in index:
                     break
             else:
-                images, passed, choices = [], True, []
+                piece, passed, choices = pack([c]), True, []
                 for lab, a, b, self_rev, plab in closing[p]:
                     ch = orbit_images(lab, ends[a], ends[b], self_rev, plab)
                     choices.append(ch)
-                    if images is not None and len(ch) == 1:
-                        images += ch[0][0]
+                    if piece is not None and len(ch) == 1:
+                        piece += ch[0][0]
                         passed = passed and ch[0][1]
                     else:
-                        images = None
-                out.append((k, c, hverts[c],
-                            None if images is None else tuple(images),
-                            passed, choices))
+                        piece = None
+                out.append((k, c, piece, passed, choices))
         return out
 
     def product_of(choices):
+        """Write each combination of the orbits' choices to buf in turn,
+        the last orbit varying fastest, and yield whether it passed."""
         for combo in itertools.product(*choices):
-            images, passed = zip(*combo) if combo else ((), ())
-            yield tuple(itertools.chain.from_iterable(images)), all(passed)
+            for s, (codes, _passed) in zip(starts, combo):
+                buf[s:s + len(codes)] = codes
+            yield all(passed for _codes, passed in combo)
 
     # Per position from n - 1 down: the last earlier neighbour of it or later.
     tops = itertools.accumulate((qs[-1] if qs else -1 for qs in nbrs[::-1]),
@@ -565,7 +589,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
 
     def table(p):
         nonlocal stored
-        key = keys[p](img)
+        key = keys[p](buf)
         o = tables[p].get(key)
         if o is None:
             if stored >= _HOM_TABLE_LIMIT:
@@ -586,47 +610,45 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             size *= len(o)
         if (not size or spent + charge + size > budget
                 or (limit is not None and len(results) + size >= limit)
-                or not all(x[3] is not None and x[4]
+                or not all(x[2] is not None and x[3]
                            for o in block for x in o)):
             return False
         spent += charge + size
         # product reads each level whole, so only the last one is lazy.
-        vs, es = [tuple(vimg[:tail])], [tuple(buf[:lo[tail]])]
+        block_codes = [pack(buf[:lo[tail]])]
         for o in block:
-            vs = itertools.starmap(operator.add, itertools.product(
-                vs, [x[2:3] for x in o]))
-            es = itertools.starmap(operator.add, itertools.product(
-                es, [x[3] for x in o]))
-        for vt, et in zip(vs, map(getter, es)):
-            results.append(Morphism._trusted(_Row(pos, vt), _Row(eindex, et),
+            block_codes = itertools.starmap(operator.add, itertools.product(
+                block_codes, [x[2] for x in o]))
+        for codes in block_codes:
+            results.append(Morphism._trusted(_Row(vindex, codes, vtable),
+                                             _Row(eindex, codes, etable),
                                              g, h))
         return True
 
     # Per depth: the option list, the next option and the candidate index
-    # of the last one taken; the candidate number, h's vertex and choices
-    # taken; and whether the orbits closed before it all passed, None once
-    # one of them had other than one choice.
+    # of the last one taken; the choices taken; and whether the orbits
+    # closed before it all passed, None once one of them had other than one
+    # choice.  buf holds the codes taken so far, so the table keys read
+    # the earlier neighbours' vertex codes from it.
     opts = [None] * n
     nxt = [0] * n
     last = [-1] * n
-    img = [0] * n
-    vimg = [None] * n
     taken = [None] * n
     ok = [True] * (n + 1)
-    buf = [None] * lo[n]
     depth = 0
     while depth >= 0:
         if depth == n:
-            vmap = _Row(pos, tuple(vimg))
             if ok[n] is not None:
-                combos = ((getter(buf), ok[n]),)
+                combos = (ok[n],)
             else:
                 combos = product_of([taken[p][i] for p, i, _ in orbit_at])
-            for images, passed in combos:
+            for passed in combos:
                 spent += 1
                 if spent > budget:
                     raise overspent()
-                emap = _Row(eindex, images)
+                codes = pack(buf)
+                vmap = _Row(vindex, codes, vtable)
+                emap = _Row(eindex, codes, etable)
                 if same_domains and passed:
                     results.append(Morphism._trusted(vmap, emap, g, h))
                 else:
@@ -652,16 +674,17 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             opts[depth] = None
             depth -= 1
             continue
-        k, img[depth], vimg[depth], images, passed, taken[depth] = o[a]
+        k, c, piece, passed, taken[depth] = o[a]
         nxt[depth] = a + 1
         spent += k - last[depth]
         last[depth] = k
         if spent > budget:
             raise overspent()
-        if images is None or ok[depth] is None:
+        if piece is None:
+            buf[lo[depth]] = c
             ok[depth + 1] = None
         else:
-            buf[spans[depth]] = images
+            buf[lo[depth]:lo[depth + 1]] = piece
             ok[depth + 1] = ok[depth] and passed
         depth += 1
     return results
@@ -673,19 +696,22 @@ _HOM_TABLE_LIMIT = 1 << 16
 
 
 class _Row(Mapping):
-    """A read-only map over `index`, a dict that numbers its keys 0, 1, ...
-    in its order: the value at key k is images[index[k]].  Every result of
-    one enumerate_homs call shares its two indexes, so a result stores only
-    its images."""
+    """A read-only map that decodes codes: the value at key k is
+    table[codes[index[k]]].  index is a dict over the map's keys, in their
+    order, that gives each key's offset in codes, and table turns a code
+    back into an id.  Both rows of an enumerate_homs result share its codes,
+    and every result of one call the call's two indexes and tables, so a
+    result stores only its codes."""
 
-    __slots__ = ("_index", "_images")
+    __slots__ = ("_index", "_codes", "_table")
 
-    def __init__(self, index, images):
+    def __init__(self, index, codes, table):
         self._index = index
-        self._images = images
+        self._codes = codes
+        self._table = table
 
     def __getitem__(self, key):
-        return self._images[self._index[key]]
+        return self._table[self._codes[self._index[key]]]
 
     def __iter__(self):
         return iter(self._index)
@@ -697,20 +723,21 @@ class _Row(Mapping):
         return _RowItems(self)
 
     def values(self):
-        return self._images
+        return tuple(map(self._table.__getitem__,
+                         map(self._codes.__getitem__, self._index.values())))
 
     def __repr__(self):
         return repr(dict(self.items()))
 
 
 class _RowItems(ItemsView):
-    """A _Row's items view, iterated in C by zip rather than by a lookup
-    per key."""
+    """A _Row's items view, decoded in C by zip and map rather than by a
+    lookup per key."""
 
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping._index, self._mapping._images)
+        return zip(self._mapping, self._mapping.values())
 
 
 def _tuple_getter(idx):
@@ -794,8 +821,7 @@ def alpha_pullback(g1, g2, alpha):
             elabel[e] = g2.elabel[e2]
     rev = None
     if g1.reversal is not None and g2.reversal is not None:
-        rev = {(e1, e2): (g1.reversal[e1], g2.reversal[e2])
-               for (e1, e2) in edges}
+        rev = {e: (g1.reversal[e[0]], g2.reversal[e[1]]) for e in edges}
     return LabelGraph(vlabel, edges, elabel, rev, g2.label_graph)
 
 
@@ -990,8 +1016,7 @@ def path_subdivision(g):
             elabel[x] = (i, lab, j)
     rev = None
     if g.reversal is not None:
-        rev = {(i, e, j): (j, g.reversal[e], i)
-               for e in g.edges for i in (0, 1) for j in (0, 1)}
+        rev = {x: (x[2], g.reversal[x[1]], x[0]) for x in edges}
     return LabelGraph(vlabel, edges, elabel, rev,
                       None if b is None else path_subdivision(b))
 
@@ -1048,7 +1073,7 @@ def flat(g, frontier=None):
                 elabel[e] = c
     rev = None
     if g.reversal is not None:
-        rev = {(u, c, v): (v, b.reversal[c], u) for (u, c, v) in edges}
+        rev = {e: (e[2], b.reversal[e[1]], e[0]) for e in edges}
     out = LabelGraph(vlabel, edges, elabel, rev, b)
     if frontier is None:
         return out
@@ -1220,7 +1245,7 @@ def vertex_blowup(g, k):
                 elabel[x] = (i, g.elabel[e], j)
     rev = None
     if g.reversal is not None:
-        rev = {(i, e, j): (j, g.reversal[e], i) for (i, e, j) in edges}
+        rev = {x: (x[2], g.reversal[x[1]], x[0]) for x in edges}
     # Over an alphabet each label is its cell's id, as in path_subdivision.
     return LabelGraph(vlabel, edges, elabel, rev,
                       None if b is None else vertex_blowup(b, k))

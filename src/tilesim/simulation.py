@@ -239,7 +239,7 @@ def apply_simulator(window, s, frontier=None):
             incomplete.add(u)
     rev = None
     if graph.reversal is not None and sg.reversal is not None:
-        rev = {(u, c, v): (v, b.reversal[c], u) for (u, c, v) in edges}
+        rev = {e: (e[2], b.reversal[e[1]], e[0]) for e in edges}
     return (LabelGraph._trusted(vlabel, edges, elabel, rev, b),
             frozenset(incomplete))
 

@@ -1049,10 +1049,29 @@ def assert_valid_homs(homs, g, h):
 def brute_force_homs(g, h):
     """Every hom g -> h as (vmap, emap), from a plain product over vertex
     candidates and then over edge candidates per reversal orbit, in the
-    order enumerate_homs documents."""
+    order enumerate_homs documents.  The vertex product skips a prefix once
+    one of its edges has no image with the right label and endpoints: such
+    a prefix heads no hom, so the skip drops no result and keeps the
+    order."""
     order = _vertex_order(g)
     cands = [[w for w in h.vertices() if h.vlabel[w] == g.vlabel[v]]
              for v in order]
+    rank = {v: i for i, v in enumerate(order)}
+    due = [[] for _ in order]
+    for e, (t, hd) in g.edges.items():
+        due[max(rank[t], rank[hd])].append((g.elabel[e], rank[t], rank[hd]))
+    arcs = {(h.elabel[d], *h.edges[d]) for d in h.edges}
+
+    def vertex_images(prefix):
+        i = len(prefix)
+        if i == len(order):
+            yield prefix
+            return
+        for w in cands[i]:
+            imgs = prefix + (w,)
+            if all((lab, imgs[a], imgs[b]) in arcs for lab, a, b in due[i]):
+                yield from vertex_images(imgs)
+
     unoriented = g.reversal is not None and h.reversal is not None
     orbits = []
     seen = set()
@@ -1063,7 +1082,7 @@ def brute_force_homs(g, h):
             orbits.append((e, ep))
     h_edges = h.edge_ids()
     out = []
-    for imgs in itertools.product(*cands):
+    for imgs in vertex_images(()):
         vmap = dict(zip(order, imgs))
         choices = [[d for d in h_edges
                     if h.elabel[d] == g.elabel[e]
@@ -1115,6 +1134,12 @@ def special_hom_instances():
     yield g, h, 3
 
 
+def wide_code_instance():
+    """The 3x3 grid into the 12x12 grid: 144 target vertices and 528
+    target edges, more codes than a byte holds, and 100 homs."""
+    return plane_window(0, 2, 0, 2), plane_window(0, 11, 0, 11)
+
+
 def hom_instances():
     a = unoriented_rose(["s"])
     yield (labelled(a, {0: 1}, {0: (0, 0), 1: (0, 0)}, {0: "s", 1: "s'"},
@@ -1132,6 +1157,7 @@ def hom_instances():
     yield plane_window(0, 2, 0, 1), plane_torus(2)
     yield plane_window(0, 2, 0, 1), plane_window(0, 1, 0, 1)
     yield ball(1).graph, wang_to_dhs(comb_tileset()).graph
+    yield wide_code_instance()
     for g, h, _count in special_hom_instances():
         yield g, h
     rng = random.Random(7)
@@ -1404,16 +1430,20 @@ def orbit_order(g, h):
     return out
 
 
-@pytest.mark.parametrize("case", ["one_image", "product"])
+@pytest.mark.parametrize("case", ["one_image", "product", "wide"])
 def test_hom_results_are_read_only_dicts(case):
     # ball(2) -> comb takes one image per orbit; the torus's parallel loops
-    # give each orbit two, so its results come from the product path.
+    # give each orbit two, so its results come from the product path; the
+    # 12x12 grid's results take the codes wider than a byte.
     if case == "one_image":
         g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
-    else:
+    elif case == "product":
         g, h = plane_window(0, 2, 0, 1), plane_torus(2)
+    else:
+        g, h = wide_code_instance()
+        assert (len(h.vlabel), len(h.edges)) == (144, 528)
     homs = enumerate_homs(g, h)
-    assert len(homs) == (19060 if case == "one_image" else 128)
+    assert len(homs) == {"one_image": 19060, "product": 128, "wide": 100}[case]
     vkeys, ekeys = _vertex_order(g), orbit_order(g, h)
     for m in homs[:20] + homs[-20:]:
         for mp, keys in ((m.vmap, vkeys), (m.emap, ekeys)):
@@ -1444,8 +1474,8 @@ def test_hom_results_are_read_only_dicts(case):
 
 
 def test_hom_results_take_under_a_kilobyte_each():
-    # Results share their key indexes, so each keeps only its image tuples;
-    # a dict per map would keep about 1.9 kB per result.
+    # Results share their key indexes and code tables, so each keeps only
+    # its string of codes; a dict per map would keep about 1.9 kB per result.
     g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
     tracemalloc.start()
     try:
@@ -1455,6 +1485,23 @@ def test_hom_results_take_under_a_kilobyte_each():
         tracemalloc.stop()
     assert len(homs) == 19060
     assert kept / len(homs) < 1024
+
+
+def test_hom_results_add_three_tracked_objects_each():
+    # A result is a Morphism and its two rows, which share one bytes string
+    # of codes that the collector does not track.  The call's result list,
+    # indexes and tables add a few objects more.
+    g, h = ball(2).graph, wang_to_dhs(comb_tileset()).graph
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        homs = enumerate_homs(g, h)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(homs) == 19060
+    assert grown <= 3 * len(homs) + 16
 
 
 def test_homs_reject_a_domain_whose_reversal_was_broken():

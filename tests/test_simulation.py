@@ -878,3 +878,23 @@ def test_builders_key_edges_and_labels_by_one_id_object():
     assert [name for name, out in built.items()
             if len(out.elabel) != len(out.edges)
             or not all(map(operator.is_, out.elabel, out.edges))] == []
+
+
+def test_builders_key_reversal_by_the_edge_id_objects():
+    # The unoriented builders key reversal by the edge id objects of edges,
+    # in the same order, rather than by a second equal tuple per edge.
+    dec, fr = sea_window(3)
+    s = sea_to_quadrant()
+    pulled = alpha_pullback(dec, s.graph, s.alpha)
+    w = tetrahedron(-3, 3).graph
+    built = {
+        "path_subdivision": path_subdivision(w),
+        "alpha_pullback": pulled,
+        "vertex_blowup": vertex_blowup(w, {v: 2 for v in w.label_graph.vlabel}),
+        "flat": flat(pulled),
+        "apply_simulator": apply_simulator(dec, s, frontier=fr)[0],
+    }
+    assert all(out.edges for out in built.values())
+    assert [name for name, out in built.items()
+            if out.reversal is None or len(out.reversal) != len(out.edges)
+            or not all(map(operator.is_, out.reversal, out.edges))] == []
