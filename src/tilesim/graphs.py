@@ -871,8 +871,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     with the fibre cells of _generic_fiber.  A vertex cell's key has only
     ('T', u2) items.  An edge cell's tail key keeps its ('T', u2) items
     and its head key its ('H', u2) items renamed ('T', u2); its reversal's
-    key swaps T with H and F with R.  _local_key builds keys, and
-    _local_keys the same keys for all of one fibre's homs at once.
+    key swaps T with H and F with R.  _local_key builds the keys, here and
+    in curry, which must agree on them.
     """
     if alpha is None:
         alpha = labelling_morphism(g2)
@@ -884,8 +884,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     vlabel = {}
     for a in av.vertices():
         fiber = _generic_fiber(g2, alpha, a, False)
-        for k in _local_keys(enumerate_homs(fiber, g1, budget=budget)):
-            vlabel[(k, a)] = a
+        for f in enumerate_homs(fiber, g1, budget=budget):
+            vlabel[(_local_key(f.vmap.items(), f.emap.items()), a)] = a
         if len(vlabel) > max_cells:
             raise CapacityError("exponential exceeds %d cells" % max_cells,
                                 "exponential vertices", len(vlabel),
@@ -894,7 +894,8 @@ def exponential(g1, g2, alpha=None, max_cells=10 ** 5, budget=10 ** 6):
     elabel = {}
     for c in av.edge_ids():
         fiber = _generic_fiber(g2, alpha, c, True)
-        for k in _local_keys(enumerate_homs(fiber, g1, budget=budget)):
+        for f in enumerate_homs(fiber, g1, budget=budget):
+            k = _local_key(f.vmap.items(), f.emap.items())
             x = (k, c)
             edges[x] = ((_side_key(k, "T"), av.tail(c)),
                         (_side_key(k, "H"), av.head(c)))
@@ -912,24 +913,6 @@ def _local_key(vitems, eitems=()):
     """The key of the local map with these (fibre cell, image) items."""
     return tuple(tuple(sorted(items, key=lambda kv: skey(kv[0])))
                  for items in (vitems, eitems))
-
-
-def _local_keys(homs):
-    """_local_key of each hom's maps, for homs whose maps all have the same
-    keys in the same order, as one enumerate_homs call's results do.  The
-    keys are distinct, so the stable skey sort is one permutation of the
-    positions, found once and applied to each hom's values."""
-    if not homs:
-        return
-    sorts = []
-    for m in (homs[0].vmap, homs[0].emap):
-        keys = list(m)
-        perm = sorted(range(len(keys)), key=lambda i: skey(keys[i]))
-        sorts.append(([keys[i] for i in perm], _tuple_getter(perm)))
-    (vkeys, vperm), (ekeys, eperm) = sorts
-    for f in homs:
-        yield (tuple(zip(vkeys, vperm(tuple(f.vmap.values())))),
-               tuple(zip(ekeys, eperm(tuple(f.emap.values())))))
 
 
 # A key's items are in skey order of their fibre cells (side, x): by side
@@ -986,7 +969,7 @@ def uncurry(rho, g1, g2, alpha, g3):
     return Morphism(vmap, emap, prod, g3)
 
 
-# -- path subdivision, flat, sharp ------------------------------------------
+# -- path subdivision and sharp ---------------------------------------------
 
 
 def path_subdivision(g):
@@ -1022,7 +1005,8 @@ def path_subdivision(g):
 
 
 def base_of_subdivision(bstar):
-    """Recover b from path_subdivision(b)."""
+    """Recover b from path_subdivision(b); raise ValueError when bstar is
+    not the path subdivision of the alphabet recovered."""
     vertices = [v[1] for v in bstar.vertices()
                 if isinstance(v, tuple) and len(v) == 2 and v[0] == "v"]
     edges = {e[1]: (t, h) for e in bstar.edge_ids()
@@ -1031,80 +1015,17 @@ def base_of_subdivision(bstar):
     rev = None
     if bstar.reversal is not None:
         rev = {e: bstar.reversal[(0, e, 0)][1] for e in edges}
-    return alphabet(vertices, edges, rev)
-
-
-def flat(g, frontier=None):
-    """Collapse a graph labelled over a subdivided alphabet back to one over
-    the alphabet: keep the vertices sitting over original vertices, and put
-    one c-labelled edge u -> v for every coherent path from u to v, i.e.
-    either a single (0,c,0)-labelled edge or a path reading
-    (0,c,1) (1,c,1)* (1,c,0).
-
-    With frontier (a set of vertex ids of g), also returns the set of kept
-    vertices whose incident flattened edges cannot be trusted: those in the
-    frontier themselves and those from which some coherent path meets a
-    frontier midpoint.  Returns graph or (graph, incomplete) accordingly.
-    """
-    if g.label_graph is None:
-        raise ValueError("flat needs a labelled graph")
-    b = base_of_subdivision(g.label_graph)
-    frontier_set = set(frontier) if frontier is not None else set()
-
-    by_label_tail = {}
-    for e, (t, h) in g.edges.items():
-        by_label_tail.setdefault((g.elabel[e], t), []).append(e)
-
-    keep = [v for v in g.vertices()
-            if isinstance(g.vlabel[v], tuple) and g.vlabel[v][0] == "v"]
-    vlabel = {v: g.vlabel[v][1] for v in keep}
-    edges = {}
-    elabel = {}
-    incomplete = set(v for v in keep if v in frontier_set)
-    bedges = b.edge_ids()
-    for u in keep:
-        for c in bedges:
-            heads, touched = _coherent_heads(g, u, c, by_label_tail)
-            if touched & frontier_set:
-                incomplete.add(u)
-            for v in heads:
-                e = (u, c, v)
-                edges[e] = (u, v)
-                elabel[e] = c
-    rev = None
-    if g.reversal is not None:
-        rev = {e: (e[2], b.reversal[e[1]], e[0]) for e in edges}
-    out = LabelGraph(vlabel, edges, elabel, rev, b)
-    if frontier is None:
-        return out
-    return out, frozenset(incomplete)
-
-
-def _coherent_heads(g, u, c, by_label_tail):
-    """Heads of coherent c-paths out of u, plus the midpoints visited."""
-    heads = {g.head(e) for e in by_label_tail.get(((0, c, 0), u), [])}
-    seen = set()
-    queue = []
-    for e in by_label_tail.get(((0, c, 1), u), []):
-        m = g.head(e)
-        if m not in seen:
-            seen.add(m)
-            queue.append(m)
-    while queue:
-        m = queue.pop(0)
-        heads.update(g.head(e) for e in by_label_tail.get(((1, c, 0), m), []))
-        for e in by_label_tail.get(((1, c, 1), m), []):
-            m2 = g.head(e)
-            if m2 not in seen:
-                seen.add(m2)
-                queue.append(m2)
-    return heads, seen
+    b = alphabet(vertices, edges, rev)
+    if bstar != path_subdivision(b):
+        raise ValueError("labels are not over a path subdivision")
+    return b
 
 
 def sharp(g):
-    """Right adjoint-ish companion of flat: subdivide g and add, per edge c
-    of its alphabet b, a pair of sink vertices absorbing unfinished coherent
-    paths.  The result is labelled over the subdivision of b.
+    """Right adjoint-ish companion of simulation.flat: subdivide g and add,
+    per edge c of its alphabet b, a pair of sink vertices absorbing
+    unfinished coherent paths.  The result is labelled over the subdivision
+    of b.
 
     Per edge e of g with label c the new edges are: one (0,c,1) edge from
     the tail of e into the minus sink of c, one (1,c,0) edge from the plus

@@ -6,15 +6,17 @@ over a B-vertex, a "settled" state, or over an edge midpoint, an "in
 transit" state) and one over A.  Applying a simulator to a window labelled
 over A pulls the window back along the A-labelling and flattens the result:
 coherent chains of transit states collapse into single B-edges between
-settled pairs.  That composite, flat(alpha_pullback(...)) from graphs, is
-the definition and the tests' reference; apply_simulator computes it as one
+settled pairs.  That composite, flat(alpha_pullback(...)), is the
+definition and the tests' reference; apply_simulator computes it as one
 walk over numbered (point, state) pairs and never builds the pullback.
 
 The same data can be repackaged as a graph-walking automaton: one
 relabelling of the A-vertices plus, per B-edge, a finite word acceptor whose
-accepted walks through the window trace out the simulated edges.  Both
-directions of that repackaging live here, together with simulator
-composition and the concrete simulators the rest of the package uses.
+accepted walks through the window trace out the simulated edges.  flat is
+one such walker, run by gwa_simulated_graph: per B-edge c it accepts the
+coherent paths (0,c,0) | (0,c,1)(1,c,1)*(1,c,0).  Both directions of the
+repackaging live here, together with simulator composition and the
+concrete simulators the rest of the package uses.
 
 Everything is finite and windows have boundaries, so every operation that
 walks a window also reports which output vertices may be missing edges
@@ -87,8 +89,6 @@ class Simulator:
         if bstar is None:
             raise ValueError("simulator graph carries no target labelling")
         b = base_of_subdivision(bstar)
-        if bstar != path_subdivision(b):
-            raise ValueError("target labelling is not over a subdivision")
         sg, amap = self.graph, self.alpha
         self._b, self._bedges = b, b.edge_ids()
         nc = len(self._bedges)
@@ -170,12 +170,13 @@ def apply_simulator(window, s, frontier=None):
     Window and to the empty set for a bare graph.
 
     The result is flat(alpha_pullback(graph, s.graph, s.alpha)) with the
-    pullback's frontier pairs those over frontier points, computed without
-    building the pullback: the simulator numbers its states and target
-    edges when it is made (see Simulator), each call numbers the points,
-    pair number point * states + state stands for a pullback vertex, and
-    from every settled pair one walk per target edge c follows the
-    coherent paths (0,c,0) and (0,c,1)(1,c,1)*(1,c,0) through the pairs.
+    pullback's frontier pairs those over frontier points.  flat runs its
+    walker on the pullback; this computes the same graph without building
+    the pullback: the simulator numbers its states and target edges when
+    it is made (see Simulator), each call numbers the points, pair number
+    point * states + state stands for a pullback vertex, and from every
+    settled pair one walk per target edge c follows the coherent paths
+    (0,c,0) and (0,c,1)(1,c,1)*(1,c,0) through the pairs.
     A pair is incomplete when it sits over a frontier point or one of its
     walks passes a midpoint over one.  Vertices come in skey order, as
     flat keeps them, and edge ids are (tail pair, c, head pair).  The
@@ -402,10 +403,11 @@ def gwa_simulated_graph(graph, gwa, boundary=()):
     """Run every machine from every surviving vertex.
 
     Returns (simulated graph over the target alphabet, incomplete sources).
-    The output is oriented: each accepted run contributes one directed
-    edge.  Runs landing on a vertex whose relabelling does not match the
-    machine's edge head are ignored; a well-formed walker never produces
-    them.
+    The incomplete sources are the surviving vertices in the boundary and
+    those with a run that touched it.  The output is oriented: each
+    accepted run contributes one directed edge.  Runs landing on a vertex
+    whose relabelling does not match the machine's edge head are ignored;
+    a well-formed walker never produces them.
     """
     if graph.label_graph != gwa.source:
         raise ValueError("graph labels do not match the walker source")
@@ -421,7 +423,7 @@ def gwa_simulated_graph(graph, gwa, boundary=()):
         by_target_tail.setdefault(gwa.target.tail(e), []).append(e)
     edges = {}
     elabel = {}
-    incomplete = set()
+    incomplete = boundary.intersection(vlabel)
     for u in sorted(vlabel, key=skey):
         for e in by_target_tail.get(vlabel[u], ()):
             succ, touched = _run(graph, by_tail, gwa.machines[e], u,
@@ -435,6 +437,32 @@ def gwa_simulated_graph(graph, gwa, boundary=()):
                     elabel[x] = e
     out = LabelGraph(vlabel, edges, elabel, None, gwa.target)
     return out, frozenset(incomplete)
+
+
+def flat(g, frontier=None):
+    """Collapse a graph labelled over a subdivided alphabet b* back to one
+    over b: the vertices over b-vertices stay, and each coherent path
+    (0,c,0) | (0,c,1)(1,c,1)*(1,c,0) from u to v becomes one c-edge u -> v.
+    That is gwa_simulated_graph of a walker with one three-state machine
+    per c, midpoints mapped to None; over an unoriented g each path
+    retraces as one for c'.  With frontier (vertex ids of g), returns
+    (graph, incomplete): the kept vertices in the frontier or with a path
+    through a frontier midpoint.
+    """
+    if g.label_graph is None:
+        raise ValueError("flat needs a labelled graph")
+    bstar = g.label_graph
+    b = base_of_subdivision(bstar)
+    lam = {x: x[1] if x[0] == "v" else None for x in bstar.vlabel}
+    machines = {c: GwaAutomaton((0, 1, 2), (0,), (2,), (
+        (0, (0, c, 0), 2), (0, (0, c, 1), 1), (1, (1, c, 1), 1),
+        (1, (1, c, 0), 2))) for c in b.edges}
+    out, incomplete = gwa_simulated_graph(g, Gwa(lam, machines, bstar, b),
+                                          frontier or ())
+    if g.reversal is not None:
+        out = LabelGraph(out.vlabel, out.edges, out.elabel, {
+            e: (e[2], b.reversal[e[1]], e[0]) for e in out.edges}, b)
+    return out if frontier is None else (out, incomplete)
 
 
 def _state_copies(s):
@@ -609,10 +637,19 @@ def relabel_graph(g, symbol_of, symbols):
 
 def decorate_window(window, ts, assignment):
     """A copy of the window whose vertex labels are the tile symbols of an
-    assignment (point -> tile id)."""
+    assignment (point -> tile id).  A point without a tile id in
+    range(number of tiles) is a ValueError naming the point."""
     symbols = decoration_symbols(ts)
-    return relabel_graph(window.graph, lambda v: symbols[assignment[v]],
-                         symbols)
+    n = len(symbols)
+
+    def symbol_of(v):
+        i = assignment.get(v, -1)
+        if 0 <= i < n:
+            return symbols[i]
+        raise ValueError("point %r has tile id %r, not one in range(%d)"
+                         % (v, assignment.get(v), n))
+
+    return relabel_graph(window.graph, symbol_of, symbols)
 
 
 def patch_frontier(g):

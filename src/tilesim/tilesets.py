@@ -58,8 +58,7 @@ class WangTileset:
             _check_tile(t, 4, self.colors)
         if len(set(self.tiles)) != len(self.tiles):
             raise ValueError("duplicate tiles")
-        if self.names is not None and len(self.names) != len(self.tiles):
-            raise ValueError("names do not match tiles")
+        _check_names(self.names, len(self.tiles), "tiles")
         _check_seeds(self.seeds, len(self.tiles))
 
 
@@ -103,8 +102,7 @@ class TetraSystem:
                               "%d unusable tuples" %
                               (len(self.allowed) - len(closed)))
                 self.allowed = closed
-        if self.names is not None and len(self.names) != len(self.alphabet):
-            raise ValueError("names do not match alphabet")
+        _check_names(self.names, len(self.alphabet), "alphabet")
         _check_seeds(self.seeds, len(self.alphabet))
 
     def arity(self):
@@ -127,6 +125,15 @@ class DhsTarget:
 def _check_tile(t, n, symbols, what="tile"):
     if len(t) != n or any(x not in symbols for x in t):
         raise ValueError("bad %s %r" % (what, t))
+
+
+def _check_names(names, count, what):
+    """names, when given, name each of count tiles or symbols once."""
+    if names is not None and len(names) != count:
+        raise ValueError("names do not match %s" % what)
+    for i, x in enumerate(names or ()):
+        if x in names[:i]:
+            raise ValueError("repeated name %r" % (x,))
 
 
 def _check_seeds(seeds, ntiles):
@@ -746,9 +753,8 @@ def tileset_from_text(text):
         with _naming_line(what, raw):
             if key == "names":
                 names = tuple(map(_parse_token, values))
-                if len(names) != count:
-                    raise ValueError("%d names for %d tiles"
-                                     % (len(names), count))
+                _check_names(names, count,
+                             "tiles" if kind == "wang" else "alphabet")
             elif key == "seed":
                 seeds.append((evaluate_word(values[0], p, q),
                               int(values[1])))

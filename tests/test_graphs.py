@@ -26,7 +26,6 @@ from tilesim.graphs import (
     disjoint_union,
     enumerate_homs,
     exponential,
-    flat,
     from_text,
     full_simplify,
     identity_over,
@@ -47,7 +46,7 @@ from tilesim.graphs import (
 )
 from tilesim.reduction import tileset_exponential
 from tilesim.sat import exact_count
-from tilesim.simulation import builtin_simulator
+from tilesim.simulation import builtin_simulator, flat
 from tilesim.tilesets import DhsTarget, WangTileset, comb_tileset, wang_to_dhs
 
 

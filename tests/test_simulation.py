@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -12,12 +13,12 @@ from tilesim.geometry import (
     tetrahedron)
 from tilesim.graphs import (
     LabelGraph, Morphism, add_edge_pair, alpha_pullback, alphabet,
-    disjoint_union, exponential, flat, induced_subgraph, labelled,
-    path_subdivision, rose, sharp, simplify, vertex_blowup)
+    base_of_subdivision, disjoint_union, exponential, induced_subgraph,
+    labelled, path_subdivision, rose, sharp, simplify, vertex_blowup)
 from tilesim.simulation import (
     Gwa, GwaAutomaton, Simulator, apply_simulator,
     blowup_simulator, builtin_simulator, comb_to_plane, compose_simulators,
-    decorate_window, edge_triples, gwa_simulated_graph, gwa_to_simulator,
+    decorate_window, edge_triples, flat, gwa_simulated_graph, gwa_to_simulator,
     identity_simulator, patch_frontier, quadrant_patch,
     quadrant_to_plane, random_simulator, rectangle_compress, relabel_graph,
     rename_vertices, run_gwa, sea_to_quadrant, simulator_from_text,
@@ -25,8 +26,8 @@ from tilesim.simulation import (
     _window_graph)
 from tilesim.sat import forced_values, solve_tiling
 from tilesim.tilesets import (
-    comb_configuration, comb_tileset, lamp_runs, omega_configuration,
-    sea_level_system, sft_to_dhs)
+    comb_configuration, comb_tileset, decoration_symbols, lamp_runs,
+    omega_configuration, sea_level_system, sft_to_dhs)
 
 
 def comb_window(r):
@@ -220,6 +221,185 @@ def test_builtin_sizes():
         assert (s.num_states(), len(s.graph.edges)) == (states, edges)
 
 
+# -- flat, the coherent-path walker
+
+
+def coherent_paths(g, frontier):
+    # flat by a plain bounded search: per kept u and edge c of the base
+    # alphabet, the midpoints one (0,c,1) step and then up to one (1,c,1)
+    # step per vertex of g reach, the (1,c,0) steps home from them and the
+    # single (0,c,0) steps
+    step = {}
+    for e, (t, h) in g.edges.items():
+        step.setdefault((t, g.elabel[e]), set()).add(h)
+
+    def after(vs, lab):
+        return {h for v in vs for h in step.get((v, lab), ())}
+
+    kept = {v: lab[1] for v, lab in g.vlabel.items() if lab[0] == "v"}
+    triples, incomplete = set(), {v for v in kept if v in frontier}
+    for u in kept:
+        for c in {lab[1] for lab in g.label_graph.edges}:
+            mids = layer = after({u}, (0, c, 1))
+            for _ in g.vlabel:
+                layer = after(layer, (1, c, 1))
+                mids = mids | layer
+            heads = after({u}, (0, c, 0)) | after(mids, (1, c, 0))
+            triples |= {(u, c, v) for v in heads}
+            if mids & frontier:
+                incomplete.add(u)
+    return kept, triples, incomplete
+
+
+def assert_flat_finds_the_coherent_paths(g, frontier):
+    out, inc = flat(g, frontier)
+    kept, triples, incomplete = coherent_paths(g, frontier)
+    assert out.vlabel == kept
+    assert edge_triples(out) == triples and len(out.edges) == len(triples)
+    assert inc == incomplete
+    assert path_subdivision(out.label_graph) == g.label_graph
+    assert flat(g) == out
+    if g.reversal is None:
+        assert out.reversal is None
+    else:
+        brev = out.label_graph.reversal
+
+        def triple(e):
+            return out.tail(e), out.elabel[e], out.head(e)
+
+        assert {triple(e): triple(f) for e, f in out.reversal.items()} == {
+            (u, c, v): (v, brev[c], u) for u, c, v in triples}
+    return out, inc
+
+
+# one- and two-vertex alphabets, oriented and not; y has no out-edge in
+# "edge" and in "loops"
+FLAT_ALPHABETS = {
+    "rose": rose(["s", "t"]),
+    "unoriented rose": rose(["s", "S", "t"], {"s": "S", "S": "s", "t": "t"}),
+    "edge": alphabet(["x", "y"], {"e": ("x", "y"), "d": ("x", "x")}),
+    "unoriented edge": alphabet(
+        ["x", "y"], {"e": ("x", "y"), "E": ("y", "x"), "t": ("x", "x")},
+        {"e": "E", "E": "e", "t": "t"}),
+    "loops": alphabet(["x", "y"], {"d": ("x", "x"), "D": ("x", "x")},
+                      {"d": "D", "D": "d"}),
+}
+
+
+def random_graph_over_subdivision(rng, b, n, m):
+    # n vertices over random cells of path_subdivision(b) and m random
+    # edges, or edge pairs when b is unoriented, loops and parallel edges
+    # included
+    bs = path_subdivision(b)
+    vlabel = {v: rng.choice(sorted(bs.vlabel, key=repr)) for v in range(n)}
+    over = {}
+    for v, lab in vlabel.items():
+        over.setdefault(lab, []).append(v)
+    labs = [lab for lab in sorted(bs.edges, key=repr)
+            if bs.tail(lab) in over and bs.head(lab) in over]
+    edges, elabel = {}, {}
+    rev = None if bs.reversal is None else {}
+    for i in range(m if labs else 0):
+        lab = rng.choice(labs)
+        t, h = rng.choice(over[bs.tail(lab)]), rng.choice(over[bs.head(lab)])
+        if rev is None:
+            edges[i], elabel[i] = (t, h), lab
+        else:
+            add_edge_pair(edges, elabel, rev, ("e", i), ("r", i), t, h, lab,
+                          bs.reversal[lab])
+    return labelled(bs, vlabel, edges, elabel, rev)
+
+
+def test_flat_finds_the_coherent_paths_of_a_bounded_search():
+    # a frontier vertex over y, where no coherent path starts, is incomplete
+    b = FLAT_ALPHABETS["edge"]
+    g = path_subdivision(labelled(b, {"u": "x", "v": "y"}, {"uv": ("u", "v")},
+                                  {"uv": "e"}))
+    out, inc = assert_flat_finds_the_coherent_paths(g, {("v", "v")})
+    assert edge_triples(out) == {(("v", "u"), "e", ("v", "v"))}
+    assert inc == {("v", "v")}
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(300):
+        name = rng.choice(sorted(FLAT_ALPHABETS))
+        b = FLAT_ALPHABETS[name]
+        g = random_graph_over_subdivision(rng, b, rng.randrange(1, 10),
+                                          rng.randrange(0, 25))
+        frontier = rng.choice((set(), set(g.vlabel), {
+            v for v in g.vlabel if rng.random() < 0.3}))
+        out, _ = assert_flat_finds_the_coherent_paths(g, frontier)
+        direct = {(t, g.elabel[e][1], h) for e, (t, h) in g.edges.items()
+                  if g.elabel[e][::2] == (0, 0)}
+        tails = {t for t, _ in b.edges.values()}
+        dead_ends = {v for v in frontier
+                     if g.vlabel[v][0] == "v" and g.vlabel[v][1] not in tails}
+        kinds.add((name, bool(edge_triples(out) - direct), bool(dead_ends)))
+    # every alphabet has a case with a path through midpoints, and both
+    # alphabets with a vertex without out-edges one with it in the frontier
+    assert {kind[0] for kind in kinds if kind[1]} == set(FLAT_ALPHABETS)
+    assert {kind[0] for kind in kinds if kind[2]} == {"edge", "loops"}
+
+
+def rectangle_window():
+    w = plane_window(0, 7, 0, 7)
+    dec = relabel_graph(
+        w, lambda p: "good" if p[0] % 3 == 0 and p[1] % 2 == 0 else "bad",
+        ("bad", "good"))
+    return dec, patch_frontier(w)
+
+
+# a window each builtin simulator's tests use, with its frontier
+PIN_WINDOWS = {
+    "quadrant_to_plane": lambda: (quadrant_window(5, 5),
+                                  patch_frontier(quadrant_window(5, 5))),
+    "comb_to_plane": lambda: comb_window(3),
+    "sea_to_quadrant": lambda: sea_window(3),
+    "rectangle_compress": rectangle_window,
+}
+
+# (edges, incomplete vertices, sha256 of repr of the sorted edge triples
+# and the sorted incomplete vertices) of the flattened pullback; edge order
+# is not pinned
+FLAT_PINS = {
+    "quadrant_to_plane": (288, 32, "632ca77552ae5bc5ece7ee012d103c688bfba50a"
+                                   "b64cdcc4613b04c09062105a"),
+    "comb_to_plane": (64, 16, "945f56aae4ad6a707cc0cd81a17dc84f616e5ee58c475"
+                              "cd5a6fd2d09d80efeca"),
+    "sea_to_quadrant": (224, 39, "be495304fa8a33847c0ecdeca938da5f94899446524"
+                                 "085663e69954d62699fe7"),
+    "rectangle_compress": (34, 10, "892e50ddfa310d05dda392371916986ac15459cab"
+                                   "e20aa06b319dfdad1b86130"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_PINS))
+def test_flat_of_the_builtin_pullbacks_is_pinned(name):
+    window, frontier = PIN_WINDOWS[name]()
+    out, inc = pullback_then_flat(window, builtin_simulator(name), frontier)
+    item = repr((sorted(edge_triples(out), key=repr), sorted(inc, key=repr)))
+    assert (len(out.edges), len(inc),
+            hashlib.sha256(item.encode()).hexdigest()) == FLAT_PINS[name]
+
+
+def test_graphs_not_over_a_path_subdivision_are_refused():
+    # base_of_subdivision makes the one check, for flat and Simulator alike
+    message = "labels are not over a path subdivision"
+    a = cayley_label_graph()
+    g = LabelGraph({0: 1}, {}, {}, {}, a)
+    with pytest.raises(ValueError, match=message):
+        Simulator(g, Morphism({0: 1}, {}, g, a))
+    with pytest.raises(ValueError, match=message):
+        flat(ball(1).graph)
+    bs = path_subdivision(rose(["s"]))
+    partial = alphabet(bs.vlabel, {e: th for e, th in bs.edges.items()
+                                   if e != (1, "s", 1)})
+    with pytest.raises(ValueError, match=message):
+        base_of_subdivision(partial)
+    with pytest.raises(ValueError, match=message):
+        flat(LabelGraph({0: ("v", 1)}, {}, {}, None, partial))
+    assert base_of_subdivision(bs) == rose(["s"])
+
+
 # -- the quadrant unfolding
 
 
@@ -268,6 +448,22 @@ def test_comb_east_step_from_the_identity():
     outs = [(h, lab) for (t, lab, h) in edge_triples(g)
             if t == (identity(), "spine") and lab == "E"]
     assert outs == [((evaluate_word("b"), "tooth"), "E")]
+
+
+@pytest.mark.parametrize("tile", [-1, 6, 99, None],
+                         ids=["negative", "past-the-end", "large", "missing"])
+def test_decorate_window_names_a_point_without_a_tile(tile):
+    w = ball(1)
+    ts = comb_tileset()
+    assert len(decoration_symbols(ts)) == 6
+    assignment = {p: comb_configuration(p) for p in w.points()}
+    del assignment[identity()]
+    if tile is not None:
+        assignment[identity()] = tile
+    with pytest.raises(ValueError, match=re.escape(
+            "point %r has tile id %r, not one in range(6)" % (identity(),
+                                                              tile))):
+        decorate_window(w, ts, assignment)
 
 
 # -- the sea-level decoration
@@ -533,6 +729,19 @@ def test_gwa_validation():
         Gwa({1: 1}, {e: GwaAutomaton({"i", "f"}, {"i"}, {"f"},
                                      {("i", "zzz", "f")})
              for e in b.edges}, a, b)  # unknown letter
+
+
+def test_gwa_simulated_graph_marks_boundary_vertices_no_machine_leaves():
+    # y has no out-edge in the target, so no machine runs from a vertex
+    # over it; on the boundary that vertex is still incomplete
+    b = alphabet(["x", "y"], {"e": ("x", "y")})
+    g = labelled(b, {"u": "x", "v": "y"}, {"uv": ("u", "v")}, {"uv": "e"})
+    m = GwaAutomaton({"i", "f"}, {"i"}, {"f"}, {("i", "e", "f")})
+    gwa = Gwa({"x": "x", "y": "y"}, {"e": m}, b, b)
+    out, inc = gwa_simulated_graph(g, gwa, {"v"})
+    assert edge_triples(out) == {("u", "e", "v")}
+    assert inc == {"v"}
+    assert gwa_simulated_graph(g, gwa, {"u"})[1] == {"u"}
 
 
 # -- composition

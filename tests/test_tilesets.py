@@ -503,6 +503,21 @@ def test_tileset_file_names_line():
             tileset_from_text(line + "\n" + text)
 
 
+def test_repeated_tile_names_are_refused():
+    # a decorated window could not tell two tiles of one name apart, and
+    # parse_tile_ref would pick the first
+    with pytest.raises(ValueError, match="^repeated name 't'$"):
+        WangTileset({"x", "y"}, [("x",) * 4, ("y",) * 4], names=("t", "t"))
+    with pytest.raises(ValueError, match="^repeated name 'on'$"):
+        TetraSystem((False, True), ray_left_system().allowed,
+                    names=("on", "on"))
+    line = "names t t"
+    with pytest.raises(ValueError, match=re.escape(
+            "%r: repeated name 't'" % line)):
+        tileset_from_text("kind wang\ncolors x y\ntile x x x x\n"
+                          "tile y y y y\n" + line + "\n")
+
+
 @pytest.mark.parametrize("text, line", [
     ("kind wang\ncolors x y\ntile x x x x\ntile y y y y\n", "tile x x x x"),
     ("kind wang\ncolors x\ntile 'x' 'x' 'x' 'x'\n", "tile x x x x"),
