@@ -21,8 +21,10 @@ from collections.abc import ItemsView, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 import ast
+import functools
 import gc
 import itertools
+import math
 import operator
 import shlex
 
@@ -254,13 +256,6 @@ class Morphism:
     def __post_init__(self):
         validate_morphism(self)
 
-    @classmethod
-    def _trusted(cls, vmap, emap, domain, codomain):
-        """A Morphism whose maps the caller has already checked."""
-        m = cls.__new__(cls)
-        m.vmap, m.emap, m.domain, m.codomain = vmap, emap, domain, codomain
-        return m
-
 
 def validate_morphism(m):
     g, h = m.domain, m.codomain
@@ -330,6 +325,10 @@ def backtrack(rows, fits):
 
 @contextmanager
 def _gc_paused():
+    """Turn the cyclic garbage collector off for the block if it is on.
+    On every exit, run the young collection the block owes, if generation
+    0 is over its threshold, and turn it back on; a collector that was off
+    stays off, with no collection.  The block must make no cycles."""
     if not gc.isenabled():
         yield
         return
@@ -367,39 +366,41 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     earlier neighbours' vertex numbers; its value lists, in candidate
     order, every candidate whose edges to them and to itself are in the
     index, as (candidate index, candidate, piece, passed, choices).
-    choices holds, per orbit closing at p, its images (d,) or (d, d') in
-    skey order of d, as codes, each with whether they pass
-    validate_morphism's checks against h; piece is the candidate's code
-    followed by the orbits' codes, and passed their conjunction, when
-    every orbit has exactly one choice, and piece is None otherwise.  A
-    table is built the first time its key comes up in a call, and all of
-    them start over once they hold _HOM_TABLE_LIMIT options, so their
-    memory stays bounded.
+    choices holds, per orbit closing at p, orbit_images' list of its
+    images; when each orbit has one choice, piece is the candidate's code
+    followed by the orbits' codes and passed their conjunction, else piece
+    is None.  A table is built the first time its key comes up in a call,
+    and all of them start over once they hold _HOM_TABLE_LIMIT options,
+    so their memory stays bounded.
 
-    The iterative search takes each position's options in order.  Taking
-    one writes its piece, or only its candidate's code, to the position's
+    The iterative search takes each position's options in order, writing
+    each taken piece, or only its candidate's code, to the position's
     fixed slice of one code buffer, so the search state stays linear in
     the size of g.  A complete vertex map whose orbits have one image each
-    is one result, a copy of the buffer.  Otherwise its results run over
+    is one result, a copy of the buffer; otherwise its results run over
     the product of the orbits' choices in orbit order, the last orbit
     varying fastest, each written to the buffer in turn.  Results come in
-    that order.  `limit` stops after the first `limit` results.
+    that order, and `limit` stops after the first `limit` of them.
 
     The tail is the positions from the first s on whose earlier neighbours
-    all come before s.  Given the codes before s, the search over it is
-    the product of its tables, the last position varying fastest, so it
-    fetches them once and builds that block of results at once, each the
-    codes before s followed by one piece per tail position.  It goes one
-    option at a time if a table is empty, an orbit so far or in the block
-    has other than one image or fails a check, or the budget or `limit`
-    would end the search within the block.
+    all come before s.  Given the codes before s, its results are the
+    product of its tables, the last position varying fastest: one
+    itertools.product over the codes before s and each tail table's
+    pieces, joined once per result.  The search goes one option at a time
+    instead if a table is empty, an orbit so far or in the block has other
+    than one image or fails a check, or the budget or `limit` would end
+    the search within the block.
 
-    Each result's vmap and emap is a read-only Mapping, a _Row that decodes
-    the result's one code string through a key index and a table shared
-    by every result of the call: every vmap has the keys of
-    _vertex_order(g) and every emap those of g.edge_ids() in orbit order,
-    each orbit's representative before its partner.  Rows compare equal
-    to the dicts with the same items, in the same order.
+    One emit loop makes the results of a complete vertex map and of a tail
+    block: each one's two _Rows and Morphism come from __new__ with their
+    slots filled, so no Python function runs per result.  A _Row is a
+    read-only Mapping that decodes the result's code string through a key
+    index and a table shared by the call's results: vmaps have the keys of
+    _vertex_order(g), emaps those of g.edge_ids() in orbit order, each
+    orbit's representative before its partner, and a row equals the dict
+    with the same items in the same order.  Results that failed a check
+    (the domains, an orbit so far or any of the orbits' choices) go
+    through Morphism instead, so validate_morphism raises its error.
 
     `budget` bounds the explored assignments and raises CapacityError when
     exhausted.  A unit is charged per vertex candidate tried and per
@@ -416,12 +417,9 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     by construction, and a later call sees h as it is then.  The rest of
     what validate_morphism checks is checked once per call rather than
     once per result: the domains up front, and each orbit's partner and
-    self-reversed images against h.reversal as its options are built.  A
-    result that uses a failed check goes through Morphism, so
-    validate_morphism raises its error.
+    self-reversed images against h.reversal as its options are built.
 
-    The cyclic garbage collector is paused for the call (the results form no
-    reference cycles); its state is process-wide, and tilesim single-threaded.
+    The call runs under _gc_paused, as its results form no cycles.
     """
     if g.label_graph != h.label_graph:
         raise ValueError("hom between graphs over different alphabets")
@@ -513,11 +511,12 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         itertools.chain(he, hr.values() if unoriented else ())))
     ecode = {d: i for i, d in enumerate(etable)}
     # Codes are bytes, which the collector does not track, when both tables
-    # fit a byte, else a tuple of ints.
+    # fit a byte, else a tuple of ints; join concatenates a tuple of them.
     if max(len(vtable), len(etable)) <= 256:
-        pack, buf = bytes, bytearray(lo[n])
+        pack, buf, join = bytes, bytearray(lo[n]), b"".join
     else:
         pack, buf = tuple, [0] * lo[n]
+        join = functools.partial(sum, start=())
     keys = [_tuple_getter([lo[q] for q in qs]) for qs in nbrs]
     spent = 0
 
@@ -530,10 +529,8 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         """[(codes, passed)] for an orbit whose ends map to vertex numbers
         ti, hi: codes packs the images (d,) or (d, d') in skey order of d,
         and passed says whether they pass validate_morphism's checks against
-        h.  The index read h.edges and h.elabel in this call, so d has the
-        right endpoints and label, and the filter below makes a
-        self-reversed image its own reversal; only a partner image needs
-        checking."""
+        h.  By the index and the filter below, d has the right endpoints
+        and label and a self-reversed d is; only a partner needs checking."""
         out = []
         for d in index[(lab, ti, hi)]:
             if self_rev and hr[d] != d:
@@ -570,12 +567,11 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         return out
 
     def product_of(choices):
-        """Write each combination of the orbits' choices to buf in turn,
-        the last orbit varying fastest, and yield whether it passed."""
+        """Yield buf packed with each combination of the orbits' choices."""
         for combo in itertools.product(*choices):
             for s, (codes, _passed) in zip(starts, combo):
                 buf[s:s + len(codes)] = codes
-            yield all(passed for _codes, passed in combo)
+            yield pack(buf)
 
     # Per position from n - 1 down: the last earlier neighbour of it or later.
     tops = itertools.accumulate((qs[-1] if qs else -1 for qs in nbrs[::-1]),
@@ -601,7 +597,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         return o
 
     def tail_block():
-        """Build the tail's block as the docstring says, or return False."""
+        """The tail's block as a batch, as the docstring says, or None."""
         nonlocal spent
         block = [table(p) for p in range(tail, n)]
         size, charge = 1, 0
@@ -612,57 +608,64 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 or (limit is not None and len(results) + size >= limit)
                 or not all(x[2] is not None and x[3]
                            for o in block for x in o)):
-            return False
-        spent += charge + size
-        # product reads each level whole, so only the last one is lazy.
-        block_codes = [pack(buf[:lo[tail]])]
-        for o in block:
-            block_codes = itertools.starmap(operator.add, itertools.product(
-                block_codes, [x[2] for x in o]))
-        for codes in block_codes:
-            results.append(Morphism._trusted(_Row(vindex, codes, vtable),
-                                             _Row(eindex, codes, etable),
-                                             g, h))
-        return True
+            return None
+        spent += charge
+        combos = itertools.product([pack(buf[:lo[tail]])],
+                                   *[[x[2] for x in o] for o in block])
+        return map(join, combos), size, True
 
     # Per depth: the option list, the next option and the candidate index
-    # of the last one taken; the choices taken; and whether the orbits
-    # closed before it all passed, None once one of them had other than one
-    # choice.  buf holds the codes taken so far, so the table keys read
-    # the earlier neighbours' vertex codes from it.
+    # of the last one taken; the choices taken; and whether the domains and
+    # the orbits closed before it all passed, None once one of the orbits
+    # had other than one choice.  buf holds the codes taken so far, so the
+    # table keys read the earlier neighbours' vertex codes from it.
     opts = [None] * n
     nxt = [0] * n
     last = [-1] * n
     taken = [None] * n
-    ok = [True] * (n + 1)
+    ok = [same_domains] + [True] * n
+    new_row, new_morphism = _Row.__new__, Morphism.__new__
     depth = 0
     while depth >= 0:
+        # A batch of results is (code strings, how many, all passed).
         if depth == n:
             if ok[n] is not None:
-                combos = (ok[n],)
+                batch = (pack(buf),), 1, ok[n]
             else:
-                combos = product_of([taken[p][i] for p, i, _ in orbit_at])
-            for passed in combos:
-                spent += 1
-                if spent > budget:
-                    raise overspent()
-                codes = pack(buf)
-                vmap = _Row(vindex, codes, vtable)
-                emap = _Row(eindex, codes, etable)
-                if same_domains and passed:
-                    results.append(Morphism._trusted(vmap, emap, g, h))
+                choices = [taken[p][i] for p, i, _ in orbit_at]
+                batch = (product_of(choices), math.prod(map(len, choices)),
+                         same_domains and all(x[1] for ch in choices
+                                              for x in ch))
+        elif depth == tail and opts[depth] is None and ok[depth]:
+            batch = tail_block()
+        else:
+            batch = None
+        if batch is not None:
+            # The emit loop, charging the budget one unit per result.
+            codes_of, size, trusted = batch
+            take = min(size, budget - spent,
+                       size if limit is None else limit - len(results))
+            spent += take
+            for codes in itertools.islice(codes_of, take):
+                vmap, emap = new_row(_Row), new_row(_Row)
+                vmap._index, vmap._codes, vmap._table = vindex, codes, vtable
+                emap._index, emap._codes, emap._table = eindex, codes, etable
+                if trusted:
+                    m = new_morphism(Morphism)
+                    m.vmap, m.emap = vmap, emap
+                    m.domain, m.codomain = g, h
                 else:
                     # validate_morphism raises its usual error.
-                    results.append(Morphism(vmap, emap, g, h))
-                if len(results) == limit:
-                    return results
+                    m = Morphism(vmap, emap, g, h)
+                results.append(m)
+            if len(results) == limit:
+                return results
+            if take < size:
+                raise overspent()
             depth -= 1
             continue
         o = opts[depth]
         if o is None:
-            if depth == tail and ok[depth] and same_domains and tail_block():
-                depth -= 1
-                continue
             o = opts[depth] = table(depth)
             nxt[depth] = 0
             last[depth] = -1
@@ -701,14 +704,10 @@ class _Row(Mapping):
     order, that gives each key's offset in codes, and table turns a code
     back into an id.  Both rows of an enumerate_homs result share its codes,
     and every result of one call the call's two indexes and tables, so a
-    result stores only its codes."""
+    result stores only its codes.  A _Row has no __init__: enumerate_homs'
+    emit loop makes each one with _Row.__new__ and assigns its slots."""
 
     __slots__ = ("_index", "_codes", "_table")
-
-    def __init__(self, index, codes, table):
-        self._index = index
-        self._codes = codes
-        self._table = table
 
     def __getitem__(self, key):
         return self._table[self._codes[self._index[key]]]

@@ -399,7 +399,7 @@ def run_gwa(graph, machine, u, boundary=None):
     return _run(graph, _tail_index(graph), machine, u, boundary)
 
 
-def gwa_simulated_graph(graph, gwa, boundary=()):
+def gwa_simulated_graph(graph, gwa, boundary=None):
     """Run every machine from every surviving vertex.
 
     Returns (simulated graph over the target alphabet, incomplete sources).
@@ -407,11 +407,12 @@ def gwa_simulated_graph(graph, gwa, boundary=()):
     those with a run that touched it.  The output is oriented: each
     accepted run contributes one directed edge.  Runs landing on a vertex
     whose relabelling does not match the machine's edge head are ignored;
-    a well-formed walker never produces them.
+    a well-formed walker never produces them.  graph and boundary are read
+    as run_gwa reads them.
     """
+    graph, boundary = _window_graph(graph, boundary)
     if graph.label_graph != gwa.source:
         raise ValueError("graph labels do not match the walker source")
-    boundary = set(boundary)
     vlabel = {}
     for u in graph.vertices():
         w = gwa.lam[graph.vlabel[u]]

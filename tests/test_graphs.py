@@ -1234,9 +1234,15 @@ def test_homs_stopped_by_a_limit_in_or_past_a_tail_block():
     def items(homs):
         return [(list(m.vmap.items()), list(m.emap.items())) for m in homs]
 
-    full = items(enumerate_homs(g, h))
+    full_homs = enumerate_homs(g, h)
+    full = items(full_homs)
     for k in (2, 3, 4, 110, 111, 112):
         assert items(enumerate_homs(g, h, limit=k)) == full[:k]
+        # Results made one option at a time meet the validating
+        # constructor as the block's do.
+        homs = enumerate_homs(g, h, limit=k)
+        assert_valid_homs(homs, g, h)
+        assert list(map(repr, homs)) == list(map(repr, full_homs[:k]))
 
 
 def collections_started(call):

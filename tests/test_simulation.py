@@ -744,6 +744,18 @@ def test_gwa_simulated_graph_marks_boundary_vertices_no_machine_leaves():
     assert gwa_simulated_graph(g, gwa, {"u"})[1] == {"u"}
 
 
+def test_gwa_simulated_graph_reads_a_window_as_run_gwa_does():
+    # A Window's boundary defaults to its boundary vertices, a bare graph's
+    # to none.
+    w, gwa = ball(2), a_step_gwa()
+    want = gwa_simulated_graph(w.graph, gwa, boundary_vertices(w))
+    assert want[1]
+    assert gwa_simulated_graph(w, gwa) == want
+    assert gwa_simulated_graph(w.graph, gwa) == gwa_simulated_graph(
+        w.graph, gwa, ())
+    assert not gwa_simulated_graph(w.graph, gwa)[1]
+
+
 # -- composition
 
 
