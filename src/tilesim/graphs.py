@@ -357,21 +357,19 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     A result is one string of small-int codes in search order: position p
     contributes its vertex's number, then the codes of the edge images of
     the orbits closing at p, in orbit order, each representative's before
-    its partner's.  An edge's code is its place in a per-call edge table:
-    h's edge ids, then any partner id h.reversal names that is not one of
-    them.  The string is bytes when both tables have at most 256 entries,
-    else a tuple of ints.
+    its partner's.  An edge's code is its place in h.edges.  The string is
+    bytes when h has at most 256 vertices and 256 edges, else a tuple of
+    ints.
 
     Each position has an option table.  Its key is the tuple of the
     earlier neighbours' vertex numbers; its value lists, in candidate
     order, every candidate whose edges to them and to itself are in the
-    index, as (candidate index, candidate, piece, passed, choices).
-    choices holds, per orbit closing at p, orbit_images' list of its
-    images; when each orbit has one choice, piece is the candidate's code
-    followed by the orbits' codes and passed their conjunction, else piece
-    is None.  A table is built the first time its key comes up in a call,
-    and all of them start over once they hold _HOM_TABLE_LIMIT options,
-    so their memory stays bounded.
+    index, as (candidate index, candidate, piece, choices).  choices
+    holds, per orbit closing at p, orbit_images' list of its images; when
+    each orbit has one choice, piece is the candidate's code followed by
+    the orbits' codes, else piece is None.  A table is built the first
+    time its key comes up in a call, and all of them start over once they
+    hold _HOM_TABLE_LIMIT options, so their memory stays bounded.
 
     The iterative search takes each position's options in order, writing
     each taken piece, or only its candidate's code, to the position's
@@ -388,8 +386,8 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     itertools.product over the codes before s and each tail table's
     pieces, joined once per result.  The search goes one option at a time
     instead if a table is empty, an orbit so far or in the block has other
-    than one image or fails a check, or the budget or `limit` would end
-    the search within the block.
+    than one image, or the budget or `limit` would end the search within
+    the block.
 
     One emit loop makes the results of a complete vertex map and of a tail
     block: each one's two _Rows and Morphism come from __new__ with their
@@ -398,9 +396,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     index and a table shared by the call's results: vmaps have the keys of
     _vertex_order(g), emaps those of g.edge_ids() in orbit order, each
     orbit's representative before its partner, and a row equals the dict
-    with the same items in the same order.  Results that failed a check
-    (the domains, an orbit so far or any of the orbits' choices) go
-    through Morphism instead, so validate_morphism raises its error.
+    with the same items in the same order.
 
     `budget` bounds the explored assignments and raises CapacityError when
     exhausted.  A unit is charged per vertex candidate tried and per
@@ -414,10 +410,11 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     The candidates and the edge index are read from h.vlabel, h.edges and
     h.elabel on each call and the tables live for one call, so vertex
     images keep their labels and edge images their endpoints and labels
-    by construction, and a later call sees h as it is then.  The rest of
-    what validate_morphism checks is checked once per call rather than
-    once per result: the domains up front, and each orbit's partner and
-    self-reversed images against h.reversal as its options are built.
+    by construction, and a later call sees h as it is then.  validate(h)
+    runs at entry, and validate(g) when g's edge ids or reversal orbits
+    fail the search's own check, so a target, or a domain's reversal,
+    changed after it was built raises validate's ValueError before any
+    result, and every result passes validate_morphism by construction.
 
     The call runs under _gc_paused, as its results form no cycles.
     """
@@ -425,6 +422,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         raise ValueError("hom between graphs over different alphabets")
     if limit is not None and limit <= 0:
         return []
+    validate(h)
     order = _vertex_order(g)
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
@@ -438,15 +436,15 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     index = {}
     for d, lab in h.elabel.items():
         t, hd = h.edges[d]
-        index.setdefault((lab, hid.get(t), hid.get(hd)), []).append(d)
+        index.setdefault((lab, hid[t], hid[hd]), []).append(d)
     for ds in index.values():
         if len(ds) > 1:
             ds.sort(key=skey)
     # Per position p: its earlier neighbours, its edges as (label, tail
     # slot, head slot) checks, and its closing orbits as (label, tail slot,
-    # head slot, whether the image must be self-reversed, the partner's
-    # label or `missing` when there is none).  A slot indexes the key with
-    # p's own candidate appended, so slot -1 is p itself.
+    # head slot, whether the image must be self-reversed, whether it has a
+    # partner).  A slot indexes the key with p's own candidate appended, so
+    # slot -1 is p itself.
     earlier = [set() for _ in order]
     for t, hd in g.edges.values():
         i, j = pos[t], pos[hd]
@@ -460,9 +458,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     for e, (t, hd) in g.edges.items():
         p = max(pos[t], pos[hd])
         checks[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]]))
-    missing = object()
     unoriented = g.reversal is not None and h.reversal is not None
-    labelled = g.label_graph is not None
     orbit_ids = []
     closing = [[] for _ in order]
     # Per orbit: its closing position p, its index among p's closing orbits
@@ -481,34 +477,32 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
         orbit_at.append((p, len(closing[p]), filled[p]))
         filled[p] += 1 if partner == e else 2
         closing[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]],
-                           unoriented and partner == e,
-                           missing if partner == e else g.elabel[partner]))
+                           unoriented and partner == e, partner != e))
     # In a result's codes, position p's vertex code is at lo[p] and an
     # orbit's first edge code at starts[orbit]; vindex and eindex give each
     # key of vmap (`order`) and emap (`flat`) its offset.  Those are the
-    # keys of every result, so the domains are checked here, once, as is
-    # that each partner is its representative's reversed twin, which
-    # orbit_images takes for granted.  An edge in flat twice means
-    # g.reversal is no longer an involution, and validate raises its error.
+    # keys of every result, so the edge domain is checked here, once, as is
+    # that each partner is its representative's reversed twin with the
+    # reversed label, which orbit_images takes for granted (order holds
+    # g.vlabel's keys by _vertex_order's construction).  A g that fails (an
+    # edge in flat twice means g.reversal is no longer an involution) is not
+    # a graph, and validate raises its error.
     lo = list(itertools.accumulate((1 + f for f in filled), initial=0))
     starts = [lo[p] + 1 + start for p, _i, start in orbit_at]
     flat = [x for pair in orbit_ids for x in pair if x is not None]
     vindex = {v: lo[p] for p, v in enumerate(order)}
     eindex = {e: s + x for s, pair in zip(starts, orbit_ids)
               for x, e in enumerate(pair) if e is not None}
-    if len(eindex) < len(flat):
+    brev = g.label_graph.reversal if g.label_graph is not None else None
+    if (len(eindex) < len(flat) or set(flat) != g.edges.keys()
+            or not all(p is None or (
+                g.reversal.get(p) == e and g.edges[p] == g.edges[e][::-1]
+                and (brev is None or g.elabel[p] == brev.get(g.elabel[e])))
+                for e, p in orbit_ids)):
         validate(g)
-    same_domains = (pos.keys() == g.vlabel.keys()
-                    and set(flat) == g.edges.keys()
-                    and all(p is None or (g.reversal[p] == e
-                                          and g.edges[p] == g.edges[e][::-1])
-                            for e, p in orbit_ids))
-    he, hl, hr = h.edges, h.elabel, h.reversal
-    # validate_morphism rejects a result whose partner image is in etable
-    # but not in h.edges.
+    hr = h.reversal
     vtable = tuple(hverts)
-    etable = list(dict.fromkeys(
-        itertools.chain(he, hr.values() if unoriented else ())))
+    etable = list(h.edges)
     ecode = {d: i for i, d in enumerate(etable)}
     # Codes are bytes, which the collector does not track, when both tables
     # fit a byte, else a tuple of ints; join concatenates a tuple of them.
@@ -525,25 +519,15 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                              "assignments" % budget, "hom assignments",
                              budget + 1, budget)
 
-    def orbit_images(lab, ti, hi, self_rev, plab):
-        """[(codes, passed)] for an orbit whose ends map to vertex numbers
-        ti, hi: codes packs the images (d,) or (d, d') in skey order of d,
-        and passed says whether they pass validate_morphism's checks against
-        h.  By the index and the filter below, d has the right endpoints
-        and label and a self-reversed d is; only a partner needs checking."""
-        out = []
-        for d in index[(lab, ti, hi)]:
-            if self_rev and hr[d] != d:
-                continue
-            if plab is missing:
-                out.append((pack([ecode[d]]), True))
-                continue
-            r = hr[d]
-            out.append((pack([ecode[d], ecode[r]]),
-                        he.get(r) == (hverts[hi], hverts[ti])
-                        and hr.get(r, missing) == d
-                        and (not labelled or hl.get(r, missing) == plab)))
-        return out
+    def orbit_images(lab, ti, hi, self_rev, paired):
+        """The packed codes of each image of an orbit whose ends map to
+        vertex numbers ti, hi: (d,), or (d, h.reversal[d]) for an orbit with
+        a partner, in skey order of d.  By the index and the filter below,
+        d has the right endpoints and label and a self-reversed d is; h and
+        g passed validate's checks, so a partner image is right too."""
+        return [pack([ecode[d], ecode[hr[d]]] if paired else [ecode[d]])
+                for d in index[(lab, ti, hi)]
+                if not self_rev or hr[d] == d]
 
     def options(p, key):
         """Position p's option table for key, as the docstring above says."""
@@ -554,22 +538,21 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 if (lab, ends[a], ends[b]) not in index:
                     break
             else:
-                piece, passed, choices = pack([c]), True, []
-                for lab, a, b, self_rev, plab in closing[p]:
-                    ch = orbit_images(lab, ends[a], ends[b], self_rev, plab)
+                piece, choices = pack([c]), []
+                for lab, a, b, self_rev, paired in closing[p]:
+                    ch = orbit_images(lab, ends[a], ends[b], self_rev, paired)
                     choices.append(ch)
                     if piece is not None and len(ch) == 1:
-                        piece += ch[0][0]
-                        passed = passed and ch[0][1]
+                        piece += ch[0]
                     else:
                         piece = None
-                out.append((k, c, piece, passed, choices))
+                out.append((k, c, piece, choices))
         return out
 
     def product_of(choices):
         """Yield buf packed with each combination of the orbits' choices."""
         for combo in itertools.product(*choices):
-            for s, (codes, _passed) in zip(starts, combo):
+            for s, codes in zip(starts, combo):
                 buf[s:s + len(codes)] = codes
             yield pack(buf)
 
@@ -606,43 +589,40 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             size *= len(o)
         if (not size or spent + charge + size > budget
                 or (limit is not None and len(results) + size >= limit)
-                or not all(x[2] is not None and x[3]
-                           for o in block for x in o)):
+                or not all(x[2] is not None for o in block for x in o)):
             return None
         spent += charge
         combos = itertools.product([pack(buf[:lo[tail]])],
                                    *[[x[2] for x in o] for o in block])
-        return map(join, combos), size, True
+        return map(join, combos), size
 
     # Per depth: the option list, the next option and the candidate index
-    # of the last one taken; the choices taken; and whether the domains and
-    # the orbits closed before it all passed, None once one of the orbits
-    # had other than one choice.  buf holds the codes taken so far, so the
-    # table keys read the earlier neighbours' vertex codes from it.
+    # of the last one taken; the choices taken; and whether the orbits
+    # closed before it all had one choice.  buf holds the codes taken so
+    # far, so the table keys read the earlier neighbours' vertex codes from
+    # it.
     opts = [None] * n
     nxt = [0] * n
     last = [-1] * n
     taken = [None] * n
-    ok = [same_domains] + [True] * n
+    single = [True] * (n + 1)
     new_row, new_morphism = _Row.__new__, Morphism.__new__
     depth = 0
     while depth >= 0:
-        # A batch of results is (code strings, how many, all passed).
+        # A batch of results is (code strings, how many).
         if depth == n:
-            if ok[n] is not None:
-                batch = (pack(buf),), 1, ok[n]
+            if single[n]:
+                batch = (pack(buf),), 1
             else:
                 choices = [taken[p][i] for p, i, _ in orbit_at]
-                batch = (product_of(choices), math.prod(map(len, choices)),
-                         same_domains and all(x[1] for ch in choices
-                                              for x in ch))
-        elif depth == tail and opts[depth] is None and ok[depth]:
+                batch = product_of(choices), math.prod(map(len, choices))
+        elif depth == tail and opts[depth] is None and single[depth]:
             batch = tail_block()
         else:
             batch = None
         if batch is not None:
             # The emit loop, charging the budget one unit per result.
-            codes_of, size, trusted = batch
+            codes_of, size = batch
             take = min(size, budget - spent,
                        size if limit is None else limit - len(results))
             spent += take
@@ -650,13 +630,9 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
                 vmap, emap = new_row(_Row), new_row(_Row)
                 vmap._index, vmap._codes, vmap._table = vindex, codes, vtable
                 emap._index, emap._codes, emap._table = eindex, codes, etable
-                if trusted:
-                    m = new_morphism(Morphism)
-                    m.vmap, m.emap = vmap, emap
-                    m.domain, m.codomain = g, h
-                else:
-                    # validate_morphism raises its usual error.
-                    m = Morphism(vmap, emap, g, h)
+                m = new_morphism(Morphism)
+                m.vmap, m.emap = vmap, emap
+                m.domain, m.codomain = g, h
                 results.append(m)
             if len(results) == limit:
                 return results
@@ -677,7 +653,7 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             opts[depth] = None
             depth -= 1
             continue
-        k, c, piece, passed, taken[depth] = o[a]
+        k, c, piece, taken[depth] = o[a]
         nxt[depth] = a + 1
         spent += k - last[depth]
         last[depth] = k
@@ -685,10 +661,10 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
             raise overspent()
         if piece is None:
             buf[lo[depth]] = c
-            ok[depth + 1] = None
+            single[depth + 1] = False
         else:
             buf[lo[depth]:lo[depth + 1]] = piece
-            ok[depth + 1] = ok[depth] and passed
+            single[depth + 1] = single[depth]
         depth += 1
     return results
 

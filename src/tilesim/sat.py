@@ -267,15 +267,17 @@ class Solver:
     each.  A two-literal clause (a, b) is entered as its other literal: b in
     watches[a] and a in watches[b].  A longer clause is watched by the
     literals at its positions 0 and 1 and entered as nvars + 1 + its db
-    index, so an entry w is a literal exactly when w <= nvars.  db holds
-    every attached clause in order; only the longer ones are read (and
-    reordered in place).  levels and reason are indexed by variable and
-    only meaningful while it is assigned.  The reason of an implied literal
-    is the false literal of its two-literal clause, or the longer clause
-    itself, with the implied literal at position 0; decisions, assumptions
-    and root units have None.  stats counts decisions (not assumptions),
-    conflicts, learned clauses (units included) and propagations (implied
-    literals).
+    index, so an entry w is a literal exactly when w <= nvars.  db holds,
+    in order, every clause that _attach watches: the longer ones, which
+    are the only ones read there (and reordered in place), and the learned
+    or simplified two-literal ones.  A loaded two-literal clause over two
+    free variables lives only in watches.  levels and reason are indexed
+    by variable and only meaningful while it is assigned.  The reason of an
+    implied literal is the false literal of its two-literal clause, or the
+    longer clause itself, with the implied literal at position 0;
+    decisions, assumptions and root units have None.  stats counts
+    decisions (not assumptions), conflicts, learned clauses (units
+    included) and propagations (implied literals).
     """
 
     def __init__(self, num_vars):
@@ -324,7 +326,7 @@ class Solver:
                 self._check(flat)
         if not self.ok:
             return
-        vals, watches, db = self.vals, self.watches, self.db
+        vals, watches = self.vals, self.watches
         for lits in clauses:
             if len(lits) == 2:
                 # the bulk of most instances: two free, distinct variables
@@ -332,7 +334,6 @@ class Solver:
                 if vals[a] is None and vals[b] is None and a != b and a != -b:
                     watches[a].append(b)
                     watches[b].append(a)
-                    db.append(lits)
                     continue
             out = []
             for q in lits:
@@ -374,16 +375,13 @@ class Solver:
         return lits
 
     def _enqueue(self, lit, reason):
-        val = self.vals[lit]
-        if val is not None:
-            return val
+        """Assign lit, which must be unassigned, true at the current level."""
         self.vals[lit] = True
         self.vals[-lit] = False
         v = lit if lit > 0 else -lit
         self.levels[v] = len(self.lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
     def _propagate(self):
         vals, watches, db = self.vals, self.watches, self.db
@@ -524,9 +522,6 @@ class Solver:
         if not self.ok:
             return None
         self._backjump(0)
-        if self._propagate() is not None:
-            self.ok = False
-            return None
         vals, lim, trail, stats = self.vals, self.lim, self.trail, self.stats
         while True:
             confl = self._propagate()
@@ -541,12 +536,9 @@ class Solver:
                 learnt, bl = self._analyze(confl)
                 self._backjump(bl)
                 stats["learned"] += 1
-                if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], None):
-                        self.ok = False
-                        return None
-                else:
-                    self._enqueue(learnt[0], self._attach(learnt))
+                # The backjump has just unassigned learnt[0]'s variable.
+                self._enqueue(learnt[0], None if len(learnt) == 1
+                              else self._attach(learnt))
                 continue
             lvl = len(lim)
             if lvl < len(assumptions):

@@ -1356,21 +1356,26 @@ def swap_reversals(h, d, x):
     return {d, x, r, y}
 
 
+def assert_homs_reject(g, h, message):
+    """enumerate_homs(g, h) raises validate's ValueError with exactly this
+    message, with no limit and with one that a first result would meet."""
+    for kwargs in ({}, {"limit": 1}, {"limit": 10}):
+        with pytest.raises(ValueError) as err:
+            enumerate_homs(g, h, **kwargs)
+        assert str(err.value) == message, kwargs
+
+
 def test_hom_results_are_checked_against_the_target():
     # The search picks edge images by their endpoints and labels in h, so
-    # only a partner image, read through h.reversal, can be wrong: pair the
-    # b-loop at a comb vertex with the A-loop there, endpoints right and
-    # label wrong.  The message is the one enumerate_homs gives when it
-    # builds every result through Morphism.
+    # only a partner image, read through h.reversal, could be wrong: pair
+    # the b-loop at a comb vertex with the A-loop there, endpoints right
+    # and label wrong.  validate(h) rejects h before any result.
     g = ball(1).graph
     h = wang_to_dhs(comb_tileset()).graph
     v = ("t", "o", "t", "o")
     swap_reversals(h, (v, "b", v), (v, "A", v))
-    with pytest.raises(ValueError) as err:
-        enumerate_homs(g, h)
-    assert str(err.value) == ("morphism breaks edge label at "
-                              "(GroupPoint(marker=1, digits=(), p=2, q=2), "
-                              "'A')")
+    assert_homs_reject(g, h, "labelling of (('t', 'o', 't', 'o'), 'a', "
+                             "('t', 'o', 't', 'o')) ignores reversal")
 
 
 def test_hom_results_are_checked_for_reversal():
@@ -1380,17 +1385,14 @@ def test_hom_results_are_checked_for_reversal():
     h = wang_to_dhs(comb_tileset()).graph
     d = next(iter(enumerate_homs(g, h)[0].emap.values()))
     h.reversal[h.reversal[d]] = next(x for x in h.edges if x != d)
-    with pytest.raises(ValueError, match="breaks reversal"):
-        enumerate_homs(g, h)
+    assert_homs_reject(g, h, "reversal is not an involution at %r" % (d,))
 
 
 def test_hom_checks_catch_a_target_edge_first_used_late():
     # The b-loops at two comb vertices swap their reversed twins, so each
     # twin has the wrong endpoints; the loops first appear as edge images
-    # in result 10 of ball(1) -> comb, so the partner check must run when
-    # that result is built, not only for the images the first results
-    # used.  The message and the first ten results are the ones
-    # enumerate_homs gives when it builds every result through Morphism.
+    # in result 10 of ball(1) -> comb, yet h is rejected before any
+    # result, also under a limit that stops before result 10.
     g = ball(1).graph
     h = wang_to_dhs(comb_tileset()).graph
     first = enumerate_homs(g, h, limit=11)
@@ -1398,15 +1400,8 @@ def test_hom_checks_catch_a_target_edge_first_used_late():
     touched = swap_reversals(h, (s, "b", s), (t, "B", t))
     assert ([bool(touched & set(m.emap.values())) for m in first]
             == [False] * 10 + [True])
-    with pytest.raises(ValueError) as err:
-        enumerate_homs(g, h)
-    assert str(err.value) == ("morphism breaks endpoints at "
-                              "(GroupPoint(marker=1, digits=((0, 1),), p=2, "
-                              "q=2), 'B')")
-    got = enumerate_homs(g, h, limit=10)
-    assert ([(list(m.vmap.items()), list(m.emap.items())) for m in got]
-            == [(list(m.vmap.items()), list(m.emap.items()))
-                for m in first[:10]])
+    assert_homs_reject(g, h, "reversal of (('s', 'o', 's', 'o'), 'b', "
+                             "('s', 'o', 's', 'o')) does not swap endpoints")
 
 
 def test_homs_see_an_edge_added_to_the_target_after_a_call():
@@ -1521,6 +1516,17 @@ def test_homs_reject_a_domain_whose_reversal_was_broken():
     g.reversal["c"] = "b"
     with pytest.raises(ValueError, match="not an involution at 'c'"):
         enumerate_homs(g, h)
+
+
+def test_homs_reject_a_domain_whose_labels_ignore_its_reversal():
+    # A partner image is read through h.reversal, so it carries the reversed
+    # label; a domain partner relabelled after the build would otherwise be
+    # mapped to an edge with another label.
+    g, h = loop_pair_graph(), loop_pair_graph()
+    assert ([dict(m.emap) for m in enumerate_homs(g, h)]
+            == [{"x": "x", "x'": "x'"}])
+    g.elabel["x'"] = "s"
+    assert_homs_reject(g, h, "labelling of 'x' ignores reversal")
 
 
 def budget_instance(r):
@@ -1763,6 +1769,13 @@ def edge_graph():
                     {0: "c"})
 
 
+def loop_pair_graph():
+    """One vertex with an s-loop x and its reversed twin x', an s'-loop."""
+    return labelled(unoriented_rose(["s"]), {0: 1},
+                    {"x": (0, 0), "x'": (0, 0)}, {"x": "s", "x'": "s'"},
+                    {"x": "x'", "x'": "x"})
+
+
 def ambiguous_reversal_graph():
     """Two parallel s-loops whose twins, once a twin's label is changed
     after the graph is built, carry different labels."""
@@ -1788,6 +1801,16 @@ def ambiguous_reversal_graph():
                                            {}, {}), edge_graph()),
                  "morphism breaks vertex label at 0",
                  id="morphism-vertex-label"),
+    pytest.param(lambda: Morphism({0: 0, 1: 0}, {0: 0}, edge_graph(),
+                                  edge_graph()),
+                 "morphism breaks endpoints at 0", id="morphism-endpoints"),
+    pytest.param(lambda: Morphism({0: 0}, {"x": "x", "x'": "x"},
+                                  loop_pair_graph(), loop_pair_graph()),
+                 "morphism breaks reversal at 'x'", id="morphism-reversal"),
+    pytest.param(lambda: Morphism({0: 0}, {"x": "x'", "x'": "x"},
+                                  loop_pair_graph(), loop_pair_graph()),
+                 "morphism breaks edge label at 'x'",
+                 id="morphism-edge-label"),
     pytest.param(lambda: disjoint_union(edge_graph(),
                                         identity_over(rose(["x"]))),
                  "disjoint union over different alphabets",

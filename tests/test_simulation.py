@@ -450,6 +450,30 @@ def test_comb_east_step_from_the_identity():
     assert outs == [((evaluate_word("b"), "tooth"), "E")]
 
 
+def relabelled_by_lookup(g):
+    """g with elabel rebuilt in reversed order under equal but distinct key
+    objects, as a graph read from text or edited may hold it, so that its
+    edge labels can only be read by looking each edge id up."""
+    elabel = {tuple(list(e)): lab for e, lab in reversed(g.elabel.items())}
+    rev = dict(g.reversal) if g.reversal is not None else None
+    return LabelGraph(dict(g.vlabel), dict(g.edges), elabel, rev,
+                      g.label_graph)
+
+
+def test_decoration_and_simulation_read_edge_labels_by_key():
+    dec, fr = comb_window(2)
+    redec = relabel_graph(relabelled_by_lookup(ball(2).graph),
+                          dec.vlabel.__getitem__,
+                          decoration_symbols(comb_tileset()))
+    assert redec == dec
+    assert list(redec.elabel.items()) == list(dec.elabel.items())
+    g, inc = apply_simulator(dec, comb_to_plane(), frontier=fr)
+    g2, inc2 = apply_simulator(relabelled_by_lookup(dec), comb_to_plane(),
+                               frontier=fr)
+    assert g2 == g and inc2 == inc
+    assert list(g2.edges.items()) == list(g.edges.items())
+
+
 @pytest.mark.parametrize("tile", [-1, 6, 99, None],
                          ids=["negative", "past-the-end", "large", "missing"])
 def test_decorate_window_names_a_point_without_a_tile(tile):

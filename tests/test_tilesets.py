@@ -158,6 +158,16 @@ def test_comb_tileset_shape():
         parse_tile_ref(ts, "teeth")
 
 
+def test_tile_label_without_names_is_the_symbol_repr():
+    sea, target = sea_level_system(), wang_to_dhs(comb_tileset())
+    assert tile_label(sea, 0) == "((False, False), 'NW')"
+    assert tile_label(target, 0) == "('a', 'b', 'a', 'd')"
+    for ts in (sea, target):
+        symbols = decoration_symbols(ts)
+        assert ([tile_label(ts, i) for i in range(len(symbols))]
+                == list(map(repr, symbols)))
+
+
 def test_lamp_runs():
     assert lamp_runs(identity()) == []
     assert lamp_runs(evaluate_word("bb")) == [(0, 1)]
@@ -649,6 +659,12 @@ def test_vertex_candidates_and_tile_count():
     target = wang_to_dhs(w)
     assert tile_count(target) == 6
     assert vertex_candidates(target, win, identity()) == list(range(6))
+
+
+def test_random_wang_tileset_stops_at_the_tiles_its_colours_allow():
+    # One colour allows one tile, so the draw gives up short of two.
+    ts = random_wang_tileset(random.Random(0), ncolors=1, ntiles=2)
+    assert ts.tiles == (("c0",) * 4,)
 
 
 def test_random_generators_deterministic():
