@@ -412,9 +412,10 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     images keep their labels and edge images their endpoints and labels
     by construction, and a later call sees h as it is then.  validate(h)
     runs at entry, and validate(g) when g's edge ids or reversal orbits
-    fail the search's own check, so a target, or a domain's reversal,
-    changed after it was built raises validate's ValueError before any
-    result, and every result passes validate_morphism by construction.
+    fail the search's own check or compiling g meets a vertex, label or
+    edge that g lacks, so a target, or a domain, changed after it was built
+    raises validate's ValueError before any result, and every result
+    passes validate_morphism by construction.
 
     The call runs under _gc_paused, as its results form no cycles.
     """
@@ -423,15 +424,11 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     if limit is not None and limit <= 0:
         return []
     validate(h)
-    order = _vertex_order(g)
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
     hverts = h.vertices()
     hid = {w: k for k, w in enumerate(hverts)}
     by_label = {}
     for k, w in enumerate(hverts):
         by_label.setdefault(h.vlabel[w], []).append(k)
-    rows = [by_label.get(g.vlabel[v], []) for v in order]
     # Each index entry holds its edges in skey order.
     index = {}
     for d, lab in h.elabel.items():
@@ -440,66 +437,81 @@ def enumerate_homs(g, h, limit=None, budget=10 ** 6):
     for ds in index.values():
         if len(ds) > 1:
             ds.sort(key=skey)
-    # Per position p: its earlier neighbours, its edges as (label, tail
-    # slot, head slot) checks, and its closing orbits as (label, tail slot,
-    # head slot, whether the image must be self-reversed, whether it has a
-    # partner).  A slot indexes the key with p's own candidate appended, so
-    # slot -1 is p itself.
-    earlier = [set() for _ in order]
-    for t, hd in g.edges.values():
-        i, j = pos[t], pos[hd]
-        if i != j:
-            earlier[max(i, j)].add(min(i, j))
-    nbrs = [sorted(qs) for qs in earlier]
-    slots = [dict(zip(qs, range(len(qs)))) for qs in nbrs]
-    for p, sl in enumerate(slots):
-        sl[p] = -1
-    checks = [[] for _ in order]
-    for e, (t, hd) in g.edges.items():
-        p = max(pos[t], pos[hd])
-        checks[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]]))
-    unoriented = g.reversal is not None and h.reversal is not None
-    orbit_ids = []
-    closing = [[] for _ in order]
-    # Per orbit: its closing position p, its index among p's closing orbits
-    # and where its images start among theirs; filled[p] counts p's images.
-    orbit_at = []
-    filled = [0] * n
-    seen = set()
-    for e in g.edge_ids():
-        if e in seen:
-            continue
-        partner = g.reversal[e] if unoriented else e
-        seen.update((e, partner))
-        t, hd = g.edges[e]
-        p = max(pos[t], pos[hd])
-        orbit_ids.append((e, None if partner == e else partner))
-        orbit_at.append((p, len(closing[p]), filled[p]))
-        filled[p] += 1 if partner == e else 2
-        closing[p].append((g.elabel[e], slots[p][pos[t]], slots[p][pos[hd]],
-                           unoriented and partner == e, partner != e))
-    # In a result's codes, position p's vertex code is at lo[p] and an
-    # orbit's first edge code at starts[orbit]; vindex and eindex give each
-    # key of vmap (`order`) and emap (`flat`) its offset.  Those are the
-    # keys of every result, so the edge domain is checked here, once, as is
-    # that each partner is its representative's reversed twin with the
-    # reversed label, which orbit_images takes for granted (order holds
-    # g.vlabel's keys by _vertex_order's construction).  A g that fails (an
-    # edge in flat twice means g.reversal is no longer an involution) is not
-    # a graph, and validate raises its error.
-    lo = list(itertools.accumulate((1 + f for f in filled), initial=0))
-    starts = [lo[p] + 1 + start for p, _i, start in orbit_at]
-    flat = [x for pair in orbit_ids for x in pair if x is not None]
-    vindex = {v: lo[p] for p, v in enumerate(order)}
-    eindex = {e: s + x for s, pair in zip(starts, orbit_ids)
-              for x, e in enumerate(pair) if e is not None}
-    brev = g.label_graph.reversal if g.label_graph is not None else None
-    if (len(eindex) < len(flat) or set(flat) != g.edges.keys()
-            or not all(p is None or (
-                g.reversal.get(p) == e and g.edges[p] == g.edges[e][::-1]
-                and (brev is None or g.elabel[p] == brev.get(g.elabel[e])))
-                for e, p in orbit_ids)):
-        validate(g)
+    # Compiling a g that names a vertex, label or edge it lacks fails by a
+    # KeyError, and validate(g) then names the fault, so a valid g is not
+    # validated.
+    try:
+        order = _vertex_order(g)
+        n = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        rows = [by_label.get(g.vlabel[v], []) for v in order]
+        # Per position p: its earlier neighbours, its edges as (label,
+        # tail slot, head slot) checks, and its closing orbits as (label,
+        # tail slot, head slot, whether the image must be self-reversed,
+        # whether it has a partner).  A slot indexes the key with p's own
+        # candidate appended, so slot -1 is p itself.
+        earlier = [set() for _ in order]
+        for t, hd in g.edges.values():
+            i, j = pos[t], pos[hd]
+            if i != j:
+                earlier[max(i, j)].add(min(i, j))
+        nbrs = [sorted(qs) for qs in earlier]
+        slots = [dict(zip(qs, range(len(qs)))) for qs in nbrs]
+        for p, sl in enumerate(slots):
+            sl[p] = -1
+        checks = [[] for _ in order]
+        for e, (t, hd) in g.edges.items():
+            p = max(pos[t], pos[hd])
+            checks[p].append((g.elabel[e], slots[p][pos[t]],
+                              slots[p][pos[hd]]))
+        unoriented = g.reversal is not None and h.reversal is not None
+        orbit_ids = []
+        closing = [[] for _ in order]
+        # Per orbit: its closing position p, its index among p's closing
+        # orbits and where its images start among theirs; filled[p] counts
+        # p's images.
+        orbit_at = []
+        filled = [0] * n
+        seen = set()
+        for e in g.edge_ids():
+            if e in seen:
+                continue
+            partner = g.reversal[e] if unoriented else e
+            seen.update((e, partner))
+            t, hd = g.edges[e]
+            p = max(pos[t], pos[hd])
+            orbit_ids.append((e, None if partner == e else partner))
+            orbit_at.append((p, len(closing[p]), filled[p]))
+            filled[p] += 1 if partner == e else 2
+            closing[p].append((g.elabel[e], slots[p][pos[t]],
+                               slots[p][pos[hd]], unoriented and partner == e,
+                               partner != e))
+        # In a result's codes, position p's vertex code is at lo[p] and an
+        # orbit's first edge code at starts[orbit]; vindex and eindex give
+        # each key of vmap (`order`) and emap (`flat`) its offset.  Those
+        # are the keys of every result, so the edge domain is checked here,
+        # once, as is that each partner is its representative's reversed
+        # twin with the reversed label, which orbit_images takes for granted
+        # (order holds g.vlabel's keys by _vertex_order's construction).  A
+        # g that fails (an edge in flat twice means g.reversal is no longer
+        # an involution) is not a graph, and validate raises its error.
+        lo = list(itertools.accumulate((1 + f for f in filled), initial=0))
+        starts = [lo[p] + 1 + start for p, _i, start in orbit_at]
+        flat = [x for pair in orbit_ids for x in pair if x is not None]
+        vindex = {v: lo[p] for p, v in enumerate(order)}
+        eindex = {e: s + x for s, pair in zip(starts, orbit_ids)
+                  for x, e in enumerate(pair) if e is not None}
+        brev = g.label_graph.reversal if g.label_graph is not None else None
+        if (len(eindex) < len(flat) or set(flat) != g.edges.keys()
+                or not all(p is None or (
+                    g.reversal.get(p) == e and g.edges[p] == g.edges[e][::-1]
+                    and (brev is None
+                         or g.elabel[p] == brev.get(g.elabel[e])))
+                    for e, p in orbit_ids)):
+            validate(g)
+    except KeyError as err:
+        # validate raises; should it pass g, err is a fault of this code
+        raise validate(g) or err
     hr = h.reversal
     vtable = tuple(hverts)
     etable = list(h.edges)

@@ -12,13 +12,15 @@ Window): points in window.points() order, their candidate tiles, scopes
 over point numbers and seeds as (number, tile).  _domains makes it the
 engine's input, one variable per point, and is the one place a seed
 narrows a domain.  solve_tiling, enumerate_tilings, count_tilings,
-forced_values and exact_count read _domains, so tilings come in
+forced_values, exact_count and encode read _domains, so tilings come in
 lexicographic order of their tile ids read in window.points() order.
 
-encode() reads _instance and builds clauses over one variable per (point,
-tile) pair: an exactly-one group per point, plus the scopes.  Scopes
-sharing a table and candidate lists share one clause pattern, built once
-and renumbered per scope.  The CNF goes out as DIMACS (export_dimacs,
+encode() runs the engine's root propagation once and builds clauses over
+one variable per (point, tile) pair it leaves: an exactly-one group per
+point, plus the scopes.  Scopes sharing a table and tile lists share one
+clause pattern, built once and renumbered per scope.  On a rigid instance,
+such as the seeded sea-level system, that is one variable and one unit
+clause per point.  The CNF goes out as DIMACS (export_dimacs,
 import_solution) and into the embedded clause-learning Solver, which keeps
 its state in flat lists indexed by literal or variable.  Its watch lists
 hold ints: a two-literal clause (most clauses of every encoding) is
@@ -47,7 +49,9 @@ class CnfInstance:
     """Clauses plus the meaning of the tiling variables.
 
     Variables 1..num_vars; var_of maps (point, tile id) to a variable and
-    meaning inverts it.  Auxiliary variables (sequential counters, scope
+    meaning inverts it.  From encode they cover only the pairs that root
+    propagation leaves, so a tile no tiling can use at a point has no
+    variable there.  Auxiliary variables (sequential counters, scope
     selectors) have no meaning entry.  From encode, the clauses are tuples
     that hold one int object per literal value: every occurrence of v or
     -v in them, and v in var_of and meaning, is the same object.
@@ -104,7 +108,9 @@ def _domains(window, ts, seeds):
     seed tile that is no candidate of its point (out of range included),
     or two seeds that clash, empty the domain."""
     pts, cands, scopes, pins = _instance(window, ts, seeds)
-    dom = [sum(1 << t for t in cs) for cs in cands]
+    # points share a few candidate tuples; each one's mask is built once
+    mask = {cs: sum(1 << t for t in cs) for cs in set(cands)}
+    dom = [mask[cs] for cs in cands]
     for i, t in pins:
         dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
     return pts, dom, scopes
@@ -121,24 +127,33 @@ _PAIRWISE_LIMIT = 8
 def encode(window, ts, seeds=()):
     """CNF whose models are the tilings of the window.
 
-    Per point: one variable per candidate tile, at-least-one, and at-most-one
-    (pairwise up to 8 candidates, a sequential counter beyond).  Per scope:
-    either one blocking clause per forbidden tuple or a selector variable per
-    allowed tuple, whichever needs fewer clauses.  Seeds (the tileset's plus
-    the extra ones) become unit clauses; a seed outside the window is an
-    error.
+    The domains come from _domains, so the seeds (the tileset's plus the
+    extra ones) narrow them there and a seed outside the window is an
+    error.  Root propagation on _Domains then rules out every tile no
+    tiling can use, and only the (point, tile) pairs it leaves get a
+    variable, numbered point by point and tile by tile, so models stay one
+    to one with tilings.  An instance that root propagation refutes encodes
+    as the one empty clause over no variables.
+
+    Per point: one variable per surviving tile, at-least-one, and
+    at-most-one (pairwise up to 8 tiles, a sequential counter beyond).  Per
+    scope: either one blocking clause per forbidden tuple or a selector
+    variable per allowed tuple, whichever needs fewer clauses.
 
     A point's tile variables are consecutive, so a scope's clauses depend
-    only on its table and its points' candidate lists up to renumbering:
-    each distinct (table, candidate lists) pattern is built once over local
-    literals and instantiated per scope through a literal table.
+    only on its table and its points' tile lists up to renumbering: each
+    distinct (table, tile lists) pattern is built once over local literals
+    and instantiated per scope through a literal table.
 
     Memory: variables are numbered into one table of int objects, one for
     v and one for -v, and every clause takes its literals from it, so the
     clauses hold as many ints as distinct literal values, not one per
     occurrence.
     """
-    pts, cands, scopes, pins = _instance(window, ts, seeds)
+    pts, dom, scopes = _domains(window, ts, seeds)
+    eng = _Domains(dom, scopes)
+    if not eng.ok:
+        return CnfInstance(clauses=[()])
     cnf = CnfInstance()
     var_of, meaning, clauses = cnf.var_of, cnf.meaning, cnf.clauses
     # pos[v] and neg[v] hold the one int object of v and of -v; every
@@ -152,12 +167,16 @@ def encode(window, ts, seeds=()):
         neg.extend(range(-first, -first - k, -1))
         return first
 
-    # per point: (first tile variable, candidate list id, candidate count)
+    # per point: (first tile variable, tile list id, tile count); lists
+    # maps each distinct surviving mask to (its id, its tiles)
     slot = []
-    cand_ids = {}
-    for pt, cs in zip(pts, cands):
+    lists = {}
+    for pt, m in zip(pts, eng.dom):
+        if m not in lists:
+            lists[m] = (len(lists), _bits(m))
+        cid, cs = lists[m]
         first = number(len(cs))
-        slot.append((first, cand_ids.setdefault(cs, len(cand_ids)), len(cs)))
+        slot.append((first, cid, len(cs)))
         for t, v in zip(cs, pos[first:]):
             key = (pt, t)
             var_of[key] = v
@@ -176,7 +195,7 @@ def encode(window, ts, seeds=()):
                 clauses.append((ngroup[i], regs[i]))
                 clauses.append((ngroup[i], nregs[i - 1]))
             clauses.append((ngroup[-1], nregs[-1]))
-    cand_lists = list(cand_ids)
+    cand_lists = [cs for _, cs in lists.values()]
     patterns = {}
     for scope, allowed in scopes:
         info = [slot[i] for i in scope]
@@ -198,9 +217,6 @@ def encode(window, ts, seeds=()):
         lits += reversed(negs)
         clauses.extend([pick(lits) for pick in pickers])
     cnf.num_vars = len(pos) - 1
-    for i, t in pins:
-        var = var_of.get((pts[i], t))
-        clauses.append(() if var is None else (var,))
     return cnf
 
 

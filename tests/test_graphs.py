@@ -1529,6 +1529,25 @@ def test_homs_reject_a_domain_whose_labels_ignore_its_reversal():
     assert_homs_reject(g, h, "labelling of 'x' ignores reversal")
 
 
+def two_loop_graph():
+    """One vertex with an a-loop and a b-loop over the two-loop rose."""
+    return labelled(rose(["a", "b"]), {0: 1}, {"a": (0, 0), "b": (0, 0)},
+                    {"a": "a", "b": "b"})
+
+
+def test_homs_reject_a_domain_edge_at_a_missing_vertex():
+    g, h = two_loop_graph(), two_loop_graph()
+    assert len(enumerate_homs(g, h)) == 1
+    g.edges["a"] = (0, 7)
+    assert_homs_reject(g, h, "edge 'a' has a dangling endpoint")
+
+
+def test_homs_reject_a_domain_edge_without_a_label():
+    g, h = two_loop_graph(), two_loop_graph()
+    del g.elabel["a"]
+    assert_homs_reject(g, h, "edge 'a' has no label")
+
+
 def budget_instance(r):
     """ball(r) -> comb for an int r; else a named instance: one whose homs
     go through the product over parallel or self-reversed edge images, or

@@ -16,10 +16,11 @@ from tilesim.sat import (
     import_solution, solve_tiling, solver_for, _decode, _Domains,
     _instance, _point_str)
 from tilesim.tilesets import (
-    DhsTarget, TetraSystem, comb_configuration, comb_tileset, dl_ray_system,
-    lr_system, omega_configuration, random_tetra_system, random_wang_tileset,
-    ray_left_system, sea_level_system, tetra_to_wang, tile_count, tiling_ok,
-    vertex_candidates, wang_to_dhs, wang_to_tetra, window_scopes)
+    DhsTarget, TetraSystem, WangTileset, comb_configuration, comb_tileset,
+    dl_ray_system, lr_system, omega_configuration, random_tetra_system,
+    random_wang_tileset, ray_left_system, sea_level_system, tetra_to_wang,
+    tile_count, tiling_ok, vertex_candidates, wang_to_dhs, wang_to_tetra,
+    window_scopes)
 
 
 def brute_tilings(window, ts):
@@ -249,11 +250,17 @@ HALFPLANE_STATS = {
 def test_halfplane_search_is_pinned(radius, learned, true_vars):
     # the alternating set of the half-plane reduction makes the solver
     # search and learn; its first model, learned clauses and counters are
-    # pinned, so any change to the order of propagation shows here
+    # pinned, so any change to the order of propagation shows here.  The
+    # CNF is the unseeded reduction's, which root propagation leaves whole,
+    # and the seed comes last as a unit clause, so the solver sees the
+    # clauses these values were pinned on.
     hp = HalfPlaneTileset(frozenset("cd"), (("c", "d", "c", "c"),
                                             ("c", "c", "c", "d")), 0)
-    cnf = encode(ball(radius), reduce_halfplane(hp))
+    pi = reduce_halfplane(hp)
+    cnf = encode(ball(radius), WangTileset(pi.colors, pi.tiles))
     s = solver_for(cnf)
+    seed, = pi.seeds
+    s.add_clause([cnf.var_of[seed]])
     loaded = len(s.db)
     model = s.solve()
     assert len(s.db) - loaded == learned
@@ -707,7 +714,10 @@ def reference_forced(window, ts, seeds=(), d=2):
             for t in sorted(pending[pt]):
                 if t in pending[pt]:
                     pending[pt].discard(t)
-                    model = s.solve((cnf.var_of[(pt, t)],))
+                    # a tile that root propagation rules out has no
+                    # variable, and is infeasible
+                    var = cnf.var_of.get((pt, t))
+                    model = None if var is None else s.solve((var,))
                     if model is not None:
                         harvest(model)
     return {pt: tuple(sorted(feasible[pt])) for pt in inner}
@@ -751,6 +761,55 @@ def test_enumeration_matches_the_clause_learning_solver_in_order():
         first = solve_tiling(win, ts, seeds)
         assert (first.values if first else None) == \
             (want[0] if want else None)
+
+
+def test_encode_keeps_exactly_the_tiles_of_brute_force_tilings():
+    # encode drops the tiles the engine's root propagation rules out, so
+    # the differentials above share that propagation; brute force checks
+    # it alone.  It lists the tilings of the set without seeds, so it runs
+    # where those are few, and blocking enumeration where the seeded ones
+    # are.
+    pruned = 0
+    for win, ts, seeds in differential_instances():
+        if (ts.seeds or exact_count(win, ts) > 25000
+                or exact_count(win, ts, seeds) > 2000):
+            continue
+        brute = [sol for sol in brute_tilings(win, ts)
+                 if all(sol[pt] == t for pt, t in seeds)]
+        cnf = encode(win, ts, seeds)
+        used = {key for sol in brute for key in sol.items()}
+        assert used <= cnf.var_of.keys()
+        assert sorted(reference_enumeration(win, ts, seeds), key=repr) == \
+            sorted(brute, key=repr)
+        if brute and len(cnf.var_of) < sum(
+                map(len, _instance(win, ts, seeds)[1])):
+            pruned += 1
+    # some checked instances have tilings and lose tiles to propagation
+    assert pruned
+
+
+def test_encode_of_a_refuted_instance_is_the_empty_clause():
+    # the dead-end half-plane set: no tile continues east of the seed's
+    cnf = encode(ball(3), reduce_halfplane(HALFPLANE_SETS[1]))
+    assert cnf == CnfInstance(0, [()], {}, {})
+    assert solver_for(cnf).solve() is None
+
+
+def test_seeded_omega_full_is_rigid_in_the_cnf():
+    # The paper's rigidity: the seed forces every tile, so root propagation
+    # leaves one tile per point and the solver never branches.
+    ts = sea_level_system()
+    seeds = ((identity(), ts.alphabet.index(omega_configuration(identity()))),)
+    win = tetrahedron(-2, 2)
+    cnf = encode(win, ts, seeds)
+    assert cnf.num_vars == len(cnf.var_of) == len(win.points())
+    s = solver_for(cnf)
+    model = s.solve()
+    assert s.stats["decisions"] == 0
+    values = _decode(cnf, model, win).values
+    assert tiling_ok(win, ts, values, seeds)
+    assert values == {pt: ts.alphabet.index(omega_configuration(pt))
+                      for pt in win.points()}
 
 
 @pytest.mark.parametrize("win, ts", [
