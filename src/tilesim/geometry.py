@@ -202,6 +202,18 @@ def alphabet_label_graph(symbols, base):
                                {e: e for e in spec}, rev, None)
 
 
+def _geometry(a):
+    """The geometry (mode, p, q) of alphabet a: ("cayley", 2, 2) for
+    cayley_label_graph(), ("dl", p, q) for dl_label_graph(p, q) with p,
+    q >= 2, else None.  Tile systems fit windows by this triple."""
+    pq = _dl_params(a.edges) if a is not None else None
+    if pq and min(pq) >= 2 and a == dl_label_graph(*pq):
+        return ("dl",) + pq
+    if a == cayley_label_graph():
+        return "cayley", 2, 2
+    return None
+
+
 # -- windows -----------------------------------------------------------------
 
 
@@ -210,9 +222,8 @@ class Window:
     """A finite induced piece of a Cayley or DL graph, with group points as
     vertex ids.
 
-    The geometry is read off the graph's alphabet: mode, p, q are
-    "cayley", 2, 2 over cayley_label_graph() and "dl", p, q over
-    dl_label_graph(p, q), p, q >= 2; any other alphabet raises ValueError.
+    The geometry (mode, p, q) is _geometry of the graph's alphabet; an
+    alphabet that stands for none raises ValueError.
 
     Induced: every edge of the Cayley or DL graph between two window
     points is a window edge.  Each edge t -> h labelled lab has the id
@@ -231,18 +242,14 @@ class Window:
 
     def __post_init__(self):
         g = self.graph
-        a = g.label_graph
-        pq = _dl_params(a.edges) if a is not None else None
-        if pq and min(pq) >= 2 and a == dl_label_graph(*pq):
-            self.mode, (self.p, self.q) = "dl", pq
-        elif a == cayley_label_graph():
-            self.mode, self.p, self.q = "cayley", 2, 2
-        else:
+        geometry = _geometry(g.label_graph)
+        if geometry is None:
             raise ValueError("a window lies over the Cayley or a DL alphabet")
+        self.mode, self.p, self.q = geometry
         self._points = pts = tuple(sorted(g.vlabel, key=skey))
         self._index = index = {pt: i for i, pt in enumerate(pts)}
         self._heads = heads = {lab: [-1] * len(pts) for lab in
-                               sorted(a.edges, key=skey)}
+                               sorted(g.label_graph.edges, key=skey)}
         for (t, lab), (_, h) in g.edges.items():
             heads[lab][index[t]] = index[h]
         # a cell's upper points are the heads of up(0,j) out of its base,

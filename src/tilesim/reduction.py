@@ -246,13 +246,14 @@ def decode_halfplane(assignment, pi, hp):
     A spine product at a^n only shows the south and east colours of
     (n, n); the first hp tile matching them is reported, except at the
     corner where the seed is pinned.  Product tiles sitting anywhere else
-    say nothing about the grid and are skipped.
+    say nothing about the grid and are skipped.  Each grid point has one
+    such point, so the assignment's order does not matter.
     """
     comb = comb_tileset()
     fam = {t: i for i, t in enumerate(comb.tiles)}
     out = {}
-    for pt in sorted(assignment, key=skey):
-        tile = pi.tiles[assignment[pt]]
+    for pt, idx in assignment.items():
+        tile = pi.tiles[idx]
         name = COMB_TILE_NAMES[fam[_first_layer(tile)]]
         words = _second_layer(tile)
         if name == "tooth" and comb_configuration(pt) == 1:

@@ -7,13 +7,13 @@ with an AC-3 queue and searches depth first, iteratively, branching on the
 lowest undecided variable and its smallest value first, so solutions come
 in lexicographic order of their values.  It knows no window or tileset.
 
-_instance numbers a tiling instance off the window's numbered form (see
-Window): points in window.points() order, their candidate tiles, scopes
-over point numbers and seeds as (number, tile).  _domains makes it the
-engine's input, one variable per point, and is the one place a seed
-narrows a domain.  solve_tiling, enumerate_tilings, count_tilings,
-forced_values, exact_count and encode read _domains, so tilings come in
-lexicographic order of their tile ids read in window.points() order.
+_domains numbers a tiling instance off the window's numbered form (see
+Window) as the engine's input: one variable per point, in window.points()
+order, starting at every tile (a tile system fits a window by its
+geometry, so no point rules a tile out), the scopes over point numbers
+and the seeds; it is the one place a seed narrows a domain.  Every tiling
+entry point below reads it, so tilings come in lexicographic order of
+their tile ids read in window.points() order.
 
 encode() runs the engine's root propagation once and builds clauses over
 one variable per (point, tile) pair it leaves: an exactly-one group per
@@ -41,7 +41,7 @@ import itertools
 
 from .geometry import GroupPoint, canonical, _inside
 from .graphs import CapacityError, _tuple_getter
-from .tilesets import tile_label, _candidates, _scopes
+from .tilesets import tile_count, tile_label, _scopes
 
 
 @dataclass
@@ -85,35 +85,24 @@ def _point_str(pt):
     return canonical(pt) if isinstance(pt, GroupPoint) else repr(pt)
 
 
-def _instance(window, ts, seeds):
-    """(points, cands, scopes, pins): window.points() (so numbers follow
-    skey order), each point's candidate tuple, window_scopes over point
-    numbers, and the tileset's then the extra seeds as (number, tile).  A
-    seed outside the window is a ValueError."""
+def _domains(window, ts, seeds):
+    """(points, domains, scopes): the engine's input, one variable per
+    point of window.points() (so numbers follow skey order), each a bitmask
+    domain that starts at every tile, and window_scopes over point numbers.
+    It is the one place a seed narrows a domain, the tileset's and then the
+    extra ones: it keeps only the seed tile, so a tile id out of range, or
+    two seeds that clash, empty the domain.  A seed outside the window is a
+    ValueError."""
     index = window._index
-    pins = []
+    n = tile_count(ts)
+    dom = [(1 << n) - 1] * len(index)
     for pt, t in tuple(ts.seeds) + tuple(seeds):
         i = index.get(pt)
         if i is None:
             raise ValueError("seed %s lies outside the window"
                              % _point_str(pt))
-        pins.append((i, t))
-    return window.points(), _candidates(ts, window), _scopes(ts, window), pins
-
-
-def _domains(window, ts, seeds):
-    """(points, domains, scopes): _instance as the engine's input, each
-    point's candidates as one bitmask with its seeds applied.  This is the
-    one place a seed narrows a domain: it keeps only the seed tile, so a
-    seed tile that is no candidate of its point (out of range included),
-    or two seeds that clash, empty the domain."""
-    pts, cands, scopes, pins = _instance(window, ts, seeds)
-    # points share a few candidate tuples; each one's mask is built once
-    mask = {cs: sum(1 << t for t in cs) for cs in set(cands)}
-    dom = [mask[cs] for cs in cands]
-    for i, t in pins:
-        dom[i] &= 1 << t if t in range(dom[i].bit_length()) else 0
-    return pts, dom, scopes
+        dom[i] &= 1 << t if t in range(n) else 0
+    return window.points(), dom, _scopes(ts, window)
 
 
 def _bits(mask):
@@ -233,8 +222,8 @@ def _scope_pattern(cand_lists, allowed):
     total = 1
     for cs in cand_lists:
         total *= len(cs)
-    usable = [t for t in sorted(allowed)
-              if all(x in m for x, m in zip(t, local))]
+    usable = sorted(t for t in allowed
+                    if all(x in m for x, m in zip(t, local)))
     forbidden = total - len(usable)
     selector_cost = len(usable) * (len(cand_lists) + 1) + 1
     out = []
@@ -625,8 +614,9 @@ class _Domains:
     Scopes with equal tables share one compiled table.  Every domain change
     goes on a trail of (variable, old mask) entries, so undo(mark) restores
     any earlier state.  ok is False when a domain starts empty or
-    propagation at the root empties one.  _domains compiles a tiling
-    instance into this form and is the one place a seed narrows a domain.
+    propagation at the root empties one.  _domains builds a tiling
+    instance in this form, every point starting at every tile, and is the
+    one place a seed narrows a domain.
     """
 
     def __init__(self, dom, scopes):

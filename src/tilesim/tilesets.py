@@ -25,7 +25,7 @@ import warnings
 from .graphs import (LabelGraph, add_edge_pair, read_lines, rose, skey,
                      _fmt, _naming_line, _parse_token)
 from .geometry import (GEN_INVERSE, GroupPoint, evaluate_word,
-                       cayley_label_graph)
+                       cayley_label_graph, _geometry)
 
 
 # The Wang side rule of the docstring above: per generator g, the sides
@@ -112,7 +112,8 @@ class TetraSystem:
 @dataclass(eq=True)
 class DhsTarget:
     """A finite labelled graph as tiling target; tiles are its vertices in
-    deterministic order."""
+    graph.vertices() order.  It fits the windows of its alphabet's
+    geometry, and its tilings are the vertex maps of the homs from them."""
 
     graph: LabelGraph
     seeds: tuple = ()
@@ -526,11 +527,14 @@ def omega_configuration(pt):
 def window_scopes(ts, window):
     """Fully-contained constraint scopes of a tileset over a window, as
     (vertex tuple, set of allowed tile-id tuples) pairs, deterministically
-    ordered.  Edge scopes are emitted once per reversal orbit, in
-    edge_ids() order, read off the window's numbered form as points()
-    order times labels in skey order; cell scopes once per cell, as
-    dl_cell_points of its base (window_cells), lower points first, which
-    on the lamplighter is the DL(2,2) cell."""
+    ordered.  The tileset must fit the window's geometry (mode, p, q): a
+    Wang set's is the lamplighter's, a cell system's its fields and a
+    target's _geometry of its alphabet.  Edge scopes come in edge_ids()
+    order, read off the window's numbered form as points() order times
+    labels in skey order: one per reversal orbit, or per edge for an
+    oriented target, as its homs map each edge on its own.  Cell scopes
+    come once per cell, as dl_cell_points of its base (window_cells), lower
+    points first, which on the lamplighter is the DL(2,2) cell."""
     pts = window.points()
     return [(tuple([pts[i] for i in scope]), allowed)
             for scope, allowed in _scopes(ts, window)]
@@ -539,10 +543,11 @@ def window_scopes(ts, window):
 def _scopes(ts, window):
     """window_scopes with each point given by its number in the window."""
     have = (window.mode, window.p, window.q)
-    want = (("cayley", 2, 2) if isinstance(ts, WangTileset) else have
-            if isinstance(ts, DhsTarget) else (ts.mode, ts.p, ts.q))
+    want = (("cayley", 2, 2) if isinstance(ts, WangTileset)
+            else _geometry(ts.graph.label_graph) if isinstance(ts, DhsTarget)
+            else (ts.mode, ts.p, ts.q))
     if want != have:
-        raise ValueError("a %s needs a %r window, not %r"
+        raise ValueError("a %s over %r does not fit a %r window"
                          % (type(ts).__name__, want, have))
     if isinstance(ts, WangTileset):
         pairs = {lab: frozenset((s, t) for s, x in enumerate(ts.tiles)
@@ -559,11 +564,12 @@ def _scopes(ts, window):
     for e in g.edge_ids():
         by_label.setdefault(g.elabel[e], set()).add(
             (order[g.tail(e)], order[g.head(e)]))
-    # each reversal orbit is one edge and its twin back, and the first of
-    # the two in edge_ids() order is the one whose tail comes first
+    # an oriented target maps each edge on its own; otherwise a reversal
+    # orbit is one edge and its twin back, and the first of the two in
+    # edge_ids() order is the one whose tail comes first
     return [(th, frozenset(by_label.get(lab, ())))
             for lab, th in _window_edges(window, window._heads)
-            if th[0] < th[1]]
+            if g.reversal is None or th[0] < th[1]]
 
 
 def _window_edges(window, labels):
@@ -575,41 +581,16 @@ def _window_edges(window, labels):
             for lab, row in rows if row[i] >= 0]
 
 
-def vertex_candidates(ts, window, pt):
-    """Tile ids a window vertex may carry before any edge or cell
-    constraints; only target graphs with vertex labels restrict this."""
-    if isinstance(ts, DhsTarget):
-        g = ts.graph
-        want = window.graph.vlabel[pt]
-        return [i for i, v in enumerate(g.vertices()) if g.vlabel[v] == want]
-    return list(range(tile_count(ts)))
-
-
-def _candidates(ts, window):
-    """vertex_candidates of each point as a tuple, in points() order;
-    computed once per vertex label, which is all they depend on."""
-    vlabel = window.graph.vlabel
-    by_label = {}
-    out = []
-    for pt in window.points():
-        cs = by_label.get(vlabel[pt])
-        if cs is None:
-            cs = by_label[vlabel[pt]] = tuple(vertex_candidates(ts, window,
-                                                                pt))
-        out.append(cs)
-    return out
-
-
 def tiling_ok(window, ts, assignment, extra_seeds=()):
     """Re-validate an assignment against the raw window constraints."""
     pts = window.points()
     if len(assignment) != len(pts):
         return False
-    # a point missing from the assignment reads None, no candidate
+    # a point missing from the assignment reads None, no tile id
     tiles = [assignment.get(pt) for pt in pts]
-    for t, cs in zip(tiles, _candidates(ts, window)):
-        if t not in cs:
-            return False
+    ids = range(tile_count(ts))
+    if not all(t in ids for t in tiles):
+        return False
     for scope, allowed in _scopes(ts, window):
         if tuple([tiles[i] for i in scope]) not in allowed:
             return False

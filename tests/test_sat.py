@@ -5,21 +5,22 @@ import random
 import pytest
 
 from tilesim.geometry import (
-    ball, cell_points, dl_window, evaluate_word, identity, interior_vertices,
-    tetrahedron, window_cells)
+    ball, cell_points, dl_label_graph, dl_window, evaluate_word, identity,
+    interior_vertices, tetrahedron, window_cells)
 from tilesim.graphs import (
-    CapacityError, alphabet, enumerate_homs, labelled, skey)
+    CapacityError, LabelGraph, add_edge_pair, alphabet, enumerate_homs,
+    labelled, skey)
 from tilesim.reduction import HalfPlaneTileset, reduce_halfplane
 from tilesim.sat import (
     CnfInstance, Solver, TilingAssignment, count_tilings, encode,
     enumerate_tilings, exact_count, export_dimacs, forced_values,
-    import_solution, solve_tiling, solver_for, _decode, _Domains,
-    _instance, _point_str)
+    import_solution, solve_tiling, solver_for, _decode, _Domains, _domains,
+    _point_str)
 from tilesim.tilesets import (
     DhsTarget, TetraSystem, WangTileset, comb_configuration, comb_tileset,
     dl_ray_system, lr_system, omega_configuration, random_tetra_system,
-    random_wang_tileset, ray_left_system, sea_level_system, tetra_to_wang,
-    tile_count, tiling_ok, vertex_candidates, wang_to_dhs, wang_to_tetra,
+    random_wang_tileset, ray_left_system, sea_level_system, sft_to_dhs,
+    tetra_to_wang, tile_count, tiling_ok, wang_to_dhs, wang_to_tetra,
     window_scopes)
 
 
@@ -31,7 +32,7 @@ def brute_tilings(window, ts):
     for scope, allowed in window_scopes(ts, window):
         last = max(pos[v] for v in scope)
         scopes_at[last].append((tuple(pos[v] for v in scope), allowed))
-    cands = [vertex_candidates(ts, window, p) for p in pts]
+    cands = range(tile_count(ts))
     out = []
     assign = [None] * len(pts)
 
@@ -39,7 +40,7 @@ def brute_tilings(window, ts):
         if i == len(pts):
             out.append(dict(zip(pts, assign)))
             return
-        for t in cands[i]:
+        for t in cands:
             assign[i] = t
             if all(tuple(assign[j] for j in sc) in allowed
                    for sc, allowed in scopes_at[i]):
@@ -509,16 +510,15 @@ def test_narrowing_to_a_disjoint_mask_changes_no_domain():
     assert d.dom == [0b011, 0b011] and d.trail == []
 
 
-def test_instance_candidates_match_the_per_point_definition():
-    # _instance computes candidates once per vertex label; they must be
-    # vertex_candidates point by point, in points() order
+def test_domains_start_every_point_at_the_full_mask():
+    # a tile system fits a window by its geometry, so every point of the
+    # window may carry every tile until a seed narrows it
     win = ball(3)
     for ts in (wang_to_dhs(comb_tileset()), comb_tileset(),
                sea_level_system()):
-        cands = _instance(win, ts, ())[1]
-        assert cands == [tuple(vertex_candidates(ts, win, pt))
-                         for pt in win.points()]
-    assert cands[0] == tuple(range(tile_count(sea_level_system())))
+        pts, dom, _ = _domains(win, ts, ())
+        assert pts == win.points()
+        assert dom == [(1 << tile_count(ts)) - 1] * len(pts)
 
 
 def test_engine_on_variables_that_are_not_window_points():
@@ -527,7 +527,7 @@ def test_engine_on_variables_that_are_not_window_points():
     # the copy at one end of a window edge to the tile at the other, so no
     # scope is a window scope
     win = ball(1)
-    edges = [sc for sc, _ in _instance(win, comb_tileset(), ())[2]]
+    edges = [sc for sc, _ in _domains(win, comb_tileset(), ())[2]]
     pairs = list(itertools.product(range(3), repeat=2))
     rng = random.Random(7)
     found = set()
@@ -698,7 +698,7 @@ def reference_forced(window, ts, seeds=(), d=2):
     cnf = encode(window, ts, seeds)
     s = solver_for(cnf)
     inner = sorted(interior_vertices(window, d), key=skey)
-    pending = {pt: set(vertex_candidates(ts, window, pt)) for pt in inner}
+    pending = {pt: set(range(tile_count(ts))) for pt in inner}
     feasible = {pt: set() for pt in inner}
 
     def harvest(model):
@@ -781,8 +781,7 @@ def test_encode_keeps_exactly_the_tiles_of_brute_force_tilings():
         assert used <= cnf.var_of.keys()
         assert sorted(reference_enumeration(win, ts, seeds), key=repr) == \
             sorted(brute, key=repr)
-        if brute and len(cnf.var_of) < sum(
-                map(len, _instance(win, ts, seeds)[1])):
+        if brute and len(cnf.var_of) < len(win.points()) * tile_count(ts):
             pruned += 1
     # some checked instances have tilings and lose tiles to propagation
     assert pruned
@@ -841,18 +840,9 @@ def test_sea_level_system_in_dl_mode_matches_cayley_mode(h):
     assert forced and forced == forced_values(cayley_win, ts, seeds)
 
 
-def two_label_target():
-    # tile 0 ('x') fits every window vertex; tile 1 ('y') has a vertex
-    # label no window vertex carries, so it is no vertex's candidate
-    rev = {"a": "A", "A": "a", "b": "B", "B": "b"}
-    base = alphabet([1, 2], {g: (1, 1) for g in "abAB"}, rev)
-    return DhsTarget(labelled(base, {"x": 1, "y": 2},
-                              {g: ("x", "x") for g in "abAB"},
-                              {g: g for g in "abAB"}, rev))
-
-
 @pytest.mark.parametrize("ts, seed", [
-    (two_label_target(), 1),
+    # one vertex, so tile 1 is out of range
+    (wang_to_dhs(WangTileset(frozenset("c"), (("c",) * 4,))), 1),
     (comb_tileset(), 6),
     (comb_tileset(), -1),
     (comb_tileset(), 10 ** 9),
@@ -866,6 +856,90 @@ def test_seed_tile_that_is_no_candidate_is_unsatisfiable(ts, seed):
     forced = forced_values(ball(2), ts, seeds, d=1)
     assert forced and all(v == () for v in forced.values())
     assert exact_count(ball(1), ts, seeds, max_table=1) == 0
+
+
+def two_label_target():
+    # tile 0 ('x') has the vertex label every window point carries; tile 1
+    # ('y') has one no window point does
+    rev = {"a": "A", "A": "a", "b": "B", "B": "b"}
+    base = alphabet([1, 2], {g: (1, 1) for g in "abAB"}, rev)
+    return DhsTarget(labelled(base, {"x": 1, "y": 2},
+                              {g: ("x", "x") for g in "abAB"},
+                              {g: g for g in "abAB"}, rev))
+
+
+def dl_loop_target():
+    # one vertex with a loop of every DL(2,2) label, read on a Cayley window
+    dl = dl_label_graph(2, 2)
+    return DhsTarget(labelled(dl, {0: 1}, {e: (0, 0) for e in dl.edges},
+                              {e: e for e in dl.edges}, dl.reversal))
+
+
+@pytest.mark.parametrize("target", [
+    two_label_target(),
+    dl_loop_target(),
+    sft_to_dhs(("a", "b"), 1, (0, 1),
+               itertools.product((0, 1), repeat=3)),
+], ids=["two_labels", "dl_alphabet", "rose_alphabet"])
+def test_a_target_over_another_alphabet_fits_no_window(target):
+    # a target fits the windows of its alphabet's geometry, as its homs do
+    win = ball(1)
+    with pytest.raises(ValueError, match="different alphabets"):
+        enumerate_homs(win.graph, target.graph)
+    for call in (solve_tiling, enumerate_tilings, count_tilings,
+                 forced_values, encode, exact_count):
+        with pytest.raises(ValueError, match="does not fit"):
+            call(win, target)
+
+
+def random_target(rng, base, oriented):
+    # two or three vertices and at most one edge per (label, tail, head),
+    # so each vertex map of a hom has one edge map; an unoriented target
+    # gets each edge with its reversed twin
+    verts = range(rng.randint(2, 3))
+    edges, elabel = {}, {}
+    rev = None if oriented else {}
+    for lab in sorted(base.edges, key=skey):
+        rlab = base.reversal[lab]
+        if not oriented and skey(rlab) < skey(lab):
+            continue
+        for t, h in itertools.product(verts, repeat=2):
+            if rng.random() < 0.75:
+                if oriented:
+                    edges[(t, lab, h)] = (t, h)
+                    elabel[(t, lab, h)] = lab
+                else:
+                    add_edge_pair(edges, elabel, rev, (t, lab, h),
+                                  (h, rlab, t), t, h, lab, rlab)
+    return DhsTarget(LabelGraph(dict.fromkeys(verts, 1), edges, elabel, rev,
+                                base))
+
+
+@pytest.mark.parametrize("win", [
+    ball(1), ball(2), tetrahedron(-1, 1), dl_window(2, 3, -1, 1),
+], ids=["ball1", "ball2", "tetrahedron", "dl23"])
+def test_target_tilings_are_the_vertex_maps_of_its_homs(win):
+    # an oriented target maps every window edge on its own, an unoriented
+    # one each edge with its twin; the engines must read both as the homs do
+    rng = random.Random(len(win.points()))
+    base = win.graph.label_graph
+    # four targets of each kind with tilings, and those without on the way
+    checked = {True: 0, False: 0}
+    while min(checked.values()) < 4:
+        oriented = rng.random() < 0.5
+        ts = random_target(rng, base, oriented)
+        n = exact_count(win, ts)
+        if n > 2000:
+            continue
+        order = {v: i for i, v in enumerate(ts.graph.vertices())}
+        homs = enumerate_homs(win.graph, ts.graph)
+        assert count_tilings(win, ts) == n == len(homs)
+        sols, complete = enumerate_tilings(win, ts)
+        assert complete
+        pts = win.points()
+        assert sorted(tuple(s.values[pt] for pt in pts) for s in sols) == \
+            sorted(tuple(order[f.vmap[pt]] for pt in pts) for f in homs)
+        checked[oriented] += n > 0
 
 
 def test_seed_outside_the_window_raises_everywhere():

@@ -17,8 +17,8 @@ from tilesim.tilesets import (
     product_tileset, random_tetra_system, random_wang_tileset,
     ray_left_system, ray_right_system, sea_level_system, sea_system,
     sft_to_dhs, tetra_to_wang, tile_count, tile_label,
-    tileset_from_text, tileset_to_text, tiling_ok, vertex_candidates,
-    wang_to_dhs, wang_to_tetra, window_scopes, _point_word)
+    tileset_from_text, tileset_to_text, tiling_ok, wang_to_dhs,
+    wang_to_tetra, window_scopes, _point_word)
 
 T, F = True, False
 
@@ -35,7 +35,7 @@ def brute_tilings(window, ts):
     for scope, allowed in window_scopes(ts, window):
         last = max(pos[v] for v in scope)
         scopes_at[last].append((tuple(pos[v] for v in scope), allowed))
-    cands = [vertex_candidates(ts, window, p) for p in pts]
+    cands = range(tile_count(ts))
     out = []
     assign = [None] * len(pts)
 
@@ -43,7 +43,7 @@ def brute_tilings(window, ts):
         if i == len(pts):
             out.append(dict(zip(pts, assign)))
             return
-        for t in cands[i]:
+        for t in cands:
             assign[i] = t
             if all(tuple(assign[j] for j in sc) in allowed
                    for sc, allowed in scopes_at[i]):
@@ -651,14 +651,10 @@ def test_wang_to_dhs_structure():
             assert u[1] == v[3]
 
 
-def test_vertex_candidates_and_tile_count():
+def test_tile_count():
     w = comb_tileset()
-    win = ball(1)
     assert tile_count(w) == 6
-    assert vertex_candidates(w, win, identity()) == list(range(6))
-    target = wang_to_dhs(w)
-    assert tile_count(target) == 6
-    assert vertex_candidates(target, win, identity()) == list(range(6))
+    assert tile_count(wang_to_dhs(w)) == 6
 
 
 def test_random_wang_tileset_stops_at_the_tiles_its_colours_allow():
